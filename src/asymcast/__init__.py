@@ -1,8 +1,8 @@
 """Forecasting under asymmetric error costs.
 
-Loss families, asymmetry-aware estimators, ex-post markdown correction,
-cost-sensitive ensemble selection, and a sweep harness over asymmetry
-levels.
+Loss families, asymmetry-aware estimators, a model library with
+cost-sensitive selection of its best entry, and ex-post markdown
+correction.
 """
 
 __version__ = "0.1.0"

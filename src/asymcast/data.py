@@ -249,17 +249,16 @@ def load_csv(path, schema) -> Dataset:
 def export_csv(path, raw_columns, schema) -> None:
     """Write raw (pre-encoding) columns to CSV; floats via repr (round-trip exact)."""
     expected = [name for name, _ in schema]
-    kinds = dict(schema)
-    n = len(raw_columns[expected[0]])
+    cols = [
+        raw_columns[name]
+        if kind == "categorical"
+        else [repr(v) for v in np.asarray(raw_columns[name], dtype=float).tolist()]
+        for name, kind in schema
+    ]
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(expected)
-        for i in range(n):
-            row = []
-            for name in expected:
-                v = raw_columns[name][i]
-                row.append(v if kinds[name] == "categorical" else repr(float(v)))
-            writer.writerow(row)
+        writer.writerows(zip(*cols))
 
 
 # ----------------------------------------------------------------- splits

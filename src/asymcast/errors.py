@@ -1,6 +1,6 @@
 """Exception hierarchy shared across the package.
 
-Exit-code mapping used by the CLI:
+Each class carries the exit code a command-line front end should use:
   2 configuration, 3 data/input, 4 numerical failure, 5 verification failure.
 """
 

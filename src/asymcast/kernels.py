@@ -1,72 +1,45 @@
-"""Hot numeric kernels: tree building and neural-net training loops.
+"""Hot numeric kernels: tree building and prediction, neural-net training.
 
-Every kernel is written in the numba-compatible numpy subset and compiled
-with ``@njit(cache=True)`` when numba is available. Setting the
-environment variable ``ASYMCAST_DISABLE_NUMBA=1`` (or running without
-numba installed) selects the pure-numpy fallback path: the same
-functions, interpreted. ``benchmarks/bench_kernels.py`` compares the two.
+Each kernel has one path, written with whole-array numpy operations.
+Tree building vectorizes the split search across a node's candidate
+features; tree prediction advances every row one level per step.
 
 In-kernel randomness (random-forest feature subsampling, mini-batch
-shuffling) uses a small explicit LCG so both paths consume an identical,
-seed-determined stream.
+shuffling) draws from a small explicit LCG. It stays because it fixes
+the order of the forests' ``mtry`` draws and the networks' mini-batch
+order as a function of the seed alone, so fitted models are
+reproducible bit for bit.
 """
-
-import os
 
 import numpy as np
 
-_flag = os.environ.get("ASYMCAST_DISABLE_NUMBA", "").strip().lower()
-NUMBA_DISABLED = _flag not in ("", "0", "false", "no")
+# pipebench's environment report reads this; there is no compiled path
+USE_NUMBA = False
 
-try:
-    from numba import njit as _njit
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - exercised via the env flag instead
-    NUMBA_AVAILABLE = False
-
-USE_NUMBA = NUMBA_AVAILABLE and not NUMBA_DISABLED
-
-
-def _maybe_jit(func):
-    if USE_NUMBA:
-        return _njit(cache=True, nogil=True)(func)
-    return func
-
-
-# 32-bit LCG (Numerical Recipes constants). Intermediates stay below
-# 2**53 so the arithmetic is exact in both compiled and interpreted mode.
+# 32-bit LCG (Numerical Recipes constants)
 _LCG_A = 1664525
 _LCG_C = 1013904223
 _LCG_M = 4294967296  # 2**32
 
 
-def _lcg_next_impl(state):
-    return (_LCG_A * state + _LCG_C) % _LCG_M
-
-
-def _lcg_choice_impl(state, k):
-    # next state and a draw in [0, k)
+def lcg_choice(state, k):
+    """Next LCG state and a draw in [0, k)."""
     state = (_LCG_A * state + _LCG_C) % _LCG_M
     return state, (state * k) // _LCG_M
 
 
-lcg_next = _maybe_jit(_lcg_next_impl)
-_lcg_choice = _maybe_jit(_lcg_choice_impl)
-
-
 # ----------------------------------------------------------------- trees
 
-def _tree_build_impl(
-    X, y, sample_idx, min_node, complexity, mtry, lcg_state, max_depth
-):
+def tree_build(X, y, sample_idx, min_node, complexity, mtry, lcg_state, max_depth):
     """Grow a regression tree on rows ``sample_idx`` (repeats allowed).
 
     Splits greedily maximize the sum-of-squares reduction; a split is
     kept only when it reduces the node sum of squares by at least
     ``complexity`` times the root sum of squares and leaves at least
-    ``min_node`` rows on each side. ``mtry < n_features`` samples that
-    many candidate features per split (random forests).
+    ``min_node >= 1`` rows on each side. ``mtry < n_features`` samples
+    that many candidate features per split (random forests). Nodes are
+    grown depth first, and among equal gains the first candidate feature
+    and the lowest cut win.
 
     Returns (feature, threshold, left, right, value, n_nodes); leaves
     carry feature -1. Rows with value <= threshold go left.
@@ -82,33 +55,23 @@ def _tree_build_impl(
 
     idx = sample_idx.copy()
     feat_pool = np.arange(m)
+    columns = np.arange(min(mtry, m))
+    counts = np.arange(n + 1, dtype=np.float64)
 
     # root sum of squares, the reference scale for the complexity gate
     y_root = y[idx]
     root_sum = np.sum(y_root)
     root_sse = np.sum(y_root * y_root) - root_sum * root_sum / n
+    min_gain = complexity * root_sse
 
-    stack_node = np.empty(cap, dtype=np.int64)
-    stack_lo = np.empty(cap, dtype=np.int64)
-    stack_hi = np.empty(cap, dtype=np.int64)
-    stack_depth = np.empty(cap, dtype=np.int64)
-    stack_node[0] = 0
-    stack_lo[0] = 0
-    stack_hi[0] = n
-    stack_depth[0] = 0
-    sp = 1
+    stack = [(0, 0, n, 0)]
     n_nodes = 1
-
-    while sp > 0:
-        sp -= 1
-        node = stack_node[sp]
-        lo = stack_lo[sp]
-        hi = stack_hi[sp]
-        depth = stack_depth[sp]
+    while stack:
+        node, lo, hi, depth = stack.pop()
         seg = idx[lo:hi]
         n_node = hi - lo
         ys = y[seg]
-        total = np.sum(ys)
+        total = ys.sum()
         node_value[node] = total / n_node
 
         if n_node < 2 * min_node or depth >= max_depth:
@@ -117,52 +80,48 @@ def _tree_build_impl(
         if mtry < m:
             # partial Fisher-Yates draw of mtry distinct features
             for i in range(mtry):
-                lcg_state, j = _lcg_choice(lcg_state, m - i)
-                j = j + i
-                tmp = feat_pool[i]
-                feat_pool[i] = feat_pool[j]
-                feat_pool[j] = tmp
-            n_feat = mtry
+                lcg_state, j = lcg_choice(lcg_state, m - i)
+                j += i
+                feat_pool[i], feat_pool[j] = feat_pool[j], feat_pool[i]
+            feats = feat_pool[:mtry]
+            block = X[seg[:, None], feats]
         else:
-            n_feat = m
+            feats = feat_pool
+            block = X[seg]
 
-    # candidate scan: maximize sum_L^2/n_L + sum_R^2/n_R (equivalent to
-    # the variance-reduction objective since sum of y^2 is constant)
-        base = total * total / n_node
-        best_gain = 0.0
-        best_feature = -1
-        best_threshold = 0.0
-        for fi in range(n_feat):
-            f = feat_pool[fi] if mtry < m else fi
-            col = X[:, f]
-            xs = col[seg]
-            order = np.argsort(xs, kind="mergesort")
-            xs_s = xs[order]
-            if xs_s[0] == xs_s[n_node - 1]:
-                continue
-            ys_s = ys[order]
-            cum = np.cumsum(ys_s)
-            n_left = np.arange(1, n_node).astype(np.float64)
-            sum_left = cum[: n_node - 1]
-            gains = (
-                sum_left * sum_left / n_left
-                + (total - sum_left) * (total - sum_left) / (n_node - n_left)
-                - base
-            )
-            distinct = xs_s[1:] > xs_s[: n_node - 1]
-            sized = (n_left >= min_node) & (n_left <= n_node - min_node)
-            gains = np.where(distinct & sized, gains, -1.0)
-            j = int(np.argmax(gains))
-            if gains[j] > best_gain:
-                best_gain = gains[j]
-                best_feature = f
-                best_threshold = 0.5 * (xs_s[j] + xs_s[j + 1])
-
-        if best_feature < 0 or best_gain < complexity * root_sse:
+        # Candidate scan over all features at once: maximize
+        # sum_L^2/n_L + sum_R^2/n_R (equivalent to the variance-reduction
+        # objective since the sum of y^2 is constant). Row j of the
+        # sorted block is the cut after j + 1 rows; only the rows that
+        # leave min_node rows on each side are scored.
+        order = np.argsort(block, axis=0, kind="stable")
+        xs_s = block[order, columns]
+        cut = slice(min_node - 1, n_node - min_node)
+        # counts[k] == k: left sizes ascend from min_node, right sizes
+        # descend to it
+        n_left = counts[min_node : n_node - min_node + 1, None]
+        n_right = counts[n_node - min_node : min_node - 1 : -1, None]
+        sum_left = ys[order].cumsum(axis=0)[cut]
+        sum_right = total - sum_left
+        # sum_L^2/n_L + sum_R^2/n_R - total^2/n, in place to spare temporaries
+        gains = sum_left * sum_left
+        gains /= n_left
+        sum_right *= sum_right
+        sum_right /= n_right
+        gains += sum_right
+        gains -= total * total / n_node
+        gains[~(xs_s[min_node : n_node - min_node + 1] > xs_s[cut])] = -1.0
+        rows = gains.argmax(axis=0)
+        col_gains = gains[rows, columns]
+        k = int(col_gains.argmax())
+        best_gain = col_gains[k]
+        if not best_gain > 0.0 or best_gain < min_gain:
             continue
+        best_feature = feats[k]
+        j = rows[k] + min_node - 1
+        best_threshold = 0.5 * (xs_s[j, k] + xs_s[j + 1, k])
 
-        col = X[:, best_feature]
-        mask = col[seg] <= best_threshold
+        mask = block[:, k] <= best_threshold
         left_part = seg[mask]
         right_part = seg[~mask]
         n_left_rows = left_part.shape[0]
@@ -176,44 +135,35 @@ def _tree_build_impl(
         node_threshold[node] = best_threshold
         node_left[node] = left_id
         node_right[node] = right_id
+        stack.append((left_id, lo, lo + n_left_rows, depth + 1))
+        stack.append((right_id, lo + n_left_rows, hi, depth + 1))
 
-        stack_node[sp] = left_id
-        stack_lo[sp] = lo
-        stack_hi[sp] = lo + n_left_rows
-        stack_depth[sp] = depth + 1
-        sp += 1
-        stack_node[sp] = right_id
-        stack_lo[sp] = lo + n_left_rows
-        stack_hi[sp] = hi
-        stack_depth[sp] = depth + 1
-        sp += 1
-
+    # copies, so a fitted tree does not pin the 2n+3 node capacity
     return (
-        node_feature[:n_nodes],
-        node_threshold[:n_nodes],
-        node_left[:n_nodes],
-        node_right[:n_nodes],
-        node_value[:n_nodes],
+        node_feature[:n_nodes].copy(),
+        node_threshold[:n_nodes].copy(),
+        node_left[:n_nodes].copy(),
+        node_right[:n_nodes].copy(),
+        node_value[:n_nodes].copy(),
         n_nodes,
     )
 
 
-def _tree_predict_impl(node_feature, node_threshold, node_left, node_right, node_value, X):
-    n = X.shape[0]
-    out = np.empty(n, dtype=np.float64)
-    for i in range(n):
-        node = 0
-        while node_feature[node] >= 0:
-            if X[i, node_feature[node]] <= node_threshold[node]:
-                node = node_left[node]
-            else:
-                node = node_right[node]
-        out[i] = node_value[node]
+def tree_predict(node_feature, node_threshold, node_left, node_right, node_value, X):
+    """Leaf values for every row of X, advancing all rows one level per step."""
+    out = np.empty(X.shape[0], dtype=np.float64)
+    rows = np.arange(X.shape[0])
+    node = np.zeros(X.shape[0], dtype=np.int64)
+    while rows.shape[0]:
+        feature = node_feature[node]
+        leaf = feature < 0
+        if leaf.any():
+            out[rows[leaf]] = node_value[node[leaf]]
+            inner = ~leaf
+            rows, node, feature = rows[inner], node[inner], feature[inner]
+        goes_left = X[rows, feature] <= node_threshold[node]
+        node = np.where(goes_left, node_left[node], node_right[node])
     return out
-
-
-tree_build = _maybe_jit(_tree_build_impl)
-tree_predict = _maybe_jit(_tree_predict_impl)
 
 
 # ------------------------------------------------------------ neural net
@@ -230,7 +180,7 @@ ACT_TANH = 1
 _EXP_CLIP = 700.0
 
 
-def _nn_train_impl(
+def nn_train(
     X,
     y,
     W1,
@@ -282,7 +232,7 @@ def _nn_train_impl(
     for _epoch in range(epochs):
         if not full:
             for i in range(n - 1, 0, -1):
-                lcg_state, j = _lcg_choice(lcg_state, i + 1)
+                lcg_state, j = lcg_choice(lcg_state, i + 1)
                 tmp = perm[i]
                 perm[i] = perm[j]
                 perm[j] = tmp
@@ -362,7 +312,7 @@ def _nn_train_impl(
     return 0 if ok else 1
 
 
-def _nn_forward_impl(X, W1, b1, v, v0, act_code):
+def nn_forward(X, W1, b1, v, v0, act_code):
     Z = np.dot(X, W1) + b1
     if act_code == ACT_TANH:
         H = np.tanh(Z)
@@ -370,7 +320,3 @@ def _nn_forward_impl(X, W1, b1, v, v0, act_code):
         ZC = np.minimum(np.maximum(-Z, -_EXP_CLIP), _EXP_CLIP)
         H = 1.0 / (1.0 + np.exp(ZC))
     return np.dot(H, v) + v0[0]
-
-
-nn_train = _maybe_jit(_nn_train_impl)
-nn_forward = _maybe_jit(_nn_forward_impl)

@@ -9,8 +9,9 @@ trained on the smooth quadratic-quadratic loss; these carry provenance
 "asymmetric".
 
 Model fits are independent, so the builder can run them on a thread
-pool (the hot kernels release the GIL); results are assembled in plan
-order, keeping the library deterministic for any job count.
+pool; results are assembled in plan order, keeping the library
+deterministic for any job count. Threads overlap only inside the numpy
+and scipy calls that release the GIL.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .base import (
     FAMILY_RANDOM_FOREST,
     FAMILY_RIDGE,
     FAMILY_TREE,
-    LINEAR_FAMILIES,
     Model,
     predict,
 )
@@ -280,10 +280,6 @@ def select_best(library: ModelLibrary, criterion: CostSpec, families=None) -> in
     if best_index is None:
         raise InvalidInputError(f"no library entry matches families {families}")
     return best_index
-
-
-def linear_families() -> tuple:
-    return LINEAR_FAMILIES
 
 
 # ------------------------------------------------------------- persistence

@@ -5,9 +5,15 @@ Quantile regression solves the weighted absolute-residual objective
     min_beta sum_i rho_tau(y_i - x_i' beta),
     rho_tau(d) = tau*d if d > 0 else (tau - 1)*d
 
-as a linear program (residuals split into positive/negative parts),
-handed to scipy's HiGHS solver. The contract is objective-value
-optimality, checked in the tests against grid/perturbation oracles.
+through its rank-score dual (Koenker & Bassett, Econometrica 1978),
+
+    max_d y'd  subject to  A'd = (1 - tau) A'1,  0 <= d <= 1,
+
+with A the design matrix including the intercept column. The dual has
+one equality row per coefficient instead of one per observation; scipy's
+HiGHS solver returns beta as the negated multipliers of those rows. The
+contract is objective-value optimality, checked in the tests against the
+primal LP and grid/perturbation oracles.
 """
 
 from __future__ import annotations
@@ -15,7 +21,6 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 import scipy.optimize
-import scipy.sparse
 
 from ..errors import ConfigurationError, ConvergenceError, InvalidInputError, SingularDesignError
 from ..losses import CostSpec
@@ -92,11 +97,7 @@ def quantile_objective(beta, X, y, tau: float) -> float:
 
 
 def fit_quantile(X, y, tau: float) -> Model:
-    """Linear quantile regression at level tau via an LP formulation.
-
-    Variables are (beta, u+, u-) with X'beta + u+ - u- = y and the
-    objective tau*sum(u+) + (1-tau)*sum(u-); the solution is an LP vertex.
-    """
+    """Linear quantile regression at level tau via the dual LP."""
     if not 0.0 < tau < 1.0:
         raise ConfigurationError(f"tau must lie in (0, 1), got {tau}")
     X, y, A = _design(X, y)
@@ -104,17 +105,16 @@ def fit_quantile(X, y, tau: float) -> Model:
     if n <= p:
         raise InvalidInputError(f"need n > m+1 rows, got n={n} for {p} coefficients")
 
-    eye = scipy.sparse.eye(n, format="csc")
-    A_eq = scipy.sparse.hstack([scipy.sparse.csc_matrix(A), eye, -eye], format="csc")
-    c = np.concatenate([np.zeros(p), np.full(n, tau), np.full(n, 1.0 - tau)])
-    bounds = [(None, None)] * p + [(0.0, None)] * (2 * n)
-    result = scipy.optimize.linprog(c, A_eq=A_eq, b_eq=y, bounds=bounds, method="highs")
+    result = scipy.optimize.linprog(
+        -y, A_eq=A.T, b_eq=(1.0 - tau) * A.sum(axis=0), bounds=(0.0, 1.0), method="highs"
+    )
     if not result.success:
-        best = quantile_objective(result.x[:p], X, y, tau) if result.x is not None else None
+        marginals = getattr(result.get("eqlin"), "marginals", None)
+        best = quantile_objective(-marginals, X, y, tau) if marginals is not None else None
         raise ConvergenceError(
             f"quantile LP did not converge: {result.message}", best_objective=best
         )
-    beta = result.x[:p]
+    beta = -result.eqlin.marginals
     return Model(
         FAMILY_QUANTILE,
         {"tau": tau},

@@ -104,27 +104,30 @@ def fit_nn(X, y, config: NNConfig, loss_mode: CostSpec = CostSpec("squared_error
     X = np.ascontiguousarray(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
     W1, b1, v, v0 = init_params(X.shape[1], y, config)
-    status = kernels.nn_train(
-        X,
-        y,
-        W1,
-        b1,
-        v,
-        v0,
-        _ACT_CODES[config.activation_hidden],
-        _LOSS_CODES[loss_mode.family],
-        loss_mode.a,
-        loss_mode.b,
-        loss_mode.tau,
-        loss_mode.steepness,
-        config.pinball_smooth_eps,
-        config.lambda1,
-        config.lambda2,
-        config.learning_rate,
-        config.epochs,
-        config.batch_size,
-        (config.seed * 2654435761 + 1) % 4294967296,
-    )
+    # a diverging run overflows on its way to non-finite parameters; the
+    # kernel's finite check reports that as status 1, raised below
+    with np.errstate(over="ignore", invalid="ignore"):
+        status = kernels.nn_train(
+            X,
+            y,
+            W1,
+            b1,
+            v,
+            v0,
+            _ACT_CODES[config.activation_hidden],
+            _LOSS_CODES[loss_mode.family],
+            loss_mode.a,
+            loss_mode.b,
+            loss_mode.tau,
+            loss_mode.steepness,
+            config.pinball_smooth_eps,
+            config.lambda1,
+            config.lambda2,
+            config.learning_rate,
+            config.epochs,
+            config.batch_size,
+            (config.seed * 2654435761 + 1) % 4294967296,
+        )
     state = NNState(W1, b1, v, v0, _ACT_CODES[config.activation_hidden])
     if status != 0 or not np.isfinite(
         np.mean((y - state.predict(X)) ** 2)

@@ -56,22 +56,27 @@ def _grow_tree(X, y, sample_idx, min_node, complexity, mtry, lcg_seed) -> TreeSt
     arrays = kernels.tree_build(
         X, y, sample_idx, min_node, complexity, mtry, lcg_seed, MAX_DEPTH
     )
-    return TreeState(tuple(np.asarray(a) for a in arrays[:5]))
+    return TreeState(arrays[:5])
 
 
 def fit_tree(X, y, complexity: float = 1e-3, min_node: int = 10) -> Model:
     X, y = _check_design(X, y)
-    if complexity < 0 or min_node < 1:
-        raise ConfigurationError(
-            f"need complexity >= 0 and min_node >= 1, got {complexity}, {min_node}"
-        )
+    _check_growth(complexity, min_node)
     idx = np.arange(X.shape[0], dtype=np.int64)
     state = _grow_tree(X, y, idx, min_node, complexity, X.shape[1], 0)
     params = {"complexity": complexity, "min_node": min_node}
     return Model(FAMILY_TREE, params, state, X.shape[1])
 
 
+def _check_growth(complexity, min_node):
+    if complexity < 0 or min_node < 1:
+        raise ConfigurationError(
+            f"need complexity >= 0 and min_node >= 1, got {complexity}, {min_node}"
+        )
+
+
 def _fit_tree_ensemble(X, y, n_trees, mtry, seed, complexity, min_node) -> ForestState:
+    _check_growth(complexity, min_node)
     rng = np.random.default_rng(seed)
     n = X.shape[0]
     trees = []

@@ -1,0 +1,143 @@
+"""Loop-based reference implementations the fast kernels are checked against.
+
+``tree_build_loop`` scans the candidate features of a node one at a time,
+``tree_predict_loop`` walks each row down the tree on its own, and
+``quantile_primal`` solves quantile regression as the n x (p + 2n)
+primal LP. They are deliberately the plain formulations: the tests
+require the vectorized tree kernels to match them bit for bit and the
+dual quantile LP to reach the same objective.
+"""
+
+import numpy as np
+import scipy.optimize
+import scipy.sparse
+
+from asymcast.kernels import lcg_choice
+
+
+def tree_build_loop(X, y, sample_idx, min_node, complexity, mtry, lcg_state, max_depth):
+    """Depth-first greedy regression tree, one candidate feature at a time."""
+    n = sample_idx.shape[0]
+    m = X.shape[1]
+    cap = 2 * n + 3
+    node_feature = np.full(cap, -1, dtype=np.int64)
+    node_threshold = np.zeros(cap, dtype=np.float64)
+    node_left = np.full(cap, -1, dtype=np.int64)
+    node_right = np.full(cap, -1, dtype=np.int64)
+    node_value = np.zeros(cap, dtype=np.float64)
+
+    idx = sample_idx.copy()
+    feat_pool = np.arange(m)
+
+    y_root = y[idx]
+    root_sum = np.sum(y_root)
+    root_sse = np.sum(y_root * y_root) - root_sum * root_sum / n
+
+    stack = [(0, 0, n, 0)]
+    n_nodes = 1
+    while stack:
+        node, lo, hi, depth = stack.pop()
+        seg = idx[lo:hi]
+        n_node = hi - lo
+        ys = y[seg]
+        total = np.sum(ys)
+        node_value[node] = total / n_node
+
+        if n_node < 2 * min_node or depth >= max_depth:
+            continue
+
+        if mtry < m:
+            for i in range(mtry):
+                lcg_state, j = lcg_choice(lcg_state, m - i)
+                j = j + i
+                feat_pool[i], feat_pool[j] = feat_pool[j], feat_pool[i]
+            n_feat = mtry
+        else:
+            n_feat = m
+
+        base = total * total / n_node
+        best_gain = 0.0
+        best_feature = -1
+        best_threshold = 0.0
+        for fi in range(n_feat):
+            f = feat_pool[fi] if mtry < m else fi
+            xs = X[:, f][seg]
+            order = np.argsort(xs, kind="mergesort")
+            xs_s = xs[order]
+            if xs_s[0] == xs_s[n_node - 1]:
+                continue
+            cum = np.cumsum(ys[order])
+            n_left = np.arange(1, n_node).astype(np.float64)
+            sum_left = cum[: n_node - 1]
+            gains = (
+                sum_left * sum_left / n_left
+                + (total - sum_left) * (total - sum_left) / (n_node - n_left)
+                - base
+            )
+            distinct = xs_s[1:] > xs_s[: n_node - 1]
+            sized = (n_left >= min_node) & (n_left <= n_node - min_node)
+            gains = np.where(distinct & sized, gains, -1.0)
+            j = int(np.argmax(gains))
+            if gains[j] > best_gain:
+                best_gain = gains[j]
+                best_feature = f
+                best_threshold = 0.5 * (xs_s[j] + xs_s[j + 1])
+
+        if best_feature < 0 or best_gain < complexity * root_sse:
+            continue
+
+        mask = X[:, best_feature][seg] <= best_threshold
+        left_part = seg[mask]
+        right_part = seg[~mask]
+        n_left_rows = left_part.shape[0]
+        idx[lo : lo + n_left_rows] = left_part
+        idx[lo + n_left_rows : hi] = right_part
+
+        left_id, right_id = n_nodes, n_nodes + 1
+        n_nodes += 2
+        node_feature[node] = best_feature
+        node_threshold[node] = best_threshold
+        node_left[node] = left_id
+        node_right[node] = right_id
+        stack.append((left_id, lo, lo + n_left_rows, depth + 1))
+        stack.append((right_id, lo + n_left_rows, hi, depth + 1))
+
+    return (
+        node_feature[:n_nodes],
+        node_threshold[:n_nodes],
+        node_left[:n_nodes],
+        node_right[:n_nodes],
+        node_value[:n_nodes],
+        n_nodes,
+    )
+
+
+def tree_predict_loop(node_feature, node_threshold, node_left, node_right, node_value, X):
+    """Walk each row from the root to its leaf."""
+    out = np.empty(X.shape[0], dtype=np.float64)
+    for i in range(X.shape[0]):
+        node = 0
+        while node_feature[node] >= 0:
+            if X[i, node_feature[node]] <= node_threshold[node]:
+                node = node_left[node]
+            else:
+                node = node_right[node]
+        out[i] = node_value[node]
+    return out
+
+
+def quantile_primal(X, y, tau):
+    """Coefficients (intercept first) from the primal LP.
+
+    Variables are (beta, u+, u-) with A beta + u+ - u- = y and objective
+    tau*sum(u+) + (1-tau)*sum(u-).
+    """
+    A = np.column_stack([np.ones(X.shape[0]), X])
+    n, p = A.shape
+    eye = scipy.sparse.eye(n, format="csc")
+    A_eq = scipy.sparse.hstack([scipy.sparse.csc_matrix(A), eye, -eye], format="csc")
+    c = np.concatenate([np.zeros(p), np.full(n, tau), np.full(n, 1.0 - tau)])
+    bounds = [(None, None)] * p + [(0.0, None)] * (2 * n)
+    result = scipy.optimize.linprog(c, A_eq=A_eq, b_eq=y, bounds=bounds, method="highs")
+    assert result.success, result.message
+    return result.x[:p]

@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
+import scipy.optimize
 
-from asymcast.errors import ConfigurationError, InvalidInputError, SingularDesignError
+from asymcast.errors import (
+    ConfigurationError,
+    ConvergenceError,
+    InvalidInputError,
+    SingularDesignError,
+)
 from asymcast.models import fit_ols, fit_quantile, fit_ridge, predict, quantile_objective
+from reference_kernels import quantile_primal
 
 
 def make_linear_problem(seed, n=120, m=2, noise=0.05):
@@ -139,19 +146,41 @@ def test_quantile_optimal_against_perturbation_grid():
 
 
 def test_quantile_median_agrees_with_lad_oracle():
-    cvxpy = pytest.importorskip("cvxpy")
     rng = np.random.default_rng(12)
     X = rng.normal(size=(80, 2))
     y = 0.3 + X @ np.array([1.0, -0.4]) + rng.standard_t(3, 80) * 0.2
     model = fit_quantile(X, y, 0.5)
     ours = quantile_objective(model.state.beta, X, y, 0.5)
 
-    beta_var = cvxpy.Variable(3)
     A = np.column_stack([np.ones(80), X])
-    problem = cvxpy.Problem(cvxpy.Minimize(cvxpy.norm1(y - A @ beta_var)))
-    problem.solve()
+    lad = np.sum(np.abs(y - A @ quantile_primal(X, y, 0.5)))
     # LAD objective equals twice the tau=0.5 pinball objective
-    assert ours == pytest.approx(problem.value / 2.0, abs=1e-6)
+    assert ours == pytest.approx(lad / 2.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("tau", [0.09, 0.5, 0.9])
+@pytest.mark.parametrize("seed", [15, 16])
+def test_quantile_dual_objective_equals_primal(tau, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(400, 5))
+    X[:, 4] = rng.integers(0, 2, 400)  # a 0/1 column, like a one-hot dummy
+    y = 0.5 + X @ rng.normal(size=5) + rng.gamma(2.0, 0.3, 400)
+    dual = quantile_objective(fit_quantile(X, y, tau).state.beta, X, y, tau)
+    primal = quantile_objective(quantile_primal(X, y, tau), X, y, tau)
+    assert dual == pytest.approx(primal, rel=1e-9)
+
+
+def test_quantile_solver_failure_raises_convergence_error(monkeypatch):
+    X, y = make_linear_problem(seed=17)
+    linprog = scipy.optimize.linprog
+
+    def one_iteration(*args, **kwargs):
+        return linprog(*args, **kwargs, options={"maxiter": 1})
+
+    monkeypatch.setattr(scipy.optimize, "linprog", one_iteration)
+    with pytest.raises(ConvergenceError, match="did not converge") as info:
+        fit_quantile(X, y, 0.3)
+    assert info.value.best_objective is None  # HiGHS returns no iterate
 
 
 def test_quantile_marks_asymmetric_provenance():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -152,8 +154,10 @@ def test_stronger_penalties_shrink_weight_norms():
 def test_divergent_learning_rate_raises_training_error():
     X, y = standardized_linear_problem(seed=11, n=60)
     config = NNConfig(hidden_nodes=2, epochs=10, learning_rate=1e160, seed=0)
-    with pytest.raises(TrainingError, match="learning rate"):
-        fit_nn(X, y, config)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(TrainingError, match="learning rate"):
+            fit_nn(X, y, config)
 
 
 def test_nn_config_validation():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from asymcast import kernels
 from asymcast.errors import ConfigurationError, SchemaError
 from asymcast.models import (
     fit_bagged_tree,
@@ -10,6 +11,7 @@ from asymcast.models import (
     fit_tree,
     predict,
 )
+from reference_kernels import tree_build_loop, tree_predict_loop
 
 
 def make_nonlinear_problem(seed, n=600, noise=0.15):
@@ -85,6 +87,67 @@ def test_predict_rejects_column_mismatch():
         predict(model, X[:, :2])
 
 
+def make_tied_problem(seed, n=300):
+    """Rounded numeric columns (repeated x values) plus a one-hot block.
+
+    In a node holding only two of the three categories, two dummy
+    columns give the same partition, so equal gains must break toward
+    the first candidate feature.
+    """
+    rng = np.random.default_rng(seed)
+    numeric = np.round(rng.normal(size=(n, 3)), 1)
+    category = rng.integers(0, 3, n)
+    onehot = (category[:, None] == np.arange(3)).astype(float)
+    X = np.column_stack([numeric, onehot])
+    y = numeric[:, 0] ** 2 + 0.5 * (category == 2) + rng.normal(0, 0.2, n)
+    return X, y
+
+
+@pytest.mark.parametrize("bootstrap", [False, True])
+@pytest.mark.parametrize("min_node", [1, 5, 20])
+@pytest.mark.parametrize("complexity", [0.0, 1e-2])
+@pytest.mark.parametrize("mtry", [1, 3, 6])
+def test_tree_build_matches_feature_loop_reference(bootstrap, min_node, complexity, mtry):
+    X, y = make_tied_problem(seed=100 + mtry + min_node)
+    rng = np.random.default_rng(min_node)
+    if bootstrap:
+        rows = rng.integers(0, len(y), size=len(y)).astype(np.int64)
+    else:
+        rows = np.arange(len(y), dtype=np.int64)
+    args = (X, y, rows, min_node, complexity, mtry, 4242, 30)
+    fast = kernels.tree_build(*args)
+    reference = tree_build_loop(*args)
+    assert fast[5] == reference[5]
+    for got, want in zip(fast[:5], reference[:5]):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+    Xq = make_tied_problem(seed=7, n=200)[0]
+    np.testing.assert_array_equal(
+        kernels.tree_predict(*fast[:5], Xq), tree_predict_loop(*reference[:5], Xq)
+    )
+
+
+def test_tree_build_ties_between_dummies_go_to_the_first_column():
+    # rows of categories 0 and 1 only: both dummies split them identically
+    X = np.array([[1.0, 0.0]] * 6 + [[0.0, 1.0]] * 6)
+    y = np.array([0.0] * 6 + [1.0] * 6)
+    rows = np.arange(12, dtype=np.int64)
+    feature = kernels.tree_build(X, y, rows, 1, 0.0, 2, 0, 30)[0]
+    assert feature[0] == 0
+    assert feature[0] == tree_build_loop(X, y, rows, 1, 0.0, 2, 0, 30)[0][0]
+
+
+@pytest.mark.parametrize("max_depth", [0, 2, 30])
+def test_tree_predict_matches_row_loop_reference(max_depth):
+    X, y = make_nonlinear_problem(seed=16, n=400)
+    Xq = make_nonlinear_problem(seed=17, n=300)[0]
+    arrays = kernels.tree_build(X, y, np.arange(400, dtype=np.int64), 3, 0.0, 4, 0, max_depth)
+    np.testing.assert_array_equal(
+        kernels.tree_predict(*arrays[:5], Xq), tree_predict_loop(*arrays[:5], Xq)
+    )
+
+
 # ----------------------------------------------------------- bagging / rf
 
 def test_forest_single_tree_full_mtry_equals_single_bag():
@@ -107,6 +170,14 @@ def test_forest_validates_mtry():
     X, y = make_nonlinear_problem(seed=13, n=50)
     with pytest.raises(ConfigurationError):
         fit_random_forest(X, y, trees=3, mtry=9, seed=0)
+
+
+def test_ensembles_validate_min_node():
+    X, y = make_nonlinear_problem(seed=13, n=50)
+    with pytest.raises(ConfigurationError, match="min_node"):
+        fit_random_forest(X, y, trees=3, mtry=2, seed=0, min_node=0)
+    with pytest.raises(ConfigurationError, match="min_node"):
+        fit_bagged_tree(X, y, bags=3, seed=0, min_node=0)
 
 
 def test_bagging_beats_single_tree_on_most_seeds():
