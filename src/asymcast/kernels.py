@@ -1,14 +1,15 @@
-"""Hot numeric kernels: tree building and prediction, neural-net training.
+"""Hot numeric kernels: tree building and prediction, the network forward pass.
 
 Each kernel has one path, written with whole-array numpy operations.
 Tree building vectorizes the split search across a node's candidate
 features; tree prediction advances every row one level per step.
+Networks are trained in ``models.neural`` by scipy's L-BFGS-B, so no
+training loop lives here.
 
-In-kernel randomness (random-forest feature subsampling, mini-batch
-shuffling) draws from a small explicit LCG. It stays because it fixes
-the order of the forests' ``mtry`` draws and the networks' mini-batch
-order as a function of the seed alone, so fitted models are
-reproducible bit for bit.
+Random-forest feature subsampling draws from a small explicit LCG, its
+only use. It fixes the order of the forests' ``mtry`` draws as a
+function of the seed alone, so fitted forests are reproducible bit for
+bit.
 """
 
 import numpy as np
@@ -168,11 +169,6 @@ def tree_predict(node_feature, node_threshold, node_left, node_right, node_value
 
 # ------------------------------------------------------------ neural net
 
-# loss codes used inside the training kernel
-LOSS_SQUARED = 0
-LOSS_PINBALL = 1
-LOSS_QQC_APPROX = 2
-
 # activation codes
 ACT_LOGISTIC = 0
 ACT_TANH = 1
@@ -180,143 +176,14 @@ ACT_TANH = 1
 _EXP_CLIP = 700.0
 
 
-def nn_train(
-    X,
-    y,
-    W1,
-    b1,
-    v,
-    v0,
-    act_code,
-    loss_code,
-    loss_a,
-    loss_b,
-    loss_tau,
-    loss_steepness,
-    pinball_eps,
-    lam1,
-    lam2,
-    learning_rate,
-    epochs,
-    batch_size,
-    lcg_state,
-):
-    """Adam descent on mean(loss(residual)) + lam1*sum(W1^2) + lam2*sum(v^2).
-
-    Biases (b1, v0) are not penalized. ``batch_size == 0`` means full
-    batch; otherwise mini-batches are drawn from an LCG-shuffled
-    permutation each epoch. ``pinball_eps > 0`` replaces the pinball kink
-    by a quadratic band on [-eps, eps]. Parameters are updated in place;
-    returns 0 on success, 1 if the parameters went non-finite.
-    """
-    n = X.shape[0]
-    k = W1.shape[1]
-    m = W1.shape[0]
-
-    mW = np.zeros((m, k))
-    vW = np.zeros((m, k))
-    mb = np.zeros(k)
-    vb = np.zeros(k)
-    mv = np.zeros(k)
-    vv = np.zeros(k)
-    mv0 = np.zeros(1)
-    vv0 = np.zeros(1)
-    beta1 = 0.9
-    beta2 = 0.999
-    eps = 1e-8
-
-    perm = np.arange(n)
-    full = batch_size <= 0 or batch_size >= n
-    step = 0
-
-    for _epoch in range(epochs):
-        if not full:
-            for i in range(n - 1, 0, -1):
-                lcg_state, j = lcg_choice(lcg_state, i + 1)
-                tmp = perm[i]
-                perm[i] = perm[j]
-                perm[j] = tmp
-        start = 0
-        while start < n:
-            if full:
-                Xb = X
-                yb = y
-                start = n
-            else:
-                stop = min(start + batch_size, n)
-                rows = perm[start:stop]
-                Xb = X[rows]
-                yb = y[rows]
-                start = stop
-            nb = Xb.shape[0]
-
-            Z = np.dot(Xb, W1) + b1
-            if act_code == ACT_TANH:
-                H = np.tanh(Z)
-                Hder = 1.0 - H * H
-            else:
-                ZC = np.minimum(np.maximum(-Z, -_EXP_CLIP), _EXP_CLIP)
-                H = 1.0 / (1.0 + np.exp(ZC))
-                Hder = H * (1.0 - H)
-            yhat = np.dot(H, v) + v0[0]
-            e = yb - yhat
-
-            if loss_code == LOSS_PINBALL:
-                g = np.where(e > 0, loss_tau, np.where(e < 0, loss_tau - 1.0, loss_tau))
-                if pinball_eps > 0.0:
-                    band = e / (2.0 * pinball_eps) + (loss_tau - 0.5)
-                    g = np.where(np.abs(e) <= pinball_eps, band, g)
-            elif loss_code == LOSS_QQC_APPROX:
-                zc = np.minimum(np.maximum(loss_steepness * e, -_EXP_CLIP), _EXP_CLIP)
-                sig = 1.0 / (1.0 + np.exp(zc))
-                weight = loss_a + (loss_b - loss_a) * sig
-                dsig = -loss_steepness * sig * (1.0 - sig)
-                g = 2.0 * e * weight + (e * e) * (loss_b - loss_a) * dsig
-            else:
-                g = 2.0 * e
-
-            dyhat = -g / nb
-            dv = np.dot(dyhat, H) + 2.0 * lam2 * v
-            dv0 = np.sum(dyhat)
-            dH = dyhat.reshape(nb, 1) * v.reshape(1, k)
-            dZ = dH * Hder
-            dW1 = np.dot(Xb.T.copy(), dZ) + 2.0 * lam1 * W1
-            db1 = np.sum(dZ, axis=0)
-
-            step += 1
-            c1 = 1.0 - beta1**step
-            c2 = 1.0 - beta2**step
-
-            mW = beta1 * mW + (1.0 - beta1) * dW1
-            vW = beta2 * vW + (1.0 - beta2) * dW1 * dW1
-            W1 -= learning_rate * (mW / c1) / (np.sqrt(vW / c2) + eps)
-
-            mb = beta1 * mb + (1.0 - beta1) * db1
-            vb = beta2 * vb + (1.0 - beta2) * db1 * db1
-            b1 -= learning_rate * (mb / c1) / (np.sqrt(vb / c2) + eps)
-
-            mv = beta1 * mv + (1.0 - beta1) * dv
-            vv = beta2 * vv + (1.0 - beta2) * dv * dv
-            v -= learning_rate * (mv / c1) / (np.sqrt(vv / c2) + eps)
-
-            mv0[0] = beta1 * mv0[0] + (1.0 - beta1) * dv0
-            vv0[0] = beta2 * vv0[0] + (1.0 - beta2) * dv0 * dv0
-            v0[0] -= learning_rate * (mv0[0] / c1) / (np.sqrt(vv0[0] / c2) + eps)
-
-    ok = (
-        np.all(np.isfinite(W1))
-        and np.all(np.isfinite(b1))
-        and np.all(np.isfinite(v))
-        and np.isfinite(v0[0])
-    )
-    return 0 if ok else 1
+def nn_hidden(X, W1, b1, act_code):
+    """Hidden-layer activations of a one-hidden-layer network."""
+    Z = np.dot(X, W1) + b1
+    if act_code == ACT_TANH:
+        return np.tanh(Z)
+    ZC = np.minimum(np.maximum(-Z, -_EXP_CLIP), _EXP_CLIP)
+    return 1.0 / (1.0 + np.exp(ZC))
 
 
 def nn_forward(X, W1, b1, v, v0, act_code):
-    Z = np.dot(X, W1) + b1
-    if act_code == ACT_TANH:
-        H = np.tanh(Z)
-    else:
-        ZC = np.minimum(np.maximum(-Z, -_EXP_CLIP), _EXP_CLIP)
-        H = 1.0 / (1.0 + np.exp(ZC))
-    return np.dot(H, v) + v0[0]
+    return np.dot(nn_hidden(X, W1, b1, act_code), v) + v0[0]

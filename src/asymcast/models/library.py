@@ -6,7 +6,13 @@ predictions. With ``augment=True`` the library additionally receives
 models trained against asymmetric losses: linear quantile regressions
 over a grid of quantile levels, quantile-loss networks, and networks
 trained on the smooth quadratic-quadratic loss; these carry provenance
-"asymmetric".
+"asymmetric". Every network, symmetric or not, is trained by L-BFGS on
+the same full-batch objective, at most ``nn_epochs`` iterations.
+
+A fit that fails is skipped and recorded in ``ModelLibrary.failures``.
+``save_library`` writes the entries and those failure records to one
+versioned ``.npz`` bundle, so a loaded library still says which fits
+failed and why.
 
 Model fits are independent, so the builder can run them on a thread
 pool; results are assembled in plan order, keeping the library
@@ -66,12 +72,10 @@ class LibraryConfig:
     families: tuple = SUPPORTED_FAMILIES
     ridge_lambdas: tuple = (1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0)
     knn_ks: tuple = (3, 5, 10, 25, 50, 100)
-    knn_algorithms: tuple = ("brute",)
     tree_complexities: tuple = (1e-4, 1e-3, 1e-2)
     tree_min_nodes: tuple = (10, 40)
     nn_hidden: tuple = (2, 4, 8, 16)
-    nn_epochs: int = 500
-    nn_learning_rate: float = 0.02
+    nn_epochs: int = 100  # L-BFGS iteration cap
     nn_lambda1: float = 1e-6
     nn_lambda2: float = 1e-6
     bag_counts: tuple = (10, 25)
@@ -139,13 +143,8 @@ def _build_plans(config: LibraryConfig, augment: bool, n_features: int):
         for lam in config.ridge_lambdas:
             add(FAMILY_RIDGE, {"lambda": lam}, lambda X, y, seed, lam=lam: fit_ridge(X, y, lam))
     if FAMILY_KNN in fams:
-        for algorithm in config.knn_algorithms:
-            for k in config.knn_ks:
-                add(
-                    FAMILY_KNN,
-                    {"k": k, "algorithm": algorithm},
-                    lambda X, y, seed, k=k, algorithm=algorithm: fit_knn(X, y, k, algorithm),
-                )
+        for k in config.knn_ks:
+            add(FAMILY_KNN, {"k": k}, lambda X, y, seed, k=k: fit_knn(X, y, k))
     if FAMILY_TREE in fams:
         for cp in config.tree_complexities:
             for mn in config.tree_min_nodes:
@@ -215,7 +214,6 @@ def _nn_config(config: LibraryConfig, hidden: int, seed: int) -> NNConfig:
         lambda1=config.nn_lambda1,
         lambda2=config.nn_lambda2,
         epochs=config.nn_epochs,
-        learning_rate=config.nn_learning_rate,
         seed=seed,
     )
 
@@ -284,7 +282,7 @@ def select_best(library: ModelLibrary, criterion: CostSpec, families=None) -> in
 
 # ------------------------------------------------------------- persistence
 
-_BUNDLE_VERSION = 1
+_BUNDLE_VERSION = 2  # version 1 bundles carry no failure records
 
 
 def _state_arrays(model: Model, prefix: str) -> dict:
@@ -326,9 +324,7 @@ def _rebuild_state(family: str, hyperparams: dict, arrays: dict, prefix: str):
     if family in (FAMILY_OLS, FAMILY_RIDGE, FAMILY_QUANTILE):
         return LinearState(arrays[f"{prefix}beta"])
     if family == FAMILY_KNN:
-        return KnnState(
-            arrays[f"{prefix}X"], arrays[f"{prefix}y"], hyperparams["k"], hyperparams["algorithm"]
-        )
+        return KnnState(arrays[f"{prefix}X"], arrays[f"{prefix}y"], hyperparams["k"])
     if family == FAMILY_TREE:
         return TreeState(
             tuple(arrays[f"{prefix}{k}"] for k in ("feature", "threshold", "left", "right", "value"))
@@ -367,6 +363,7 @@ def save_library(library: ModelLibrary, path) -> None:
         "augmented": library.augmented,
         "master_seed": library.master_seed,
         "entries": [],
+        "failures": library.failures,
     }
     for entry in library.entries:
         prefix = f"e{entry.index}_"
@@ -395,7 +392,7 @@ def load_library(path) -> ModelLibrary:
     with np.load(path, allow_pickle=False) as bundle:
         arrays = {key: bundle[key] for key in bundle.files}
     manifest = json.loads(bytes(arrays["manifest"]).decode("utf-8"))
-    if manifest["version"] != _BUNDLE_VERSION:
+    if manifest["version"] not in (1, _BUNDLE_VERSION):
         raise ConfigurationError(
             f"library bundle version {manifest['version']} is not supported"
         )
@@ -421,6 +418,7 @@ def load_library(path) -> ModelLibrary:
                 arrays[f"{prefix}val_pred"],
             )
         )
+    failures = [tuple(failure) for failure in manifest.get("failures", [])]
     return ModelLibrary(
-        entries, arrays["val_actuals"], manifest["augmented"], manifest["master_seed"]
+        entries, arrays["val_actuals"], manifest["augmented"], manifest["master_seed"], failures
     )

@@ -3,28 +3,19 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from ..errors import ConfigurationError, InvalidInputError
 from .base import FAMILY_KNN, Model
 
-ALGORITHMS = ("brute", "kd_tree")
-
 
 class KnnState:
-    def __init__(self, X, y, k, algorithm):
+    def __init__(self, X, y, k):
         self.X = np.ascontiguousarray(X, dtype=float)
         self.y = np.asarray(y, dtype=float)
         self.k = k
-        self.algorithm = algorithm
-        self._tree = cKDTree(self.X) if algorithm == "kd_tree" else None
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        if self.algorithm == "kd_tree":
-            _, idx = self._tree.query(X, k=self.k)
-            if self.k == 1:
-                idx = idx[:, None]
-            return self.y[idx].mean(axis=1)
+        """Mean target of the k nearest training rows, by brute-force distances."""
         out = np.empty(X.shape[0])
         train_sq = np.einsum("ij,ij->i", self.X, self.X)
         chunk = max(1, 2_000_000 // max(1, self.X.shape[0]))
@@ -39,7 +30,7 @@ class KnnState:
         return out
 
 
-def fit_knn(X, y, k_neighbors: int, algorithm: str = "brute") -> Model:
+def fit_knn(X, y, k_neighbors: int) -> Model:
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or X.shape[0] != y.shape[0]:
@@ -48,7 +39,5 @@ def fit_knn(X, y, k_neighbors: int, algorithm: str = "brute") -> Model:
         raise ConfigurationError(
             f"k_neighbors must lie in [1, n={X.shape[0]}], got {k_neighbors}"
         )
-    if algorithm not in ALGORITHMS:
-        raise ConfigurationError(f"unknown knn algorithm {algorithm!r}; use one of {ALGORITHMS}")
-    state = KnnState(X, y, k_neighbors, algorithm)
-    return Model(FAMILY_KNN, {"k": k_neighbors, "algorithm": algorithm}, state, X.shape[1])
+    state = KnnState(X, y, k_neighbors)
+    return Model(FAMILY_KNN, {"k": k_neighbors}, state, X.shape[1])

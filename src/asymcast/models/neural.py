@@ -10,12 +10,14 @@ hidden weights of the written form, input-layer and output-layer biases
 are included, which is standard practice and materially improves
 trainability.
 
-Training minimizes
+Training minimizes the full-batch objective
 
     mean(loss(y - f(x))) + lambda1*sum(W^2) + lambda2*sum(v^2)
 
-by Adam; biases are unpenalized. Supported loss modes: squared error,
-pinball (optionally with a quadratic band of half-width
+of ``nn_objective_and_grad`` with scipy's L-BFGS-B quasi-Newton method,
+as R's ``nnet`` trains the same model; biases are unpenalized and
+``epochs`` caps the L-BFGS iterations. Supported loss modes: squared
+error, pinball (optionally with a quadratic band of half-width
 ``pinball_smooth_eps`` replacing the kink), and the smooth
 quadratic-quadratic approximation. Training is deterministic given the
 config seed.
@@ -26,18 +28,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import minimize
 
 from .. import kernels
 from ..errors import ConfigurationError, TrainingError
-from ..losses import CostSpec
+from ..losses import CostSpec, eval_loss, grad_loss
 from .base import FAMILY_NN, Model
 
 _ACT_CODES = {"logistic": kernels.ACT_LOGISTIC, "tanh": kernels.ACT_TANH}
-_LOSS_CODES = {
-    "squared_error": kernels.LOSS_SQUARED,
-    "pinball": kernels.LOSS_PINBALL,
-    "qqc_approx": kernels.LOSS_QQC_APPROX,
-}
+_LOSSES = ("squared_error", "pinball", "qqc_approx")
+_DIVERGED = "network training diverged (non-finite objective); check the scale of the targets"
 
 
 @dataclass(frozen=True)
@@ -46,9 +46,7 @@ class NNConfig:
     lambda1: float = 1e-6
     lambda2: float = 1e-6
     activation_hidden: str = "logistic"
-    epochs: int = 600
-    learning_rate: float = 0.02
-    batch_size: int = 0  # 0 = full batch
+    epochs: int = 100  # L-BFGS iteration cap
     seed: int = 0
     pinball_smooth_eps: float = 0.0
 
@@ -57,14 +55,14 @@ class NNConfig:
             raise ConfigurationError(f"need at least one hidden node, got {self.hidden_nodes}")
         if self.lambda1 < 0 or self.lambda2 < 0:
             raise ConfigurationError("weight penalties must be non-negative")
-        if self.learning_rate <= 0:
-            raise ConfigurationError(f"learning rate must be positive, got {self.learning_rate}")
         if self.activation_hidden not in _ACT_CODES:
             raise ConfigurationError(
                 f"unknown hidden activation {self.activation_hidden!r}"
             )
-        if self.epochs < 1 or self.batch_size < 0:
-            raise ConfigurationError("epochs must be >= 1 and batch_size >= 0")
+        if self.epochs < 1:
+            raise ConfigurationError(
+                f"epochs (the L-BFGS iteration cap) must be >= 1, got {self.epochs}"
+            )
 
 
 class NNState:
@@ -80,10 +78,9 @@ class NNState:
 
 
 def _check_loss_mode(loss_mode: CostSpec):
-    if loss_mode.family not in _LOSS_CODES:
+    if loss_mode.family not in _LOSSES:
         raise ConfigurationError(
-            f"{loss_mode.family!r} is not a trainable network loss; "
-            f"use one of {tuple(_LOSS_CODES)}"
+            f"{loss_mode.family!r} is not a trainable network loss; use one of {_LOSSES}"
         )
 
 
@@ -100,56 +97,41 @@ def init_params(n_features: int, y: np.ndarray, config: NNConfig):
 
 def fit_nn(X, y, config: NNConfig, loss_mode: CostSpec = CostSpec("squared_error")) -> Model:
     """Train on standardized features; deterministic given config.seed."""
-    _check_loss_mode(loss_mode)
     X = np.ascontiguousarray(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
-    W1, b1, v, v0 = init_params(X.shape[1], y, config)
-    # a diverging run overflows on its way to non-finite parameters; the
-    # kernel's finite check reports that as status 1, raised below
+    k = config.hidden_nodes
+    theta0 = flatten_params(*init_params(X.shape[1], y, config))
+    args = (X, y, config, loss_mode)
+    # huge targets overflow the loss; a line search backs off from an
+    # infinite objective, and one at the start or the end is raised
     with np.errstate(over="ignore", invalid="ignore"):
-        status = kernels.nn_train(
-            X,
-            y,
-            W1,
-            b1,
-            v,
-            v0,
-            _ACT_CODES[config.activation_hidden],
-            _LOSS_CODES[loss_mode.family],
-            loss_mode.a,
-            loss_mode.b,
-            loss_mode.tau,
-            loss_mode.steepness,
-            config.pinball_smooth_eps,
-            config.lambda1,
-            config.lambda2,
-            config.learning_rate,
-            config.epochs,
-            config.batch_size,
-            (config.seed * 2654435761 + 1) % 4294967296,
+        if not np.isfinite(nn_objective_and_grad(theta0, *args)[0]):
+            raise TrainingError(_DIVERGED)
+        result = minimize(
+            nn_objective_and_grad,
+            theta0,
+            args=args,
+            method="L-BFGS-B",
+            jac=True,
+            options={"maxiter": config.epochs},
         )
+    if not np.isfinite(result.fun):
+        raise TrainingError(_DIVERGED)
+    W1, b1, v, v0 = unflatten_params(result.x, X.shape[1], k)
     state = NNState(W1, b1, v, v0, _ACT_CODES[config.activation_hidden])
-    if status != 0 or not np.isfinite(
-        np.mean((y - state.predict(X)) ** 2)
-    ):
-        raise TrainingError(
-            "network training diverged (non-finite loss); try a smaller learning rate"
-        )
     params = {
-        "hidden_nodes": config.hidden_nodes,
+        "hidden_nodes": k,
         "lambda1": config.lambda1,
         "lambda2": config.lambda2,
         "activation": config.activation_hidden,
         "epochs": config.epochs,
-        "learning_rate": config.learning_rate,
-        "batch_size": config.batch_size,
         "seed": config.seed,
         "loss": loss_mode.describe(),
     }
     return Model(FAMILY_NN, params, state, X.shape[1], loss_mode=loss_mode)
 
 
-# ------------------------------------------------- objective for checking
+# ------------------------------------------------------ training objective
 
 def flatten_params(W1, b1, v, v0) -> np.ndarray:
     return np.concatenate([W1.ravel(), b1, v, v0])
@@ -164,24 +146,24 @@ def unflatten_params(theta, n_features, k):
 
 
 def nn_objective_and_grad(theta, X, y, config: NNConfig, loss_mode: CostSpec):
-    """Full training objective and its analytic gradient, in plain numpy.
+    """The training objective at flat parameters ``theta`` and its gradient.
 
-    This mirrors the training kernel's math and is what the
-    finite-difference gradient checks run against.
+    ``fit_nn`` minimizes exactly this function, so it is the one
+    definition of the network's loss, penalties and gradient; the
+    finite-difference tests check the gradient against it. A forecast
+    that overflows gives an infinite objective.
     """
     _check_loss_mode(loss_mode)
     n, m = X.shape
     k = config.hidden_nodes
     W1, b1, v, v0 = unflatten_params(np.asarray(theta, dtype=float), m, k)
-    Z = X @ W1 + b1
-    if config.activation_hidden == "tanh":
-        H = np.tanh(Z)
-        Hder = 1.0 - H * H
-    else:
-        H = 1.0 / (1.0 + np.exp(np.clip(-Z, -700.0, 700.0)))
-        Hder = H * (1.0 - H)
+    act_code = _ACT_CODES[config.activation_hidden]
+    H = kernels.nn_hidden(X, W1, b1, act_code)
+    Hder = 1.0 - H * H if act_code == kernels.ACT_TANH else H * (1.0 - H)
     yhat = H @ v + v0[0]
     e = y - yhat
+    if not np.all(np.isfinite(e)):
+        return np.inf, np.zeros_like(theta)
 
     eps = config.pinball_smooth_eps
     if loss_mode.family == "pinball" and eps > 0.0:
@@ -193,8 +175,6 @@ def nn_objective_and_grad(theta, X, y, config: NNConfig, loss_mode: CostSpec):
         g = np.where(np.abs(e) <= eps, e / (2.0 * eps) + (tau - 0.5), g)
         mean_loss = float(np.mean(loss))
     else:
-        from ..losses import eval_loss, grad_loss
-
         mean_loss = float(np.mean(eval_loss(loss_mode, e)))
         g = grad_loss(loss_mode, e)
 

@@ -1,11 +1,12 @@
 """Golden outputs of a fixed-seed augmented library.
 
 The pinned values were captured from the per-feature-loop tree builder,
-the per-row tree predict and the primal quantile LP. Any rewrite of the
-numeric kernels must reproduce them: tree node arrays and every
-non-quantile validation forecast bit for bit, the selected entries
-exactly, and the fitted markdowns and quantile objectives to 1e-9
-relative. Quantile forecasts are left out of the hashes because two LP
+the per-row tree predict and the primal quantile LP; the network
+forecasts, and the selections and markdowns that follow from them, with
+the L-BFGS network trainer. Any rewrite of the numeric kernels must
+reproduce them: tree node arrays and every non-quantile validation
+forecast bit for bit, the selected entries exactly, and the fitted
+markdowns and quantile objectives to 1e-9 relative. Quantile forecasts are left out of the hashes because two LP
 formulations reach the same optimum through different floating-point
 paths. The markdowns are fitted to the best non-quantile entry of each
 criterion: a markdown's objective is piecewise linear under ``llc``, and
@@ -71,14 +72,14 @@ PREDICTION_DIGESTS = {
     "1:ridge:lambda=0.1": (
         "b5a3ccdcf28a5bdb1df5a14c53398a3820b67883108b31a611f67d8c64aa0b6a"
     ),
-    "2:knn:algorithm=brute,k=5": (
+    "2:knn:k=5": (
         "d331dc52c246df744e6bc9b9b2c819baf0fb0fdfaded16196263c6e36bd6b66f"
     ),
     "3:tree:complexity=0.001,min_node=10": (
         "5b1c45206a170abaf31a942f8e9afd87b9d3991f276cdc7f0956da9a20c585d5"
     ),
     "4:nn:hidden_nodes=2": (
-        "6df6731df5a524ad7bf285c30a0442e7e93394998039f9e3f5425c5d4c97c82e"
+        "a2eb2de182bfdf28bf44c996fa70ecc29652adbfaf9ace843f424d354d2ef9f8"
     ),
     "5:bagged_tree:bags=3": (
         "8cf6942dfdc99b4de3954120e8aa2b60d11705ba07179ec02fffd82f5b13e01b"
@@ -90,26 +91,26 @@ PREDICTION_DIGESTS = {
         "56f1c50c89fddfe69521d4e7a01b1aea69dcc8dc6822ee4f8e35fe1fcee6e2ad"
     ),
     "10:nn:a=0.2,hidden_nodes=2,loss=pinball,tau=0.16666666666666669": (
-        "d15d29f79945fcbc445da8a28209d154b984944fd9c16270c329bc3f5c3f1dde"
+        "698c461bbe9ff8806597f1cd2f59a669a55407c706e77ac4cf5eeff28bcd866f"
     ),
     "11:nn:a=0.7,hidden_nodes=2,loss=pinball,tau=0.4117647058823529": (
-        "11543a25675ad1f260abd98f89d05baea35713885eed2c6e3c39202a44af17aa"
+        "05ccfca6ab73da95ac69c931059ccb538075c5f3a3377c777e07b7b98bdc3f2a"
     ),
     "12:nn:a=0.2,b=1.0,hidden_nodes=2,loss=qqc_approx": (
-        "f2d34651bd39b51d216787625b515ac50e240da26d2d8ddb8ea903056b002619"
+        "58275e52028cd2856b41b6085416792dd2dabec392ea3c153439ea11329b98a5"
     ),
     "13:nn:a=0.7,b=1.0,hidden_nodes=2,loss=qqc_approx": (
-        "67ee1885df3d9d6d3be31e0cff1f47143fb1f4828a59afe9dafe24ba52a38b37"
+        "2ac0d5edd22161c13b5d8eb42cd7a8ae363969f8dbe4b626a8142d796038775c"
     ),
 }
-SELECTED = [8, 7, 9, 7, 5, 5]
+SELECTED = [12, 13, 12, 13, 4, 4]
 MARKDOWNS = [
-    0.014121523063503746,
-    0.006598154545643836,
-    0.03392145945807801,
-    0.003340834152398859,
-    0.007083971622003362,
-    0.006639957988662181,
+    0.014185865803865577,
+    0.005697524741252698,
+    -0.0019768127266769466,
+    -0.0008151415331756769,
+    -0.0017864635711614283,
+    -0.002082601258397928,
 ]
 QUANTILE_OBJECTIVES = [2.108398408564601, 3.583737714219767]
 CAPTURE_PLATFORM = "6b72fcbc5621f648193e75d109c33b5226d152395e2e0b11bc526e0594a2eb7c"

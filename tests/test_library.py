@@ -1,3 +1,6 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -164,3 +167,43 @@ def test_save_load_round_trip(tmp_path, small_splits, augmented_library):
         np.testing.assert_allclose(
             predict(original.model, X), predict(rebuilt.model, X), atol=1e-12
         )
+    assert loaded.failures == []
+
+    # a fit that fails (k above the ATS row count) survives the round trip
+    n_ats = small_splits.ats.target.shape[0]
+    config = replace(SMALL_CONFIG, families=("ols", "knn"), knn_ks=(5, n_ats + 1))
+    failing = build_library(small_splits, config, augment=False)
+    assert [(family, params["k"]) for family, params, _ in failing.failures] == [("knn", n_ats + 1)]
+    save_library(failing, path)
+    assert load_library(path).failures == failing.failures
+
+
+def rewrite_manifest(path, edit):
+    with np.load(path) as bundle:
+        arrays = {key: bundle[key] for key in bundle.files}
+    manifest = json.loads(bytes(arrays["manifest"]).decode("utf-8"))
+    edit(manifest)
+    arrays["manifest"] = np.frombuffer(json.dumps(manifest).encode("utf-8"), dtype=np.uint8)
+    np.savez_compressed(path, **arrays)
+
+
+def test_version_1_bundle_loads_and_unknown_versions_are_rejected(tmp_path, symmetric_library):
+    path = tmp_path / "library.npz"
+    save_library(symmetric_library, path)
+
+    def as_version_1(manifest):
+        # version 1 wrote no failure records, and kNN entries named their algorithm
+        manifest["version"] = 1
+        del manifest["failures"]
+        for meta in manifest["entries"]:
+            if meta["family"] == "knn":
+                meta["hyperparams"]["algorithm"] = "brute"
+
+    rewrite_manifest(path, as_version_1)
+    loaded = load_library(path)
+    assert loaded.failures == []
+    np.testing.assert_array_equal(loaded.validation_matrix(), symmetric_library.validation_matrix())
+
+    rewrite_manifest(path, lambda manifest: manifest.update(version=3))
+    with pytest.raises(ConfigurationError, match="version 3"):
+        load_library(path)

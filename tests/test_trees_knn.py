@@ -35,12 +35,12 @@ def test_knn_k1_memorizes_training_points():
     np.testing.assert_allclose(predict(model, X), y)
 
 
-def test_knn_kdtree_matches_brute_force():
+def test_knn_brute_force_matches_argsort_oracle():
     X, y = make_nonlinear_problem(seed=3, n=200)
     Xq = make_nonlinear_problem(seed=4, n=50)[0]
-    brute = fit_knn(X, y, 7, algorithm="brute")
-    kdtree = fit_knn(X, y, 7, algorithm="kd_tree")
-    np.testing.assert_allclose(predict(brute, Xq), predict(kdtree, Xq), atol=1e-10)
+    d2 = ((Xq[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
+    expected = np.array([y[np.argsort(row)[:7]].mean() for row in d2])
+    np.testing.assert_allclose(predict(fit_knn(X, y, 7), Xq), expected, atol=1e-10)
 
 
 def test_knn_validates_configuration():
@@ -48,7 +48,7 @@ def test_knn_validates_configuration():
     with pytest.raises(ConfigurationError):
         fit_knn(X, y, k_neighbors=31)
     with pytest.raises(ConfigurationError):
-        fit_knn(X, y, 3, algorithm="ball")
+        fit_knn(X, y, k_neighbors=0)
 
 
 # ------------------------------------------------------------------- trees
