@@ -97,7 +97,6 @@ class SynthConfig:
     n: int = 10_000
     seed: int = 1234
     noise_sd: float = 0.025
-    drift: float = 0.0
 
     def __post_init__(self):
         if self.n < 10:
@@ -418,17 +417,18 @@ def synth_target_mean(features: np.ndarray, feature_names) -> np.ndarray:
     return ratio
 
 
-def synth_generate(config: SynthConfig) -> Dataset:
-    """Seeded synthetic car-resale dataset with 15 encoded features."""
+def _synth_draw(config: SynthConfig):
+    """Raw synthetic columns and the encoded dataset with its noisy target."""
     raw, noise = synth_raw_columns(config)
     names, cols, cat_map = _encode_categoricals(raw, SYNTH_SCHEMA)
     X = np.column_stack(cols)
-    y = synth_target_mean(X, names)
-    if config.drift != 0.0:
-        t = np.arange(config.n) / config.n
-        y = y + config.drift * (t - 0.5)
-    y = np.clip(y + noise, 0.02, 1.0)
-    return Dataset(X, tuple(names), y, cat_map, np.arange(config.n, dtype=np.int64))
+    y = np.clip(synth_target_mean(X, names) + noise, 0.02, 1.0)
+    return raw, Dataset(X, tuple(names), y, cat_map, np.arange(config.n, dtype=np.int64))
+
+
+def synth_generate(config: SynthConfig) -> Dataset:
+    """Seeded synthetic car-resale dataset with 15 encoded features."""
+    return _synth_draw(config)[1]
 
 
 def synth_export(path_csv, path_schema, config: SynthConfig) -> None:
@@ -437,14 +437,8 @@ def synth_export(path_csv, path_schema, config: SynthConfig) -> None:
     Loading the pair back through load_csv reproduces synth_generate's
     encoded matrix exactly.
     """
-    raw, noise = synth_raw_columns(config)
-    names, cols, _ = _encode_categoricals(raw, SYNTH_SCHEMA)
-    X = np.column_stack(cols)
-    y = synth_target_mean(X, names)
-    if config.drift != 0.0:
-        t = np.arange(config.n) / config.n
-        y = y + config.drift * (t - 0.5)
-    raw["resale_ratio"] = list(np.clip(y + noise, 0.02, 1.0))
+    raw, dataset = _synth_draw(config)
+    raw["resale_ratio"] = list(dataset.target)
     export_csv(path_csv, raw, SYNTH_SCHEMA)
     with open(path_schema, "w", encoding="utf-8") as handle:
         handle.write(schema_to_text(SYNTH_SCHEMA))

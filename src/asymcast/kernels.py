@@ -169,21 +169,15 @@ def tree_predict(node_feature, node_threshold, node_left, node_right, node_value
 
 # ------------------------------------------------------------ neural net
 
-# activation codes
-ACT_LOGISTIC = 0
-ACT_TANH = 1
-
 _EXP_CLIP = 700.0
 
 
-def nn_hidden(X, W1, b1, act_code):
-    """Hidden-layer activations of a one-hidden-layer network."""
+def nn_hidden(X, W1, b1):
+    """Logistic hidden-layer activations of a one-hidden-layer network."""
     Z = np.dot(X, W1) + b1
-    if act_code == ACT_TANH:
-        return np.tanh(Z)
     ZC = np.minimum(np.maximum(-Z, -_EXP_CLIP), _EXP_CLIP)
     return 1.0 / (1.0 + np.exp(ZC))
 
 
-def nn_forward(X, W1, b1, v, v0, act_code):
-    return np.dot(nn_hidden(X, W1, b1, act_code), v) + v0[0]
+def nn_forward(X, W1, b1, v, v0):
+    return np.dot(nn_hidden(X, W1, b1), v) + v0[0]

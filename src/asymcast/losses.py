@@ -21,7 +21,7 @@ call concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 import math
 
 import numpy as np
@@ -65,9 +65,6 @@ class CostSpec:
             raise ConfigurationError(f"tau must lie in (0, 1), got {self.tau}")
         if self.steepness <= 0:
             raise ConfigurationError(f"steepness must be positive, got {self.steepness}")
-
-    def with_weights(self, a: float, b: float) -> "CostSpec":
-        return replace(self, a=a, b=b)
 
     def describe(self) -> str:
         if self.family == "pinball":
@@ -125,19 +122,25 @@ def eval_loss(spec: CostSpec, e):
     return out
 
 
-def eval_mean(spec: CostSpec, actuals, forecasts) -> float:
-    """Arithmetic mean of the cost over residuals ``actuals - forecasts``."""
+def eval_mean(spec: CostSpec, actuals, forecasts):
+    """Arithmetic mean of the cost over residuals ``actuals - forecasts``.
+
+    ``forecasts`` is one forecast vector, which gives a float, or a matrix
+    with one forecast vector per row, which gives the mean of each row.
+    """
     y = np.asarray(actuals, dtype=float)
     f = np.asarray(forecasts, dtype=float)
-    if y.ndim != 1 or f.ndim != 1 or y.shape != f.shape:
+    if y.ndim != 1 or f.ndim not in (1, 2) or f.shape[-1:] != y.shape:
         raise InvalidInputError(
-            f"actuals and forecasts must be equal-length vectors, got {y.shape} vs {f.shape}"
+            f"actuals must be a vector and forecasts a vector or matrix of its length, "
+            f"got {y.shape} vs {f.shape}"
         )
     if y.size == 0:
         raise InvalidInputError("cannot average a loss over empty vectors")
     if not (np.all(np.isfinite(y)) and np.all(np.isfinite(f))):
         raise InvalidInputError("actuals and forecasts must be finite")
-    return float(np.mean(_eval_raw(spec, y - f)))
+    means = np.mean(_eval_raw(spec, y - f), axis=-1)
+    return float(means) if f.ndim == 1 else means
 
 
 def grad_loss(spec: CostSpec, e):

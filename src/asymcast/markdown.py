@@ -4,37 +4,21 @@ A fitted markdown ``md`` rescales every forecast to ``f * (1 - md)``;
 the value is chosen to minimize the mean cost of ``y - f*(1 - md)``
 under a given cost spec. The objective is convex in ``md`` for every
 supported family (each residual is affine in ``md`` and the losses are
-convex), so a coarse bracketing grid followed by golden-section
-refinement finds the optimum; a final guard keeps the no-adjustment
-point dominant-or-equal, so the fitted markdown never scores worse than
-``md = 0``.
+convex), so scipy's bounded Brent minimizer finds the optimum on the
+search interval without a bracketing grid; a final guard keeps the
+no-adjustment point dominant-or-equal, so the fitted markdown never
+scores worse than ``md = 0``.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
-
 import numpy as np
+from scipy.optimize import minimize_scalar
 
-from .errors import InvalidInputError
+from .errors import ConvergenceError, InvalidInputError
 from .losses import CostSpec, eval_mean
 
 SEARCH_INTERVAL = (-0.5, 0.5)  # negative values act as a markup
-_COARSE_POINTS = 101
-_GOLDEN_TOL = 1e-7
-_INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
-
-
-@dataclass(frozen=True)
-class MarkdownModel:
-    """A fitted markdown fraction tied to the criterion it minimizes."""
-
-    md: float
-    criterion: CostSpec
-
-    def adjust(self, forecasts) -> np.ndarray:
-        return apply_markdown(forecasts, self.md)
 
 
 def apply_markdown(forecasts, md: float) -> np.ndarray:
@@ -45,29 +29,12 @@ def apply_markdown(forecasts, md: float) -> np.ndarray:
     return np.asarray(forecasts, dtype=float) * (1.0 - md)
 
 
-def _golden_section(objective, lo, hi, tol):
-    a, b = lo, hi
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = objective(c), objective(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = objective(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = objective(d)
-    return 0.5 * (a + b)
-
-
 def fit_markdown(forecasts_val, actuals_val, criterion: CostSpec) -> float:
     """Markdown minimizing the mean criterion loss on the validation pairs.
 
     Forecasts must be strictly positive (a percentage markdown is
-    meaningless otherwise). Degenerate all-identical inputs make the
-    objective flat; that returns 0 with a warning.
+    meaningless otherwise), so every residual moves with ``md`` and the
+    objective is never flat on the search interval.
     """
     f = np.asarray(forecasts_val, dtype=float)
     y = np.asarray(actuals_val, dtype=float)
@@ -82,17 +49,15 @@ def fit_markdown(forecasts_val, actuals_val, criterion: CostSpec) -> float:
     def objective(md):
         return eval_mean(criterion, y, f * (1.0 - md))
 
-    lo, hi = SEARCH_INTERVAL
-    grid = np.linspace(lo, hi, _COARSE_POINTS)
-    values = np.array([objective(md) for md in grid])
-    if np.all(values == values[0]):
-        warnings.warn("flat markdown objective; returning md = 0", stacklevel=2)
-        return 0.0
-    best = int(np.argmin(values))
-    bracket_lo = grid[max(0, best - 1)]
-    bracket_hi = grid[min(_COARSE_POINTS - 1, best + 1)]
-    md = _golden_section(objective, bracket_lo, bracket_hi, _GOLDEN_TOL)
+    result = minimize_scalar(
+        objective, bounds=SEARCH_INTERVAL, method="bounded", options={"xatol": 1e-7}
+    )
+    if not result.success:
+        raise ConvergenceError(
+            f"markdown search under {criterion.describe()} did not converge: {result.message}",
+            best_objective=float(result.fun),
+        )
     # dominance guard: never return a markdown that scores worse than none
-    if objective(md) > objective(0.0):
+    if result.fun > objective(0.0):
         return 0.0
-    return float(md)
+    return float(result.x)

@@ -1,12 +1,6 @@
 """Base learners and the model library."""
 
-from .base import (
-    FAMILIES,
-    LINEAR_FAMILIES,
-    NONLINEAR_FAMILIES,
-    Model,
-    predict,
-)
+from .base import FAMILIES, Model, predict
 from .library import (
     LibraryConfig,
     LibraryEntry,
@@ -23,8 +17,6 @@ from .trees import fit_bagged_tree, fit_random_forest, fit_tree
 
 __all__ = [
     "FAMILIES",
-    "LINEAR_FAMILIES",
-    "NONLINEAR_FAMILIES",
     "Model",
     "predict",
     "LibraryConfig",

@@ -35,15 +35,6 @@ FAMILIES = (
     FAMILY_RANDOM_FOREST,
 )
 
-LINEAR_FAMILIES = (FAMILY_OLS, FAMILY_RIDGE, FAMILY_QUANTILE)
-NONLINEAR_FAMILIES = (
-    FAMILY_KNN,
-    FAMILY_TREE,
-    FAMILY_NN,
-    FAMILY_BAGGED_TREE,
-    FAMILY_RANDOM_FOREST,
-)
-
 SYMMETRIC_LOSS = CostSpec("squared_error")
 
 

@@ -268,16 +268,12 @@ def select_best(library: ModelLibrary, criterion: CostSpec, families=None) -> in
     """
     if len(library.entries) == 0:
         raise InvalidInputError("cannot select from an empty library")
-    best_index, best_score = None, np.inf
-    for entry in library.entries:
-        if families is not None and entry.family not in families:
-            continue
-        score = eval_mean(criterion, library.val_actuals, entry.val_pred)
-        if score < best_score:
-            best_index, best_score = entry.index, score
-    if best_index is None:
+    candidates = [e for e in library.entries if families is None or e.family in families]
+    if not candidates:
         raise InvalidInputError(f"no library entry matches families {families}")
-    return best_index
+    scores = eval_mean(criterion, library.val_actuals, np.vstack([e.val_pred for e in candidates]))
+    # argmin takes the first of equal scores; entry indices need not be contiguous
+    return candidates[int(np.argmin(scores))].index
 
 
 # ------------------------------------------------------------- persistence
@@ -315,7 +311,6 @@ def _state_arrays(model: Model, prefix: str) -> dict:
             f"{prefix}b1": state.b1,
             f"{prefix}v": state.v,
             f"{prefix}v0": state.v0,
-            f"{prefix}act": np.array([state.act_code], dtype=np.int64),
         }
     raise ConfigurationError(f"cannot serialize model state {type(state).__name__}")
 
@@ -345,12 +340,18 @@ def _rebuild_state(family: str, hyperparams: dict, arrays: dict, prefix: str):
             )
         return ForestState(trees)
     if family == FAMILY_NN:
+        # older bundles name the hidden activation: 0 logistic, 1 tanh
+        act = arrays.get(f"{prefix}act")
+        if act is not None and int(act[0]) != 0:
+            raise ConfigurationError(
+                f"network {prefix[:-1]} uses activation code {int(act[0])}; only the "
+                f"logistic hidden layer (code 0) is supported, so refit this library"
+            )
         return NNState(
             arrays[f"{prefix}W1"],
             arrays[f"{prefix}b1"],
             arrays[f"{prefix}v"],
             arrays[f"{prefix}v0"],
-            int(arrays[f"{prefix}act"][0]),
         )
     raise ConfigurationError(f"cannot rebuild model family {family!r}")
 

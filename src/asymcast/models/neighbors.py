@@ -7,6 +7,10 @@ import numpy as np
 from ..errors import ConfigurationError, InvalidInputError
 from .base import FAMILY_KNN, Model
 
+# distances per brute-force chunk: 512 KB of float64, so the chunk and its
+# temporaries stay small next to the training matrix
+_CHUNK_DISTANCES = 65_536
+
 
 class KnnState:
     def __init__(self, X, y, k):
@@ -18,7 +22,7 @@ class KnnState:
         """Mean target of the k nearest training rows, by brute-force distances."""
         out = np.empty(X.shape[0])
         train_sq = np.einsum("ij,ij->i", self.X, self.X)
-        chunk = max(1, 2_000_000 // max(1, self.X.shape[0]))
+        chunk = max(1, _CHUNK_DISTANCES // max(1, self.X.shape[0]))
         for lo in range(0, X.shape[0], chunk):
             Q = X[lo : lo + chunk]
             d2 = train_sq[None, :] - 2.0 * (Q @ self.X.T)  # + |q|^2, constant per row

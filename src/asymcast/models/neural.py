@@ -4,11 +4,10 @@ The network is
 
     f(x) = v0 + sum_e v_e * g1(w_e' x + b_e)
 
-with a nonlinear hidden activation g1 (logistic by default) and an
-identity output, so regression targets stay unbounded. Besides the
-hidden weights of the written form, input-layer and output-layer biases
-are included, which is standard practice and materially improves
-trainability.
+with a logistic hidden activation g1 and an identity output, so
+regression targets stay unbounded. Besides the hidden weights of the
+written form, input-layer and output-layer biases are included, which
+is standard practice and materially improves trainability.
 
 Training minimizes the full-batch objective
 
@@ -17,10 +16,8 @@ Training minimizes the full-batch objective
 of ``nn_objective_and_grad`` with scipy's L-BFGS-B quasi-Newton method,
 as R's ``nnet`` trains the same model; biases are unpenalized and
 ``epochs`` caps the L-BFGS iterations. Supported loss modes: squared
-error, pinball (optionally with a quadratic band of half-width
-``pinball_smooth_eps`` replacing the kink), and the smooth
-quadratic-quadratic approximation. Training is deterministic given the
-config seed.
+error, pinball, and the smooth quadratic-quadratic approximation.
+Training is deterministic given the config seed.
 """
 
 from __future__ import annotations
@@ -35,7 +32,6 @@ from ..errors import ConfigurationError, TrainingError
 from ..losses import CostSpec, eval_loss, grad_loss
 from .base import FAMILY_NN, Model
 
-_ACT_CODES = {"logistic": kernels.ACT_LOGISTIC, "tanh": kernels.ACT_TANH}
 _LOSSES = ("squared_error", "pinball", "qqc_approx")
 _DIVERGED = "network training diverged (non-finite objective); check the scale of the targets"
 
@@ -45,20 +41,14 @@ class NNConfig:
     hidden_nodes: int = 8
     lambda1: float = 1e-6
     lambda2: float = 1e-6
-    activation_hidden: str = "logistic"
     epochs: int = 100  # L-BFGS iteration cap
     seed: int = 0
-    pinball_smooth_eps: float = 0.0
 
     def __post_init__(self):
         if self.hidden_nodes < 1:
             raise ConfigurationError(f"need at least one hidden node, got {self.hidden_nodes}")
         if self.lambda1 < 0 or self.lambda2 < 0:
             raise ConfigurationError("weight penalties must be non-negative")
-        if self.activation_hidden not in _ACT_CODES:
-            raise ConfigurationError(
-                f"unknown hidden activation {self.activation_hidden!r}"
-            )
         if self.epochs < 1:
             raise ConfigurationError(
                 f"epochs (the L-BFGS iteration cap) must be >= 1, got {self.epochs}"
@@ -66,15 +56,14 @@ class NNConfig:
 
 
 class NNState:
-    def __init__(self, W1, b1, v, v0, act_code):
+    def __init__(self, W1, b1, v, v0):
         self.W1 = W1
         self.b1 = b1
         self.v = v
         self.v0 = v0
-        self.act_code = act_code
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return kernels.nn_forward(X, self.W1, self.b1, self.v, self.v0, self.act_code)
+        return kernels.nn_forward(X, self.W1, self.b1, self.v, self.v0)
 
 
 def _check_loss_mode(loss_mode: CostSpec):
@@ -118,12 +107,11 @@ def fit_nn(X, y, config: NNConfig, loss_mode: CostSpec = CostSpec("squared_error
     if not np.isfinite(result.fun):
         raise TrainingError(_DIVERGED)
     W1, b1, v, v0 = unflatten_params(result.x, X.shape[1], k)
-    state = NNState(W1, b1, v, v0, _ACT_CODES[config.activation_hidden])
+    state = NNState(W1, b1, v, v0)
     params = {
         "hidden_nodes": k,
         "lambda1": config.lambda1,
         "lambda2": config.lambda2,
-        "activation": config.activation_hidden,
         "epochs": config.epochs,
         "seed": config.seed,
         "loss": loss_mode.describe(),
@@ -157,26 +145,15 @@ def nn_objective_and_grad(theta, X, y, config: NNConfig, loss_mode: CostSpec):
     n, m = X.shape
     k = config.hidden_nodes
     W1, b1, v, v0 = unflatten_params(np.asarray(theta, dtype=float), m, k)
-    act_code = _ACT_CODES[config.activation_hidden]
-    H = kernels.nn_hidden(X, W1, b1, act_code)
-    Hder = 1.0 - H * H if act_code == kernels.ACT_TANH else H * (1.0 - H)
+    H = kernels.nn_hidden(X, W1, b1)
+    Hder = H * (1.0 - H)
     yhat = H @ v + v0[0]
     e = y - yhat
     if not np.all(np.isfinite(e)):
         return np.inf, np.zeros_like(theta)
 
-    eps = config.pinball_smooth_eps
-    if loss_mode.family == "pinball" and eps > 0.0:
-        tau = loss_mode.tau
-        loss = np.where(e > 0, tau * e, (tau - 1.0) * e)
-        band = e * e / (4.0 * eps) + (tau - 0.5) * e + eps / 4.0
-        loss = np.where(np.abs(e) <= eps, band, loss)
-        g = np.where(e > 0, tau, np.where(e < 0, tau - 1.0, tau))
-        g = np.where(np.abs(e) <= eps, e / (2.0 * eps) + (tau - 0.5), g)
-        mean_loss = float(np.mean(loss))
-    else:
-        mean_loss = float(np.mean(eval_loss(loss_mode, e)))
-        g = grad_loss(loss_mode, e)
+    mean_loss = float(np.mean(eval_loss(loss_mode, e)))
+    g = grad_loss(loss_mode, e)
 
     objective = mean_loss + config.lambda1 * float(np.sum(W1 * W1)) + config.lambda2 * float(
         np.sum(v * v)

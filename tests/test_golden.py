@@ -2,16 +2,17 @@
 
 The pinned values were captured from the per-feature-loop tree builder,
 the per-row tree predict and the primal quantile LP; the network
-forecasts, and the selections and markdowns that follow from them, with
-the L-BFGS network trainer. Any rewrite of the numeric kernels must
-reproduce them: tree node arrays and every non-quantile validation
-forecast bit for bit, the selected entries exactly, and the fitted
-markdowns and quantile objectives to 1e-9 relative. Quantile forecasts are left out of the hashes because two LP
-formulations reach the same optimum through different floating-point
-paths. The markdowns are fitted to the best non-quantile entry of each
-criterion: a markdown's objective is piecewise linear under ``llc``, and
-the golden-section search turns last-digit changes of a forecast into
-changes of up to its 1e-7 tolerance.
+forecasts, and the selections that follow from them, with the L-BFGS
+network trainer; and the markdowns with the bounded Brent search. Any
+rewrite of the numeric kernels must reproduce them: tree node arrays
+and every non-quantile validation forecast bit for bit, the selected
+entries exactly, and the fitted markdowns and quantile objectives to
+1e-9 relative. Quantile forecasts are left out of the hashes because
+two LP formulations reach the same optimum through different
+floating-point paths. The markdowns are fitted to the best non-quantile
+entry of each criterion: a markdown's objective is piecewise linear
+under ``llc``, and the Brent search turns last-digit changes of a
+forecast into changes of up to its 1e-7 tolerance.
 
 Bit-level pins hold only where numpy's vectorized ``exp`` and sums and
 the BLAS/LAPACK routines round as they did at capture: another SIMD
@@ -105,12 +106,12 @@ PREDICTION_DIGESTS = {
 }
 SELECTED = [12, 13, 12, 13, 4, 4]
 MARKDOWNS = [
-    0.014185865803865577,
-    0.005697524741252698,
-    -0.0019768127266769466,
-    -0.0008151415331756769,
-    -0.0017864635711614283,
-    -0.002082601258397928,
+    0.014185857147668587,
+    0.00569752661236825,
+    -0.0019768014150477603,
+    -0.0008151455612388643,
+    -0.001786402884594643,
+    -0.0020825853814769963,
 ]
 QUANTILE_OBJECTIVES = [2.108398408564601, 3.583737714219767]
 CAPTURE_PLATFORM = "6b72fcbc5621f648193e75d109c33b5226d152395e2e0b11bc526e0594a2eb7c"

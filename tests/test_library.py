@@ -144,6 +144,15 @@ def test_select_best_breaks_ties_by_lowest_index():
     assert select_best(library, CostSpec("squared_error")) == 0
 
 
+def test_select_best_returns_entry_index_of_a_sub_library():
+    full = stub_library(REFERENCE_FORECASTS + [REFERENCE_ACTUALS], REFERENCE_ACTUALS)
+    sub = ModelLibrary([full.entry(0), full.entry(2)], full.val_actuals, False, 0)
+    assert select_best(sub, CostSpec("squared_error")) == 2
+    assert select_best(full, CostSpec("squared_error"), families=("stub",)) == 3
+    with pytest.raises(InvalidInputError, match="families"):
+        select_best(full, CostSpec("squared_error"), families=("ols",))
+
+
 def test_select_best_rejects_empty_library():
     library = ModelLibrary([], np.array([1.0]), False, 0)
     with pytest.raises(InvalidInputError):
@@ -178,9 +187,10 @@ def test_save_load_round_trip(tmp_path, small_splits, augmented_library):
     assert load_library(path).failures == failing.failures
 
 
-def rewrite_manifest(path, edit):
+def rewrite_bundle(path, edit, **extra_arrays):
     with np.load(path) as bundle:
         arrays = {key: bundle[key] for key in bundle.files}
+    arrays.update(extra_arrays)
     manifest = json.loads(bytes(arrays["manifest"]).decode("utf-8"))
     edit(manifest)
     arrays["manifest"] = np.frombuffer(json.dumps(manifest).encode("utf-8"), dtype=np.uint8)
@@ -199,11 +209,21 @@ def test_version_1_bundle_loads_and_unknown_versions_are_rejected(tmp_path, symm
             if meta["family"] == "knn":
                 meta["hyperparams"]["algorithm"] = "brute"
 
-    rewrite_manifest(path, as_version_1)
+    # older bundles also stored each network's hidden activation, 0 for logistic
+    (net,) = [e.index for e in symmetric_library.entries if e.family == "nn"]
+    rewrite_bundle(path, as_version_1, **{f"e{net}_act": np.array([0])})
     loaded = load_library(path)
     assert loaded.failures == []
     np.testing.assert_array_equal(loaded.validation_matrix(), symmetric_library.validation_matrix())
+    X = np.eye(symmetric_library.entry(net).model.n_features)
+    np.testing.assert_array_equal(
+        predict(loaded.entry(net).model, X), predict(symmetric_library.entry(net).model, X)
+    )
 
-    rewrite_manifest(path, lambda manifest: manifest.update(version=3))
+    rewrite_bundle(path, lambda manifest: None, **{f"e{net}_act": np.array([1])})
+    with pytest.raises(ConfigurationError, match="activation code 1"):
+        load_library(path)
+
+    rewrite_bundle(path, lambda manifest: manifest.update(version=3))
     with pytest.raises(ConfigurationError, match="version 3"):
         load_library(path)

@@ -110,6 +110,24 @@ def test_mean_rejects_mismatched_or_empty_vectors():
         eval_mean(spec, [], [])
 
 
+@pytest.mark.parametrize("family", ["squared_error", "llc", "qqc", "lec", "pinball", "qqc_approx"])
+def test_mean_over_a_forecast_matrix_equals_each_row(family):
+    rng = np.random.default_rng(9)
+    y = rng.uniform(0.3, 1.0, size=257)
+    F = y + rng.normal(0, 0.1, size=(6, 257))
+    spec = CostSpec(family, a=0.3, b=1.0, tau=0.3)
+    means = eval_mean(spec, y, F)
+    assert means.shape == (6,)
+    for row, mean in zip(F, means):
+        single = eval_mean(spec, y, row)
+        assert isinstance(single, float) and mean == single
+    F[4, 100] = np.nan
+    with pytest.raises(InvalidInputError, match="finite"):
+        eval_mean(spec, y, F)
+    with pytest.raises(InvalidInputError):
+        eval_mean(spec, y, F[:, :-1])
+
+
 @pytest.mark.parametrize("family", ["qqc", "llc"])
 def test_mean_is_monotone_in_underestimation_weight(family):
     rng = np.random.default_rng(7)

@@ -11,6 +11,7 @@ from asymcast.models import (
     fit_tree,
     predict,
 )
+from asymcast.models.neighbors import _CHUNK_DISTANCES
 from reference_kernels import tree_build_loop, tree_predict_loop
 
 
@@ -37,7 +38,8 @@ def test_knn_k1_memorizes_training_points():
 
 def test_knn_brute_force_matches_argsort_oracle():
     X, y = make_nonlinear_problem(seed=3, n=200)
-    Xq = make_nonlinear_problem(seed=4, n=50)[0]
+    Xq = make_nonlinear_problem(seed=4, n=500)[0]
+    assert Xq.shape[0] > _CHUNK_DISTANCES // X.shape[0]  # the query spans at least two chunks
     d2 = ((Xq[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
     expected = np.array([y[np.argsort(row)[:7]].mean() for row in d2])
     np.testing.assert_allclose(predict(fit_knn(X, y, 7), Xq), expected, atol=1e-10)
