@@ -132,8 +132,14 @@ def schema_to_text(columns: list[tuple[str, str]]) -> str:
 
 # --------------------------------------------------------------- ingestion
 
-def _encode_categoricals(raw_columns, schema):
-    """First-level-dropped dummy encoding with lexicographically sorted levels."""
+def encode_with_map(raw_columns, schema, categorical_map=None):
+    """First-level-dropped dummy encoding of the categorical columns.
+
+    Without ``categorical_map`` each column's levels are its sorted
+    labels. With a previously fitted map, a label the map does not know
+    is a policy violation and raises. Returns the feature names, the
+    feature columns and the level map used.
+    """
     names, matrix_cols, cat_map = [], [], {}
     for name, kind in schema:
         if kind == "target":
@@ -142,28 +148,9 @@ def _encode_categoricals(raw_columns, schema):
         if kind == "numeric":
             names.append(name)
             matrix_cols.append(np.asarray(values, dtype=float))
-        else:
-            levels = sorted(set(values))
-            cat_map[name] = levels
-            for level in levels[1:]:
-                names.append(f"{name}_{level}")
-                matrix_cols.append(np.array([1.0 if v == level else 0.0 for v in values]))
-    return names, matrix_cols, cat_map
-
-
-def encode_with_map(raw_columns, schema, categorical_map):
-    """Re-encode categorical columns against a previously fitted level map.
-
-    Unseen category labels are a policy violation and raise.
-    """
-    names, matrix_cols = [], []
-    for name, kind in schema:
-        if kind == "target":
             continue
-        values = raw_columns[name]
-        if kind == "numeric":
-            names.append(name)
-            matrix_cols.append(np.asarray(values, dtype=float))
+        if categorical_map is None:
+            levels = sorted(set(values))
         else:
             levels = categorical_map[name]
             known = set(levels)
@@ -172,10 +159,11 @@ def encode_with_map(raw_columns, schema, categorical_map):
                     raise IngestionError(
                         f"row {i + 1}: unknown category {v!r} for column {name!r}"
                     )
-            for level in levels[1:]:
-                names.append(f"{name}_{level}")
-                matrix_cols.append(np.array([1.0 if v == level else 0.0 for v in values]))
-    return names, matrix_cols
+        cat_map[name] = levels
+        for level in levels[1:]:
+            names.append(f"{name}_{level}")
+            matrix_cols.append(np.array([1.0 if v == level else 0.0 for v in values]))
+    return names, matrix_cols, cat_map
 
 
 def decode_categories(dataset: Dataset, column: str) -> list:
@@ -239,7 +227,7 @@ def load_csv(path, schema) -> Dataset:
     n = len(raw_columns[target_name])
     if n == 0:
         raise IngestionError(f"{path} has a header but no data rows")
-    names, cols, cat_map = _encode_categoricals(raw_columns, schema)
+    names, cols, cat_map = encode_with_map(raw_columns, schema)
     X = np.column_stack(cols) if cols else np.empty((n, 0))
     y = np.asarray(raw_columns[target_name], dtype=float)
     return Dataset(X, tuple(names), y, cat_map, np.arange(n, dtype=np.int64))
@@ -420,7 +408,7 @@ def synth_target_mean(features: np.ndarray, feature_names) -> np.ndarray:
 def _synth_draw(config: SynthConfig):
     """Raw synthetic columns and the encoded dataset with its noisy target."""
     raw, noise = synth_raw_columns(config)
-    names, cols, cat_map = _encode_categoricals(raw, SYNTH_SCHEMA)
+    names, cols, cat_map = encode_with_map(raw, SYNTH_SCHEMA)
     X = np.column_stack(cols)
     y = np.clip(synth_target_mean(X, names) + noise, 0.02, 1.0)
     return raw, Dataset(X, tuple(names), y, cat_map, np.arange(config.n, dtype=np.int64))

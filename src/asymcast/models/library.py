@@ -12,20 +12,15 @@ the same full-batch objective, at most ``nn_epochs`` iterations.
 A fit that fails is skipped and recorded in ``ModelLibrary.failures``.
 ``save_library`` writes the entries and those failure records to one
 versioned ``.npz`` bundle, so a loaded library still says which fits
-failed and why.
-
-Model fits are independent, so the builder can run them on a thread
-pool; results are assembled in plan order, keeping the library
-deterministic for any job count. Threads overlap only inside the numpy
-and scipy calls that release the GIL.
+failed and why. Each manifest entry keeps both the grid label of its
+plan and the hyperparameters the model was fitted with.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,7 +42,7 @@ from .base import (
 from .linear import LinearState, fit_ols, fit_quantile, fit_ridge
 from .neighbors import KnnState, fit_knn
 from .neural import NNConfig, NNState, fit_nn
-from .trees import ForestState, TreeState, fit_bagged_tree, fit_random_forest, fit_tree
+from .trees import NODE_ARRAYS, ForestState, TreeState, fit_bagged_tree, fit_random_forest, fit_tree
 
 log = logging.getLogger("asymcast.library")
 
@@ -76,8 +71,6 @@ class LibraryConfig:
     tree_min_nodes: tuple = (10, 40)
     nn_hidden: tuple = (2, 4, 8, 16)
     nn_epochs: int = 100  # L-BFGS iteration cap
-    nn_lambda1: float = 1e-6
-    nn_lambda2: float = 1e-6
     bag_counts: tuple = (10, 25)
     rf_trees: tuple = (30, 60)
     rf_mtrys: tuple = (4, 8)
@@ -209,47 +202,29 @@ def _build_plans(config: LibraryConfig, augment: bool, n_features: int):
 
 
 def _nn_config(config: LibraryConfig, hidden: int, seed: int) -> NNConfig:
-    return NNConfig(
-        hidden_nodes=hidden,
-        lambda1=config.nn_lambda1,
-        lambda2=config.nn_lambda2,
-        epochs=config.nn_epochs,
-        seed=seed,
-    )
+    return NNConfig(hidden_nodes=hidden, epochs=config.nn_epochs, seed=seed)
 
 
 def build_library(
     splits: DataSplits, config: LibraryConfig, augment: bool, jobs: int = 1
 ) -> ModelLibrary:
-    """Fit the configured grids on ATS rows, caching validation forecasts.
+    """Fit the configured grids on ATS rows in plan order, caching validation forecasts.
 
     Individual fit failures are logged and skipped; only a fully failed
-    build raises.
+    build raises. ``jobs`` must be 1: fits run one after another.
     """
+    if jobs != 1:
+        raise ConfigurationError(f"build_library fits sequentially; jobs must be 1, got {jobs}")
     X = splits.ats.features
     y = splits.ats.target
     X_val = splits.validation.features
     plans = _build_plans(config, augment, X.shape[1])
-
-    def run_plan(item):
-        plan_index, (family, params, fitter) = item
-        seed = _model_seed(config.master_seed, plan_index)
-        try:
-            model = fitter(X, y, seed)
-            return plan_index, family, params, model, predict(model, X_val), None
-        except Exception as exc:  # noqa: BLE001 - skip-and-log is the contract
-            return plan_index, family, params, None, None, exc
-
-    items = list(enumerate(plans))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_plan, items))
-    else:
-        results = [run_plan(item) for item in items]
-
     entries, failures = [], []
-    for plan_index, family, params, model, val_pred, exc in results:
-        if exc is not None:
+    for plan_index, (family, params, fitter) in enumerate(plans):
+        try:
+            model = fitter(X, y, _model_seed(config.master_seed, plan_index))
+            val_pred = predict(model, X_val)
+        except Exception as exc:  # noqa: BLE001 - skip-and-log is the contract
             log.warning("skipping %s %s: %s", family, params, exc)
             failures.append((family, params, str(exc)))
             continue
@@ -287,24 +262,15 @@ def _state_arrays(model: Model, prefix: str) -> dict:
         return {f"{prefix}beta": state.beta}
     if isinstance(state, KnnState):
         return {f"{prefix}X": state.X, f"{prefix}y": state.y}
-    if isinstance(state, TreeState):
-        return {
-            f"{prefix}feature": state.feature,
-            f"{prefix}threshold": state.threshold,
-            f"{prefix}left": state.left,
-            f"{prefix}right": state.right,
-            f"{prefix}value": state.value,
-        }
     if isinstance(state, ForestState):
-        counts = np.array([t.feature.shape[0] for t in state.trees], dtype=np.int64)
-        return {
-            f"{prefix}counts": counts,
-            f"{prefix}feature": np.concatenate([t.feature for t in state.trees]),
-            f"{prefix}threshold": np.concatenate([t.threshold for t in state.trees]),
-            f"{prefix}left": np.concatenate([t.left for t in state.trees]),
-            f"{prefix}right": np.concatenate([t.right for t in state.trees]),
-            f"{prefix}value": np.concatenate([t.value for t in state.trees]),
+        arrays = {
+            f"{prefix}{name}": np.concatenate([getattr(t, name) for t in state.trees])
+            for name in NODE_ARRAYS
         }
+        arrays[f"{prefix}counts"] = np.array(
+            [t.feature.shape[0] for t in state.trees], dtype=np.int64
+        )
+        return arrays
     if isinstance(state, NNState):
         return {
             f"{prefix}W1": state.W1,
@@ -320,25 +286,17 @@ def _rebuild_state(family: str, hyperparams: dict, arrays: dict, prefix: str):
         return LinearState(arrays[f"{prefix}beta"])
     if family == FAMILY_KNN:
         return KnnState(arrays[f"{prefix}X"], arrays[f"{prefix}y"], hyperparams["k"])
-    if family == FAMILY_TREE:
-        return TreeState(
-            tuple(arrays[f"{prefix}{k}"] for k in ("feature", "threshold", "left", "right", "value"))
-        )
-    if family in (FAMILY_BAGGED_TREE, FAMILY_RANDOM_FOREST):
-        counts = arrays[f"{prefix}counts"]
+    if family in (FAMILY_TREE, FAMILY_BAGGED_TREE, FAMILY_RANDOM_FOREST):
+        nodes = [arrays[f"{prefix}{name}"] for name in NODE_ARRAYS]
+        # older bundles store a single tree without counts
+        counts = arrays.get(f"{prefix}counts", [nodes[0].shape[0]])
         offsets = np.concatenate([[0], np.cumsum(counts)])
-        trees = []
-        for t in range(len(counts)):
-            lo, hi = offsets[t], offsets[t + 1]
-            trees.append(
-                TreeState(
-                    tuple(
-                        arrays[f"{prefix}{k}"][lo:hi]
-                        for k in ("feature", "threshold", "left", "right", "value")
-                    )
-                )
-            )
-        return ForestState(trees)
+        return ForestState(
+            [
+                TreeState(tuple(a[lo:hi] for a in nodes))
+                for lo, hi in zip(offsets[:-1], offsets[1:])
+            ]
+        )
     if family == FAMILY_NN:
         # older bundles name the hidden activation: 0 logistic, 1 tanh
         act = arrays.get(f"{prefix}act")
@@ -375,12 +333,10 @@ def save_library(library: ModelLibrary, path) -> None:
                 "index": entry.index,
                 "family": entry.family,
                 "hyperparams": entry.hyperparams,
+                "model_hyperparams": entry.model.hyperparams,
                 "provenance": entry.provenance,
                 "n_features": entry.model.n_features,
                 "loss_mode": loss_to_text(entry.model.loss_mode),
-                "val_score_mse": eval_mean(
-                    CostSpec("squared_error"), library.val_actuals, entry.val_pred
-                ),
             }
         )
     arrays["manifest"] = np.frombuffer(
@@ -400,11 +356,12 @@ def load_library(path) -> ModelLibrary:
     entries = []
     for meta in manifest["entries"]:
         prefix = f"e{meta['index']}_"
-        state = _rebuild_state(meta["family"], meta["hyperparams"], arrays, prefix)
+        # older bundles kept only the grid label
+        hyperparams = meta.get("model_hyperparams", meta["hyperparams"])
         model = Model(
             meta["family"],
-            meta["hyperparams"],
-            state,
+            hyperparams,
+            _rebuild_state(meta["family"], hyperparams, arrays, prefix),
             meta["n_features"],
             loss_mode=loss_from_text(meta["loss_mode"]),
             provenance=meta["provenance"],

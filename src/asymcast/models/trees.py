@@ -10,6 +10,10 @@ additionally samples ``mtry`` candidate features per split. Both draw
 their bootstrap indices from the same seeded stream, so a one-tree
 forest with mtry equal to the feature count reproduces a one-bag
 bagged tree exactly.
+
+Every tree family stores its model as a ``ForestState``: a single tree
+is a one-tree forest, so the three families predict and persist the
+same way. ``TreeState`` holds the node arrays of one tree.
 """
 
 from __future__ import annotations
@@ -21,6 +25,10 @@ from ..errors import ConfigurationError, InvalidInputError
 from .base import FAMILY_BAGGED_TREE, FAMILY_RANDOM_FOREST, FAMILY_TREE, Model
 
 MAX_DEPTH = 30
+
+
+# the node arrays of one tree, in the order kernels.tree_build returns them
+NODE_ARRAYS = ("feature", "threshold", "left", "right", "value")
 
 
 class TreeState:
@@ -63,7 +71,7 @@ def fit_tree(X, y, complexity: float = 1e-3, min_node: int = 10) -> Model:
     X, y = _check_design(X, y)
     _check_growth(complexity, min_node)
     idx = np.arange(X.shape[0], dtype=np.int64)
-    state = _grow_tree(X, y, idx, min_node, complexity, X.shape[1], 0)
+    state = ForestState([_grow_tree(X, y, idx, min_node, complexity, X.shape[1], 0)])
     params = {"complexity": complexity, "min_node": min_node}
     return Model(FAMILY_TREE, params, state, X.shape[1])
 

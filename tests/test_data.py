@@ -78,10 +78,20 @@ def test_schema_validation():
     assert schema_to_text(cols) == TOY_SCHEMA
 
 
-def test_encode_with_map_rejects_unknown_category():
-    raw = {"age": [1.0], "fuel": ["kerosene"]}
+def test_encode_with_map_reuses_fitted_levels():
     schema = parse_schema(TOY_SCHEMA)
-    with pytest.raises(IngestionError, match="kerosene"):
+    names, cols, cat_map = encode_with_map({"age": [1.0, 2.0], "fuel": ["petrol", "diesel"]}, schema)
+    assert names == ["age", "fuel_petrol"] and cat_map == {"fuel": ["diesel", "petrol"]}
+    # a later batch holding only one level still gets the fitted dummies
+    names2, cols2, map2 = encode_with_map({"age": [3.0], "fuel": ["petrol"]}, schema, cat_map)
+    assert names2 == names and map2 == cat_map
+    np.testing.assert_array_equal(cols2[1], [1.0])
+
+
+def test_encode_with_map_rejects_unknown_category():
+    raw = {"age": [1.0, 2.0], "fuel": ["diesel", "kerosene"]}
+    schema = parse_schema(TOY_SCHEMA)
+    with pytest.raises(IngestionError, match="row 2: unknown category 'kerosene'"):
         encode_with_map(raw, schema, {"fuel": ["diesel", "petrol"]})
 
 

@@ -33,7 +33,6 @@ from asymcast.data import SynthConfig, split, standardize, synth_export, synth_g
 from asymcast.losses import CostSpec
 from asymcast.markdown import fit_markdown
 from asymcast.models import LibraryConfig, build_library, quantile_objective, select_best
-from asymcast.models.trees import ForestState
 
 GOLDEN_CONFIG = LibraryConfig(
     ridge_lambdas=(0.1,),
@@ -146,8 +145,7 @@ pinned = pytest.mark.skipif(
 
 
 def tree_arrays(state):
-    trees = state.trees if isinstance(state, ForestState) else [state]
-    for tree in trees:
+    for tree in state.trees:
         yield from (tree.feature, tree.threshold, tree.left, tree.right, tree.value)
 
 

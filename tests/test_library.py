@@ -1,8 +1,11 @@
+import io
 import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from asymcast.data import SynthConfig, split, standardize, synth_generate
 from asymcast.errors import ConfigurationError, InvalidInputError
@@ -17,6 +20,7 @@ from asymcast.models import (
     save_library,
     select_best,
 )
+from asymcast.models.library import SUPPORTED_FAMILIES
 
 SMALL_CONFIG = LibraryConfig(
     ridge_lambdas=(0.01, 1.0),
@@ -88,11 +92,9 @@ def test_build_is_deterministic(small_splits, symmetric_library):
     )
 
 
-def test_parallel_build_matches_sequential(small_splits, symmetric_library):
-    parallel = build_library(small_splits, SMALL_CONFIG, augment=False, jobs=3)
-    np.testing.assert_array_equal(
-        symmetric_library.validation_matrix(), parallel.validation_matrix()
-    )
+def test_build_accepts_no_job_count_but_one(small_splits):
+    with pytest.raises(ConfigurationError, match="jobs must be 1, got 2"):
+        build_library(small_splits, SMALL_CONFIG, augment=False, jobs=2)
 
 
 def test_unsupported_family_is_named():
@@ -172,6 +174,7 @@ def test_save_load_round_trip(tmp_path, small_splits, augmented_library):
         assert original.family == rebuilt.family
         assert original.provenance == rebuilt.provenance
         assert original.hyperparams == rebuilt.hyperparams
+        assert original.model.hyperparams == rebuilt.model.hyperparams
         np.testing.assert_array_equal(original.val_pred, rebuilt.val_pred)
         np.testing.assert_allclose(
             predict(original.model, X), predict(rebuilt.model, X), atol=1e-12
@@ -187,9 +190,9 @@ def test_save_load_round_trip(tmp_path, small_splits, augmented_library):
     assert load_library(path).failures == failing.failures
 
 
-def rewrite_bundle(path, edit, **extra_arrays):
+def rewrite_bundle(path, edit, drop=(), **extra_arrays):
     with np.load(path) as bundle:
-        arrays = {key: bundle[key] for key in bundle.files}
+        arrays = {key: bundle[key] for key in bundle.files if key not in drop}
     arrays.update(extra_arrays)
     manifest = json.loads(bytes(arrays["manifest"]).decode("utf-8"))
     edit(manifest)
@@ -197,27 +200,41 @@ def rewrite_bundle(path, edit, **extra_arrays):
     np.savez_compressed(path, **arrays)
 
 
-def test_version_1_bundle_loads_and_unknown_versions_are_rejected(tmp_path, symmetric_library):
+def test_version_1_bundle_loads_and_unknown_versions_are_rejected(
+    tmp_path, small_splits, symmetric_library
+):
     path = tmp_path / "library.npz"
     save_library(symmetric_library, path)
 
     def as_version_1(manifest):
-        # version 1 wrote no failure records, and kNN entries named their algorithm
+        # version 1 wrote no failure records or fitted hyperparameters,
+        # and kNN entries named their algorithm
         manifest["version"] = 1
         del manifest["failures"]
         for meta in manifest["entries"]:
+            del meta["model_hyperparams"]
             if meta["family"] == "knn":
                 meta["hyperparams"]["algorithm"] = "brute"
 
-    # older bundles also stored each network's hidden activation, 0 for logistic
+    # older bundles also stored each network's hidden activation, 0 for logistic,
+    # and a single tree's node arrays without counts
     (net,) = [e.index for e in symmetric_library.entries if e.family == "nn"]
-    rewrite_bundle(path, as_version_1, **{f"e{net}_act": np.array([0])})
+    (tree,) = [e.index for e in symmetric_library.entries if e.family == "tree"]
+    rewrite_bundle(
+        path, as_version_1, drop=(f"e{tree}_counts",), **{f"e{net}_act": np.array([0])}
+    )
     loaded = load_library(path)
     assert loaded.failures == []
     np.testing.assert_array_equal(loaded.validation_matrix(), symmetric_library.validation_matrix())
+    assert loaded.entry(net).model.hyperparams == symmetric_library.entry(net).hyperparams
     X = np.eye(symmetric_library.entry(net).model.n_features)
     np.testing.assert_array_equal(
         predict(loaded.entry(net).model, X), predict(symmetric_library.entry(net).model, X)
+    )
+    X = small_splits.test.features
+    assert len(loaded.entry(tree).model.state.trees) == 1
+    np.testing.assert_array_equal(
+        predict(loaded.entry(tree).model, X), predict(symmetric_library.entry(tree).model, X)
     )
 
     rewrite_bundle(path, lambda manifest: None, **{f"e{net}_act": np.array([1])})
@@ -227,3 +244,67 @@ def test_version_1_bundle_loads_and_unknown_versions_are_rejected(tmp_path, symm
     rewrite_bundle(path, lambda manifest: manifest.update(version=3))
     with pytest.raises(ConfigurationError, match="version 3"):
         load_library(path)
+
+
+# ------------------------------------------------ round-trip property
+
+TINY_CONFIG = LibraryConfig(
+    ridge_lambdas=(1.0,),
+    knn_ks=(3,),
+    tree_complexities=(1e-3,),
+    tree_min_nodes=(10,),
+    nn_hidden=(2,),
+    nn_epochs=10,
+    bag_counts=(2,),
+    rf_trees=(2,),
+    rf_mtrys=(4,),
+    aug_a_levels=(0.5,),
+    aug_nn_hidden=(2,),
+)
+
+
+@pytest.fixture(scope="module")
+def tiny_splits():
+    ds = synth_generate(SynthConfig(n=200, seed=51))
+    std, _ = standardize(split(ds, seed=5))
+    return std
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    families=st.sets(st.sampled_from(SUPPORTED_FAMILIES), min_size=1, max_size=4),
+    master_seed=st.integers(0, 2**32 - 1),
+    augment=st.booleans(),
+    k_too_large=st.booleans(),
+)
+@example(families=set(SUPPORTED_FAMILIES), master_seed=0, augment=True, k_too_large=True)
+def test_library_survives_save_and_load(tiny_splits, families, master_seed, augment, k_too_large):
+    n_ats = tiny_splits.ats.target.shape[0]
+    # a kNN k above the ATS row count fails to fit and leaves a failure record
+    config = replace(
+        TINY_CONFIG,
+        families=tuple(sorted(families | {"knn"})) if k_too_large else tuple(sorted(families)),
+        master_seed=master_seed,
+        knn_ks=(3, n_ats + 1) if k_too_large else (3,),
+    )
+    library = build_library(tiny_splits, config, augment)
+    assert len(library.failures) == k_too_large
+    buffer = io.BytesIO()
+    save_library(library, buffer)
+    buffer.seek(0)
+    loaded = load_library(buffer)
+
+    assert loaded.failures == library.failures
+    assert (loaded.augmented, loaded.master_seed) == (augment, master_seed)
+    np.testing.assert_array_equal(loaded.val_actuals, library.val_actuals)
+    X = tiny_splits.test.features
+    assert len(loaded) == len(library)
+    for original, rebuilt in zip(library.entries, loaded.entries):
+        assert (rebuilt.index, rebuilt.family, rebuilt.provenance) == (
+            original.index, original.family, original.provenance
+        )
+        assert rebuilt.hyperparams == original.hyperparams
+        assert rebuilt.model.hyperparams == original.model.hyperparams
+        assert rebuilt.model.loss_mode == original.model.loss_mode
+        np.testing.assert_array_equal(rebuilt.val_pred, original.val_pred)
+        np.testing.assert_array_equal(predict(rebuilt.model, X), predict(original.model, X))

@@ -12,6 +12,7 @@ from asymcast.models import (
     predict,
 )
 from asymcast.models.neighbors import _CHUNK_DISTANCES
+from asymcast.models.trees import ForestState
 from reference_kernels import tree_build_loop, tree_predict_loop
 
 
@@ -72,6 +73,15 @@ def test_tree_is_deterministic():
     a = fit_tree(X, y, 1e-3, 10)
     b = fit_tree(X, y, 1e-3, 10)
     np.testing.assert_array_equal(predict(a, X), predict(b, X))
+
+
+def test_single_tree_is_a_one_tree_forest():
+    X, y = make_nonlinear_problem(seed=9, n=300)
+    model = fit_tree(X, y, 1e-3, 10)
+    assert isinstance(model.state, ForestState)
+    (tree,) = model.state.trees
+    # averaging over one tree is exact: the forest predicts the tree's own output
+    np.testing.assert_array_equal(predict(model, X), tree.predict(X))
 
 
 def test_duplicated_prediction_rows_get_identical_outputs():
