@@ -2,7 +2,7 @@
 
 Each kernel has one path, written with whole-array numpy operations.
 Tree building vectorizes the split search across a node's candidate
-features; tree prediction advances every row one level per step.
+features; tree prediction walks every row down the tree's full depth.
 Networks are trained in ``models.neural`` by scipy's L-BFGS-B, so no
 training loop lives here.
 
@@ -150,21 +150,42 @@ def tree_build(X, y, sample_idx, min_node, complexity, mtry, lcg_state, max_dept
     )
 
 
+def _tree_depth(node_feature, node_left, node_right):
+    """Number of splits on the longest root-to-leaf path."""
+    depth, level = 0, np.zeros(1, dtype=np.int64)
+    while True:
+        level = level[node_feature[level] >= 0]
+        if not level.shape[0]:
+            return depth
+        level = np.concatenate([node_left[level], node_right[level]])
+        depth += 1
+
+
 def tree_predict(node_feature, node_threshold, node_left, node_right, node_value, X):
-    """Leaf values for every row of X, advancing all rows one level per step."""
-    out = np.empty(X.shape[0], dtype=np.float64)
-    rows = np.arange(X.shape[0])
+    """Leaf values for every row of X, by a walk of fixed depth.
+
+    Leaves loop to themselves, so every row takes one step per level of
+    the tree's depth and no finished row is set aside. A step reads each
+    row's split value with one flat gather, ``X.ravel()[row * m +
+    feature[node]]``, and its next node from the interleaved child table
+    ``child[2 * node + goes_right]``. Rows with value <= threshold go
+    left, so NaN goes right.
+    """
+    leaf = node_feature < 0
+    nodes = np.arange(node_feature.shape[0])
+    feature = np.where(leaf, 0, node_feature)
+    child = np.empty(2 * nodes.shape[0], dtype=np.int64)
+    child[0::2] = np.where(leaf, nodes, node_left)
+    child[1::2] = np.where(leaf, nodes, node_right)
+    flat = np.ascontiguousarray(X).ravel()
+    base = np.arange(X.shape[0]) * X.shape[1]
     node = np.zeros(X.shape[0], dtype=np.int64)
-    while rows.shape[0]:
-        feature = node_feature[node]
-        leaf = feature < 0
-        if leaf.any():
-            out[rows[leaf]] = node_value[node[leaf]]
-            inner = ~leaf
-            rows, node, feature = rows[inner], node[inner], feature[inner]
-        goes_left = X[rows, feature] <= node_threshold[node]
-        node = np.where(goes_left, node_left[node], node_right[node])
-    return out
+    for _ in range(_tree_depth(node_feature, node_left, node_right)):
+        goes_right = ~(flat[base + feature[node]] <= node_threshold[node])
+        node *= 2
+        node += goes_right
+        node = child[node]
+    return node_value[node]
 
 
 # ------------------------------------------------------------ neural net

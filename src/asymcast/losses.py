@@ -9,7 +9,9 @@ Families
 ``pinball``         quantile loss:     tau*e if e > 0 else (tau - 1)*e
 ``qqc_approx``      smooth quadratic-quadratic, a logistic blend of the
                     two branch weights so the function is differentiable
-                    everywhere (used for gradient-based training)
+                    everywhere (used for gradient-based training); it
+                    is monotone in |e| only while max(a, b) / min(a, b)
+                    stays below about 48.5, whatever the steepness
 
 Residuals follow the convention ``e = actual - forecast``: a positive
 residual means the forecast underestimated the actual (weight ``a``), a

@@ -1,9 +1,13 @@
 """Shared model record and prediction dispatch.
 
 A fitted model is its family tag, the hyperparameters it was fitted
-with, an immutable state object, the loss mode used for training, and a
-symmetric/asymmetric provenance flag. Prediction is deterministic and
-safe for concurrent callers.
+with, a state object, the loss mode used for training, and a
+symmetric/asymmetric provenance flag. States do not change once built,
+with two exceptions in kNN: ``build_library`` and ``load_library`` point
+kNN states fitted on equal training rows at one shared neighbour index,
+and that index keeps the per-k forecasts of its latest query as a memo.
+The memo is keyed on the query's contents and swapped whole, so
+prediction stays deterministic and safe for concurrent callers.
 """
 
 from __future__ import annotations

@@ -9,6 +9,13 @@ trained on the smooth quadratic-quadratic loss; these carry provenance
 "asymmetric". Every network, symmetric or not, is trained by L-BFGS on
 the same full-batch objective, at most ``nn_epochs`` iterations.
 
+kNN models fitted on the same rows share one neighbour index, which
+ranks a query's neighbours once for all their k (``neighbors.share_index``).
+``build_library`` groups them after fitting, before the first validation
+forecast; ``load_library`` groups the kNN entries whose stored training
+rows are equal, which are the same groups, so a loaded model reproduces
+its stored validation forecasts bit for bit.
+
 A fit that fails is skipped and recorded in ``ModelLibrary.failures``.
 ``save_library`` writes the entries and those failure records to one
 versioned ``.npz`` bundle, so a loaded library still says which fits
@@ -40,7 +47,7 @@ from .base import (
     predict,
 )
 from .linear import LinearState, fit_ols, fit_quantile, fit_ridge
-from .neighbors import KnnState, fit_knn
+from .neighbors import KnnState, NeighborIndex, fit_knn, share_index
 from .neural import NNConfig, NNState, fit_nn
 from .trees import NODE_ARRAYS, ForestState, TreeState, fit_bagged_tree, fit_random_forest, fit_tree
 
@@ -208,10 +215,11 @@ def _nn_config(config: LibraryConfig, hidden: int, seed: int) -> NNConfig:
 def build_library(
     splits: DataSplits, config: LibraryConfig, augment: bool, jobs: int = 1
 ) -> ModelLibrary:
-    """Fit the configured grids on ATS rows in plan order, caching validation forecasts.
+    """Fit the configured grids on ATS rows in plan order, then cache validation forecasts.
 
-    Individual fit failures are logged and skipped; only a fully failed
-    build raises. ``jobs`` must be 1: fits run one after another.
+    Individual fit or forecast failures are logged and skipped; only a
+    fully failed build raises. ``jobs`` must be 1: fits run one after
+    another.
     """
     if jobs != 1:
         raise ConfigurationError(f"build_library fits sequentially; jobs must be 1, got {jobs}")
@@ -219,12 +227,22 @@ def build_library(
     y = splits.ats.target
     X_val = splits.validation.features
     plans = _build_plans(config, augment, X.shape[1])
-    entries, failures = [], []
+    fitted, entries, failures = [], [], []
     for plan_index, (family, params, fitter) in enumerate(plans):
         try:
             model = fitter(X, y, _model_seed(config.master_seed, plan_index))
-            val_pred = predict(model, X_val)
         except Exception as exc:  # noqa: BLE001 - skip-and-log is the contract
+            log.warning("skipping %s %s: %s", family, params, exc)
+            failures.append((family, params, str(exc)))
+            continue
+        fitted.append((family, params, model))
+    # before the first forecast, so every kNN model ranks at the largest k
+    # of its group, as it will after load_library
+    share_index([model.state for _, _, model in fitted])
+    for family, params, model in fitted:
+        try:
+            val_pred = predict(model, X_val)
+        except Exception as exc:  # noqa: BLE001
             log.warning("skipping %s %s: %s", family, params, exc)
             failures.append((family, params, str(exc)))
             continue
@@ -261,7 +279,7 @@ def _state_arrays(model: Model, prefix: str) -> dict:
     if isinstance(state, LinearState):
         return {f"{prefix}beta": state.beta}
     if isinstance(state, KnnState):
-        return {f"{prefix}X": state.X, f"{prefix}y": state.y}
+        return {f"{prefix}X": state.index.X, f"{prefix}y": state.index.y}
     if isinstance(state, ForestState):
         arrays = {
             f"{prefix}{name}": np.concatenate([getattr(t, name) for t in state.trees])
@@ -285,7 +303,8 @@ def _rebuild_state(family: str, hyperparams: dict, arrays: dict, prefix: str):
     if family in (FAMILY_OLS, FAMILY_RIDGE, FAMILY_QUANTILE):
         return LinearState(arrays[f"{prefix}beta"])
     if family == FAMILY_KNN:
-        return KnnState(arrays[f"{prefix}X"], arrays[f"{prefix}y"], hyperparams["k"])
+        k = hyperparams["k"]
+        return KnnState(NeighborIndex(arrays[f"{prefix}X"], arrays[f"{prefix}y"], (k,)), k)
     if family in (FAMILY_TREE, FAMILY_BAGGED_TREE, FAMILY_RANDOM_FOREST):
         nodes = [arrays[f"{prefix}{name}"] for name in NODE_ARRAYS]
         # older bundles store a single tree without counts
@@ -376,6 +395,8 @@ def load_library(path) -> ModelLibrary:
                 arrays[f"{prefix}val_pred"],
             )
         )
+    # the groups build_library formed: kNN entries on equal training rows
+    share_index([entry.model.state for entry in entries])
     failures = [tuple(failure) for failure in manifest.get("failures", [])]
     return ModelLibrary(
         entries, arrays["val_actuals"], manifest["augmented"], manifest["master_seed"], failures

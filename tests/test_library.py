@@ -15,6 +15,7 @@ from asymcast.models import (
     LibraryEntry,
     ModelLibrary,
     build_library,
+    fit_knn,
     load_library,
     predict,
     save_library,
@@ -231,6 +232,9 @@ def test_version_1_bundle_loads_and_unknown_versions_are_rejected(
     np.testing.assert_array_equal(
         predict(loaded.entry(net).model, X), predict(symmetric_library.entry(net).model, X)
     )
+    knn = [loaded.entry(e.index).model.state for e in symmetric_library.entries if e.family == "knn"]
+    assert len({id(state.index) for state in knn}) == 1
+    assert knn[0].index.ks == SMALL_CONFIG.knn_ks
     X = small_splits.test.features
     assert len(loaded.entry(tree).model.state.trees) == 1
     np.testing.assert_array_equal(
@@ -244,6 +248,51 @@ def test_version_1_bundle_loads_and_unknown_versions_are_rejected(
     rewrite_bundle(path, lambda manifest: manifest.update(version=3))
     with pytest.raises(ConfigurationError, match="version 3"):
         load_library(path)
+
+
+def test_load_shares_one_index_per_training_set(tmp_path, small_splits, augmented_library):
+    path = tmp_path / "library.npz"
+    save_library(augmented_library, path)
+    knn = [e.index for e in augmented_library.entries if e.family == "knn"]
+    loaded = load_library(path)
+    assert len({id(loaded.entry(i).model.state.index) for i in knn}) == 1
+
+    # an entry whose stored training rows differ keeps an index of its own
+    odd = knn[0]
+    with np.load(path) as bundle:
+        X, y = bundle[f"e{odd}_X"][1:], bundle[f"e{odd}_y"][1:]
+    rewrite_bundle(path, lambda manifest: None, **{f"e{odd}_X": X, f"e{odd}_y": y})
+    loaded = load_library(path)
+    alone, *rest = (loaded.entry(i).model.state for i in knn)
+    assert alone.index.ks == (alone.k,)
+    assert all(state.index is rest[0].index and state.index is not alone.index for state in rest)
+    Xq = small_splits.test.features
+    np.testing.assert_array_equal(
+        predict(loaded.entry(odd).model, Xq), predict(fit_knn(X, y, alone.k), Xq)
+    )
+
+
+def test_loaded_knn_reproduces_validation_forecasts_under_distance_ties(tmp_path):
+    ds = synth_generate(SynthConfig(n=600, seed=52))
+    std, _ = standardize(split(ds, seed=6))
+    # integer features give integer squared distances, so neighbours tie
+    rounded = {
+        name: replace(part, features=np.round(part.features))
+        for name, part in (("ats", std.ats), ("validation", std.validation))
+    }
+    tied = replace(std, **rounded)
+    X, y, X_val = tied.ats.features, tied.ats.target, tied.validation.features
+    config = replace(SMALL_CONFIG, families=("knn",), knn_ks=(1, 5, 25))
+    library = build_library(tied, config, augment=False)
+    # ties decide which rows count: ranking at each k alone gives other means
+    assert any(
+        not np.array_equal(predict(fit_knn(X, y, k), X_val), entry.val_pred)
+        for k, entry in zip(config.knn_ks, library.entries)
+    )
+    path = tmp_path / "library.npz"
+    save_library(library, path)
+    for entry in load_library(path).entries:
+        np.testing.assert_array_equal(predict(entry.model, X_val), entry.val_pred)
 
 
 # ------------------------------------------------ round-trip property

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from asymcast.errors import ConfigurationError, InvalidInputError
 from asymcast.losses import (
+    FAMILIES,
     CostSpec,
     eval_loss,
     eval_mean,
@@ -14,6 +17,22 @@ from asymcast.losses import (
 )
 
 STANDARD_GRID = np.array([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
+
+# random loss parameters: weight ratios up to 400 either way
+WEIGHTS = st.floats(0.05, 20.0)
+TAUS = st.floats(0.01, 0.99)
+# residuals at least 1e-3 from the kink at 0, where central differences fail
+OFF_KINK = st.floats(1e-3, 5.0) | st.floats(-5.0, -1e-3)
+# residual grids on a 0.01 lattice, so neighbouring points differ by more
+# than rounding and any decrease between them is real
+GRIDS = st.lists(st.integers(-500, 500), min_size=1, max_size=40).map(
+    lambda points: np.array(points) / 100.0
+)
+
+# qqc_approx, e^2 (a + (b - a) / (1 + exp(s e))), is monotone in |e| only while
+# max(a, b) / min(a, b) stays below about 48.47, at any steepness s: beyond it
+# the blend falls from the larger weight faster than e^2 grows
+SMOOTH_QQC_MAX_RATIO = 48.0
 
 
 def central_diff(spec, e, h=1e-6):
@@ -176,6 +195,14 @@ def test_gradients_match_central_differences_off_kinks(family, params):
         assert abs(an - fd) <= 1e-4 * max(1.0, abs(fd))
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+@given(a=WEIGHTS, b=WEIGHTS, tau=TAUS, e=OFF_KINK)
+def test_gradient_matches_central_differences_for_random_parameters(family, a, b, tau, e):
+    spec = CostSpec(family, a=a, b=b, tau=tau)
+    fd = central_diff(spec, e)
+    assert abs(grad_loss(spec, e) - fd) <= 1e-4 * max(1.0, abs(fd))
+
+
 def test_kink_subgradients_use_right_derivative():
     assert grad_loss(CostSpec("pinball", tau=0.25), 0.0) == 0.25
     assert grad_loss(CostSpec("llc", a=0.5, b=1.0), 0.0) == 0.5
@@ -210,6 +237,21 @@ def test_all_families_are_generalized_cost_functions():
     ]
     for spec in specs:
         assert validate_generalized_cost(spec, STANDARD_GRID), spec.describe()
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@given(a=WEIGHTS, b=WEIGHTS, tau=TAUS, grid=GRIDS)
+def test_every_family_is_a_generalized_cost_for_random_parameters(family, a, b, tau, grid):
+    if family == "qqc_approx":
+        assume(max(a, b) / min(a, b) <= SMOOTH_QQC_MAX_RATIO)
+    assert validate_generalized_cost(CostSpec(family, a=a, b=b, tau=tau), grid)
+
+
+@pytest.mark.parametrize("a,b", [(1.0, 50.0), (50.0, 1.0), (0.02, 1.0)])
+def test_smooth_qqc_is_not_monotone_beyond_its_weight_ratio(a, b):
+    grid = np.linspace(-1.0, 1.0, 20001)
+    assert not validate_generalized_cost(CostSpec("qqc_approx", a=a, b=b), grid)
+    assert validate_generalized_cost(CostSpec("qqc_approx", a=1.0, b=SMOOTH_QQC_MAX_RATIO), grid)
 
 
 def test_corrupted_spec_fails_generalized_cost_check():

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -11,7 +14,7 @@ from asymcast.models import (
     fit_tree,
     predict,
 )
-from asymcast.models.neighbors import _CHUNK_DISTANCES
+from asymcast.models.neighbors import _CHUNK_DISTANCES, NeighborIndex, share_index
 from asymcast.models.trees import ForestState
 from reference_kernels import tree_build_loop, tree_predict_loop
 
@@ -44,6 +47,85 @@ def test_knn_brute_force_matches_argsort_oracle():
     d2 = ((Xq[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
     expected = np.array([y[np.argsort(row)[:7]].mean() for row in d2])
     np.testing.assert_allclose(predict(fit_knn(X, y, 7), Xq), expected, atol=1e-10)
+
+
+def ranked_mean_oracle(X, y, Q):
+    """Column k - 1: the k-neighbour mean of each query row.
+
+    Exact distances ordered with ties broken by training row, then a
+    running-sum mean.
+    """
+    rows = np.arange(X.shape[0])
+    ranked = [np.cumsum(y[np.lexsort((rows, ((X - q) ** 2).sum(axis=1)))]) for q in Q]
+    return np.array(ranked) / np.arange(1, X.shape[0] + 1)
+
+
+@pytest.mark.parametrize("largest", ["n", "n-1"])
+def test_shared_knn_matches_full_sort_oracle_for_every_k(largest):
+    X, y = make_nonlinear_problem(seed=18, n=40)
+    Xq = make_nonlinear_problem(seed=19, n=1700)[0]
+    assert Xq.shape[0] > _CHUNK_DISTANCES // X.shape[0]  # the query spans at least two chunks
+    # the largest k ranks by a full sort (n) or by a partition first (n - 1)
+    ks = range(1, X.shape[0] + (largest == "n"))
+    models = [fit_knn(X, y, k) for k in ks]
+    share_index([model.state for model in models])
+    assert models[0].state.index is models[-1].state.index
+    expected = ranked_mean_oracle(X, y, Xq)
+    for k, model in zip(ks, models):
+        np.testing.assert_array_equal(predict(model, Xq), expected[:, k - 1])
+
+
+def test_shared_knn_predicts_the_bits_of_a_model_fitted_alone():
+    X, y = make_nonlinear_problem(seed=20, n=300)
+    Xq = make_nonlinear_problem(seed=21, n=400)[0]
+    ks = (3, 5, 10, 25, 100)
+    shared = [fit_knn(X, y, k) for k in ks]
+    share_index([model.state for model in shared])
+    assert shared[0].state.index.ks == ks
+    for k, model in zip(ks, shared):
+        np.testing.assert_array_equal(predict(model, Xq), predict(fit_knn(X, y, k), Xq))
+
+
+def test_knn_memo_follows_the_query_contents():
+    X, y = make_nonlinear_problem(seed=22, n=200)
+    Xq = make_nonlinear_problem(seed=23, n=50)[0]
+    model = fit_knn(X, y, 5)
+    first = predict(model, Xq)
+    # an equal copy is answered from the memo with the same bits
+    np.testing.assert_array_equal(predict(model, Xq.copy()), first)
+    # a returned forecast is the caller's own: writing to it changes no later answer
+    first[:] = np.nan
+    np.testing.assert_array_equal(predict(model, Xq), predict(fit_knn(X, y, 5), Xq))
+    # a query changed in place is ranked again, not answered from the memo
+    Xq[:10] += 1.0
+    np.testing.assert_array_equal(predict(model, Xq), predict(fit_knn(X, y, 5), Xq))
+
+
+def test_knn_index_answers_concurrent_queries_separately():
+    X, y = make_nonlinear_problem(seed=24, n=300)
+    queries = [make_nonlinear_problem(seed=25 + t, n=64)[0] for t in range(4)]
+    index = NeighborIndex(X, y, (3, 10))
+    expected = [NeighborIndex(X, y, (3, 10)).means(Q) for Q in queries]
+    wrong = []
+
+    def work(t):
+        for _ in range(200):
+            got = index.means(queries[t])
+            if any(not np.array_equal(got[k], expected[t][k]) for k in (3, 10)):
+                wrong.append(t)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(len(queries))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
 
 
 def test_knn_validates_configuration():
@@ -154,6 +236,13 @@ def test_tree_build_ties_between_dummies_go_to_the_first_column():
 def test_tree_predict_matches_row_loop_reference(max_depth):
     X, y = make_nonlinear_problem(seed=16, n=400)
     Xq = make_nonlinear_problem(seed=17, n=300)[0]
+    # NaN fails every <= test and goes right, like +inf; -inf goes left
+    Xq[0, :] = np.nan
+    Xq[1, :] = np.inf
+    Xq[2, :] = -np.inf
+    Xq[3:60:3, 0] = np.nan
+    Xq[4:60:3, 1] = np.inf
+    Xq[5:60:3, 2] = -np.inf
     arrays = kernels.tree_build(X, y, np.arange(400, dtype=np.int64), 3, 0.0, 4, 0, max_depth)
     np.testing.assert_array_equal(
         kernels.tree_predict(*arrays[:5], Xq), tree_predict_loop(*arrays[:5], Xq)
