@@ -11,7 +11,9 @@ Families
                     two branch weights so the function is differentiable
                     everywhere (used for gradient-based training); it
                     is monotone in |e| only while max(a, b) / min(a, b)
-                    stays below about 48.5, whatever the steepness
+                    is at most ``QQC_APPROX_MAX_RATIO`` (about 48.47),
+                    whatever the steepness, and ``CostSpec`` rejects
+                    weights beyond that ratio
 
 Residuals follow the convention ``e = actual - forecast``: a positive
 residual means the forecast underestimated the actual (weight ``a``), a
@@ -35,6 +37,16 @@ FAMILIES = ("squared_error", "llc", "qqc", "lec", "pinball", "qqc_approx")
 # exp() overflow guard: |argument| is clipped here before exponentiation,
 # which saturates the logistic blend at exactly 0/1 in the tails.
 _EXP_CLIP = 700.0
+
+# Largest max(a, b) / min(a, b) at which qqc_approx is monotone in |e|.
+# With u = steepness * e and p = 1 / (1 + exp(u)) the cost is
+# (u / steepness)^2 (a + (b - a) p). For u > 0 and b = r a > a it grows
+# with u iff 2 (a + (b - a) p) >= u (b - a) p (1 - p), that is iff
+# 2 / (r - 1) >= u p (1 - p) - 2 p. The right side peaks at
+# M = 0.04213124031710531... (u = 3.2436...), so r <= 1 + 2 / M. For
+# u < 0 the same holds with a and b swapped, and the steepness cancels.
+# The value is rounded down.
+QQC_APPROX_MAX_RATIO = 48.4707125863559
 
 
 @dataclass(frozen=True)
@@ -67,6 +79,14 @@ class CostSpec:
             raise ConfigurationError(f"tau must lie in (0, 1), got {self.tau}")
         if self.steepness <= 0:
             raise ConfigurationError(f"steepness must be positive, got {self.steepness}")
+        if (
+            self.family == "qqc_approx"
+            and max(self.a, self.b) / min(self.a, self.b) > QQC_APPROX_MAX_RATIO
+        ):
+            raise ConfigurationError(
+                f"qqc_approx is not monotone in |e| once max(a, b)/min(a, b) exceeds "
+                f"{QQC_APPROX_MAX_RATIO:.4f}; got a={self.a}, b={self.b}"
+            )
 
     def describe(self) -> str:
         if self.family == "pinball":
@@ -85,19 +105,22 @@ def _as_residual_array(e) -> np.ndarray:
     return arr
 
 
-def _logistic_blend(e: np.ndarray, spec: CostSpec) -> np.ndarray:
-    """Branch weight a + (b - a) / (1 + exp(steepness * e)).
+def _logistic_blend(e: np.ndarray, spec: CostSpec):
+    """Branch weight a + (b - a) * sig and sig = 1 / (1 + exp(steepness * e)).
 
-    Tends to ``a`` as e -> +inf and to ``b`` as e -> -inf.
+    The weight tends to ``a`` as e -> +inf and to ``b`` as e -> -inf.
     """
     z = np.clip(spec.steepness * e, -_EXP_CLIP, _EXP_CLIP)
     sig = 1.0 / (1.0 + np.exp(z))
-    return spec.a + (spec.b - spec.a) * sig
+    return spec.a + (spec.b - spec.a) * sig, sig
 
+
+# _eval_raw and _grad_raw take a finite float residual array and check
+# nothing: eval_loss and grad_loss check their input first, the network
+# objective checks its residuals once per evaluation, and
+# validate_generalized_cost probes deliberately corrupted specs here.
 
 def _eval_raw(spec: CostSpec, e: np.ndarray) -> np.ndarray:
-    # No parameter validation here: validate_generalized_cost probes
-    # deliberately corrupted specs through this path.
     family = spec.family
     if family == "squared_error":
         return e * e
@@ -111,7 +134,27 @@ def _eval_raw(spec: CostSpec, e: np.ndarray) -> np.ndarray:
     if family == "pinball":
         return np.where(e > 0, spec.tau * e, (spec.tau - 1.0) * e)
     if family == "qqc_approx":
-        return (e * e) * _logistic_blend(e, spec)
+        return (e * e) * _logistic_blend(e, spec)[0]
+    raise ConfigurationError(f"unknown loss family {family!r}")
+
+
+def _grad_raw(spec: CostSpec, e: np.ndarray) -> np.ndarray:
+    family = spec.family
+    if family == "squared_error":
+        return 2.0 * e
+    if family == "llc":
+        return np.where(e < 0, -spec.b, spec.a)
+    if family == "qqc":
+        return np.where(e > 0, 2.0 * spec.a * e, 2.0 * spec.b * e)
+    if family == "lec":
+        z = np.clip(spec.a * e, -_EXP_CLIP, _EXP_CLIP)
+        return spec.a * spec.b * (np.exp(z) - 1.0)
+    if family == "pinball":
+        return np.where(e < 0, spec.tau - 1.0, spec.tau)
+    if family == "qqc_approx":
+        weight, sig = _logistic_blend(e, spec)
+        dsig = -spec.steepness * sig * (1.0 - sig)
+        return 2.0 * e * weight + (e * e) * (spec.b - spec.a) * dsig
     raise ConfigurationError(f"unknown loss family {family!r}")
 
 
@@ -148,27 +191,7 @@ def eval_mean(spec: CostSpec, actuals, forecasts):
 def grad_loss(spec: CostSpec, e):
     """dC/de. At the kinks of pinball/llc returns the right-derivative."""
     arr = _as_residual_array(e)
-    family = spec.family
-    if family == "squared_error":
-        out = 2.0 * arr
-    elif family == "llc":
-        out = np.where(arr > 0, spec.a, np.where(arr < 0, -spec.b, spec.a))
-    elif family == "qqc":
-        out = np.where(arr > 0, 2.0 * spec.a * arr, 2.0 * spec.b * arr)
-    elif family == "lec":
-        z = np.clip(spec.a * arr, -_EXP_CLIP, _EXP_CLIP)
-        out = spec.a * spec.b * (np.exp(z) - 1.0)
-    elif family == "pinball":
-        out = np.where(arr > 0, spec.tau, np.where(arr < 0, spec.tau - 1.0, spec.tau))
-        out = np.asarray(out, dtype=float)
-    elif family == "qqc_approx":
-        z = np.clip(spec.steepness * arr, -_EXP_CLIP, _EXP_CLIP)
-        sig = 1.0 / (1.0 + np.exp(z))
-        weight = spec.a + (spec.b - spec.a) * sig
-        dsig = -spec.steepness * sig * (1.0 - sig)
-        out = 2.0 * arr * weight + (arr * arr) * (spec.b - spec.a) * dsig
-    else:
-        raise ConfigurationError(f"unknown loss family {family!r}")
+    out = _grad_raw(spec, arr)
     if np.isscalar(e) or np.ndim(e) == 0:
         return float(out)
     return out

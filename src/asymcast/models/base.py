@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import SchemaError
+from ..errors import InvalidInputError, SchemaError
 from ..losses import CostSpec
 
 FAMILY_OLS = "ols"
@@ -59,6 +59,23 @@ class Model:
     def describe(self) -> str:
         params = ", ".join(f"{k}={v}" for k, v in sorted(self.hyperparams.items()))
         return f"{self.family}({params})"
+
+
+def check_training_data(X, y, min_rows: int = 1):
+    """``X`` as a C-contiguous float matrix and ``y`` as a float vector of its rows.
+
+    Every fitter calls this first. Raises InvalidInputError on a bad shape,
+    fewer than ``min_rows`` rows, or a NaN or infinite value, naming the
+    array that holds it.
+    """
+    X = np.ascontiguousarray(np.asarray(X, dtype=float))
+    y = np.asarray(y, dtype=float)
+    if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0] or X.shape[0] < min_rows:
+        raise InvalidInputError(f"bad design: X {X.shape}, y {y.shape}")
+    for name, values in (("X", X), ("y", y)):
+        if not np.isfinite(values).all():
+            raise InvalidInputError(f"training {name} must be finite (no NaN/inf)")
+    return X, y
 
 
 def predict(model: Model, X) -> np.ndarray:

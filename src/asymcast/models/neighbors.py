@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ConfigurationError, InvalidInputError
-from .base import FAMILY_KNN, Model
+from ..errors import ConfigurationError
+from .base import FAMILY_KNN, Model, check_training_data
 
 # distances per brute-force chunk: 512 KB of float64, so the chunk and its
 # temporaries stay small next to the training matrix
@@ -117,9 +117,6 @@ def share_index(states) -> None:
 
 
 def fit_knn(X, y, k_neighbors: int) -> Model:
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim != 2 or X.shape[0] != y.shape[0]:
-        raise InvalidInputError(f"bad design: X {X.shape}, y {y.shape}")
+    X, y = check_training_data(X, y)
     state = KnnState(NeighborIndex(X, y, (k_neighbors,)), k_neighbors)
     return Model(FAMILY_KNN, {"k": k_neighbors}, state, X.shape[1])

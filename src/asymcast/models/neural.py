@@ -29,8 +29,8 @@ from scipy.optimize import minimize
 
 from .. import kernels
 from ..errors import ConfigurationError, TrainingError
-from ..losses import CostSpec, eval_loss, grad_loss
-from .base import FAMILY_NN, Model
+from ..losses import CostSpec, _eval_raw, _grad_raw
+from .base import FAMILY_NN, Model, check_training_data
 
 _LOSSES = ("squared_error", "pinball", "qqc_approx")
 _DIVERGED = "network training diverged (non-finite objective); check the scale of the targets"
@@ -86,8 +86,7 @@ def init_params(n_features: int, y: np.ndarray, config: NNConfig):
 
 def fit_nn(X, y, config: NNConfig, loss_mode: CostSpec = CostSpec("squared_error")) -> Model:
     """Train on standardized features; deterministic given config.seed."""
-    X = np.ascontiguousarray(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float)
+    X, y = check_training_data(X, y)
     k = config.hidden_nodes
     theta0 = flatten_params(*init_params(X.shape[1], y, config))
     args = (X, y, config, loss_mode)
@@ -140,29 +139,37 @@ def nn_objective_and_grad(theta, X, y, config: NNConfig, loss_mode: CostSpec):
     definition of the network's loss, penalties and gradient; the
     finite-difference tests check the gradient against it. A forecast
     that overflows gives an infinite objective.
+
+    L-BFGS calls this thousands of times per fit, so the residuals are
+    checked for finiteness once per evaluation and then go to the loss
+    formulas unchecked; the result equals, bit for bit, the mean of
+    ``eval_loss`` and the gradient from ``grad_loss``.
     """
     _check_loss_mode(loss_mode)
     n, m = X.shape
     k = config.hidden_nodes
     W1, b1, v, v0 = unflatten_params(np.asarray(theta, dtype=float), m, k)
     H = kernels.nn_hidden(X, W1, b1)
-    Hder = H * (1.0 - H)
-    yhat = H @ v + v0[0]
-    e = y - yhat
-    if not np.all(np.isfinite(e)):
+    e = H @ v
+    e += v0[0]
+    np.subtract(y, e, out=e)
+    if not np.isfinite(e).all():
         return np.inf, np.zeros_like(theta)
 
-    mean_loss = float(np.mean(eval_loss(loss_mode, e)))
-    g = grad_loss(loss_mode, e)
-
-    objective = mean_loss + config.lambda1 * float(np.sum(W1 * W1)) + config.lambda2 * float(
-        np.sum(v * v)
+    # np.mean's arithmetic: a pairwise sum, then one division by n
+    mean_loss = float(_eval_raw(loss_mode, e).sum()) / n
+    objective = mean_loss + config.lambda1 * float((W1 * W1).sum()) + config.lambda2 * float(
+        (v * v).sum()
     )
 
-    dyhat = -g / n
+    dyhat = _grad_raw(loss_mode, e)
+    dyhat /= -n
     dv = H.T @ dyhat + 2.0 * config.lambda2 * v
-    dv0 = np.array([np.sum(dyhat)])
-    dZ = (dyhat[:, None] * v[None, :]) * Hder
+    dv0 = np.array([dyhat.sum()])
+    # H becomes the activation derivative H (1 - H); dv has used H itself
+    H *= 1.0 - H
+    dZ = np.multiply.outer(dyhat, v)
+    dZ *= H
     dW1 = X.T @ dZ + 2.0 * config.lambda1 * W1
     db1 = dZ.sum(axis=0)
     return objective, flatten_params(dW1, db1, dv, dv0)

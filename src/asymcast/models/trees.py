@@ -13,7 +13,9 @@ bagged tree exactly.
 
 Every tree family stores its model as a ``ForestState``: a single tree
 is a one-tree forest, so the three families predict and persist the
-same way. ``TreeState`` holds the node arrays of one tree.
+same way. ``TreeState`` holds the node arrays of one tree, which a
+bundle stores, and the walk tables prediction reads, which it builds
+when the tree is fitted or loaded.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from __future__ import annotations
 import numpy as np
 
 from .. import kernels
-from ..errors import ConfigurationError, InvalidInputError
-from .base import FAMILY_BAGGED_TREE, FAMILY_RANDOM_FOREST, FAMILY_TREE, Model
+from ..errors import ConfigurationError
+from .base import FAMILY_BAGGED_TREE, FAMILY_RANDOM_FOREST, FAMILY_TREE, Model, check_training_data
 
 MAX_DEPTH = 30
 
@@ -32,13 +34,15 @@ NODE_ARRAYS = ("feature", "threshold", "left", "right", "value")
 
 
 class TreeState:
+    """The node arrays of one tree, plus its walk tables, built once here."""
+
     def __init__(self, arrays):
         self.feature, self.threshold, self.left, self.right, self.value = arrays
+        self._walk = kernels.tree_tables(self.feature, self.left, self.right)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return kernels.tree_predict(
-            self.feature, self.threshold, self.left, self.right, self.value, X
-        )
+        split_feature, child, depth = self._walk
+        return kernels.tree_predict(split_feature, self.threshold, child, self.value, depth, X)
 
 
 class ForestState:
@@ -52,14 +56,6 @@ class ForestState:
         return out / len(self.trees)
 
 
-def _check_design(X, y):
-    X = np.ascontiguousarray(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float)
-    if X.ndim != 2 or X.shape[0] != y.shape[0] or X.shape[0] < 2:
-        raise InvalidInputError(f"bad design: X {X.shape}, y {y.shape}")
-    return X, y
-
-
 def _grow_tree(X, y, sample_idx, min_node, complexity, mtry, lcg_seed) -> TreeState:
     arrays = kernels.tree_build(
         X, y, sample_idx, min_node, complexity, mtry, lcg_seed, MAX_DEPTH
@@ -68,7 +64,7 @@ def _grow_tree(X, y, sample_idx, min_node, complexity, mtry, lcg_seed) -> TreeSt
 
 
 def fit_tree(X, y, complexity: float = 1e-3, min_node: int = 10) -> Model:
-    X, y = _check_design(X, y)
+    X, y = check_training_data(X, y, min_rows=2)
     _check_growth(complexity, min_node)
     idx = np.arange(X.shape[0], dtype=np.int64)
     state = ForestState([_grow_tree(X, y, idx, min_node, complexity, X.shape[1], 0)])
@@ -98,7 +94,7 @@ def _fit_tree_ensemble(X, y, n_trees, mtry, seed, complexity, min_node) -> Fores
 def fit_bagged_tree(
     X, y, bags: int, seed: int, complexity: float = 0.0, min_node: int = 5
 ) -> Model:
-    X, y = _check_design(X, y)
+    X, y = check_training_data(X, y, min_rows=2)
     if bags < 1:
         raise ConfigurationError(f"need at least one bag, got {bags}")
     state = _fit_tree_ensemble(X, y, bags, X.shape[1], seed, complexity, min_node)
@@ -109,7 +105,7 @@ def fit_bagged_tree(
 def fit_random_forest(
     X, y, trees: int, mtry: int, seed: int, complexity: float = 0.0, min_node: int = 5
 ) -> Model:
-    X, y = _check_design(X, y)
+    X, y = check_training_data(X, y, min_rows=2)
     if trees < 1:
         raise ConfigurationError(f"need at least one tree, got {trees}")
     if not 1 <= mtry <= X.shape[1]:

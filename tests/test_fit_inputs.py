@@ -1,0 +1,41 @@
+import numpy as np
+import pytest
+
+from asymcast.errors import InvalidInputError
+from asymcast.models import (
+    NNConfig,
+    fit_bagged_tree,
+    fit_knn,
+    fit_nn,
+    fit_ols,
+    fit_quantile,
+    fit_random_forest,
+    fit_ridge,
+    fit_tree,
+)
+
+FITTERS = {
+    "fit_ols": fit_ols,
+    "fit_ridge": lambda X, y: fit_ridge(X, y, 0.1),
+    "fit_quantile": lambda X, y: fit_quantile(X, y, 0.3),
+    "fit_knn": lambda X, y: fit_knn(X, y, 3),
+    "fit_tree": fit_tree,
+    "fit_bagged_tree": lambda X, y: fit_bagged_tree(X, y, bags=2, seed=0),
+    "fit_random_forest": lambda X, y: fit_random_forest(X, y, trees=2, mtry=2, seed=0),
+    "fit_nn": lambda X, y: fit_nn(X, y, NNConfig(hidden_nodes=2, epochs=5)),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("where", ["X", "y"])
+@pytest.mark.parametrize("fitter", sorted(FITTERS))
+def test_non_finite_training_data_raises_naming_the_array(fitter, where, bad):
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(40, 3))
+    y = 0.5 + X @ np.array([0.2, -0.1, 0.3]) + rng.normal(0, 0.05, 40)
+    if where == "X":
+        X[7, 1] = bad
+    else:
+        y[7] = bad
+    with pytest.raises(InvalidInputError, match=f"training {where} must be finite"):
+        FITTERS[fitter](X, y)

@@ -174,8 +174,8 @@ def test_quantile_solver_failure_raises_convergence_error(monkeypatch):
     X, y = make_linear_problem(seed=17)
     linprog = scipy.optimize.linprog
 
-    def one_iteration(*args, **kwargs):
-        return linprog(*args, **kwargs, options={"maxiter": 1})
+    def one_iteration(*args, options=None, **kwargs):
+        return linprog(*args, **kwargs, options={**(options or {}), "maxiter": 1})
 
     monkeypatch.setattr(scipy.optimize, "linprog", one_iteration)
     with pytest.raises(ConvergenceError, match="did not converge") as info:

@@ -2,9 +2,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from asymcast.errors import ConfigurationError, TrainingError
-from asymcast.losses import CostSpec
+from asymcast.losses import QQC_APPROX_MAX_RATIO, CostSpec, eval_loss, grad_loss
 from asymcast.models import NNConfig, fit_nn, fit_ols, nn_objective_and_grad, predict
 from asymcast.models.neural import NNState, flatten_params, init_params, unflatten_params
 
@@ -105,6 +107,65 @@ def test_objective_gradient_matches_finite_differences(loss_mode):
                 - nn_objective_and_grad(down, X, y, config, loss_mode)[0]
             ) / (2 * h)
             assert abs(grad[j] - fd) <= 1e-4 * max(1.0, abs(fd))
+
+
+def composed_objective_and_grad(theta, X, y, config, loss_mode):
+    """The network objective composed from the public, input-checking loss calls."""
+    n, m = X.shape
+    W1, b1, v, v0 = unflatten_params(theta, m, config.hidden_nodes)
+    H = 1.0 / (1.0 + np.exp(np.minimum(np.maximum(-(np.dot(X, W1) + b1), -700.0), 700.0)))
+    Hder = H * (1.0 - H)
+    e = y - (H @ v + v0[0])
+    mean_loss = float(np.mean(eval_loss(loss_mode, e)))
+    g = grad_loss(loss_mode, e)
+    objective = mean_loss + config.lambda1 * float(np.sum(W1 * W1)) + config.lambda2 * float(
+        np.sum(v * v)
+    )
+    dyhat = -g / n
+    dv = H.T @ dyhat + 2.0 * config.lambda2 * v
+    dv0 = np.array([np.sum(dyhat)])
+    dZ = (dyhat[:, None] * v[None, :]) * Hder
+    dW1 = X.T @ dZ + 2.0 * config.lambda1 * W1
+    db1 = dZ.sum(axis=0)
+    return objective, flatten_params(dW1, db1, dv, dv0)
+
+
+TRAINABLE_LOSSES = st.one_of(
+    st.just(CostSpec("squared_error")),
+    st.builds(lambda tau: CostSpec("pinball", tau=tau), st.floats(0.01, 0.99)),
+    st.builds(
+        lambda a, ratio, a_is_larger: CostSpec(
+            "qqc_approx", a=a * ratio if a_is_larger else a, b=a if a_is_larger else a * ratio
+        ),
+        st.floats(0.05, 5.0),
+        # below the bound by more than the rounding of a * ratio
+        st.floats(1.0, 0.999 * QQC_APPROX_MAX_RATIO),
+        st.booleans(),
+    ),
+)
+
+
+@given(
+    loss_mode=TRAINABLE_LOSSES,
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 80),
+    m=st.integers(1, 5),
+    k=st.integers(1, 6),
+    scale=st.sampled_from([0.1, 1.0, 5.0]),
+    lambdas=st.sampled_from([(0.0, 0.0), (1e-6, 1e-6), (0.01, 0.02)]),
+)
+def test_objective_equals_the_composition_of_public_loss_calls(
+    loss_mode, seed, n, m, k, scale, lambdas
+):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, m))
+    y = rng.uniform(-1.0, 2.0, size=n)
+    config = NNConfig(hidden_nodes=k, lambda1=lambdas[0], lambda2=lambdas[1])
+    theta = rng.normal(0.0, scale, size=m * k + 2 * k + 1)
+    objective, grad = nn_objective_and_grad(theta, X, y, config, loss_mode)
+    want_objective, want_grad = composed_objective_and_grad(theta, X, y, config, loss_mode)
+    assert objective == want_objective
+    assert np.array_equal(grad.view(np.int64), want_grad.view(np.int64))
 
 
 def test_stronger_penalties_shrink_weight_norms():

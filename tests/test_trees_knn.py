@@ -15,7 +15,7 @@ from asymcast.models import (
     predict,
 )
 from asymcast.models.neighbors import _CHUNK_DISTANCES, NeighborIndex, share_index
-from asymcast.models.trees import ForestState
+from asymcast.models.trees import ForestState, TreeState
 from reference_kernels import tree_build_loop, tree_predict_loop
 
 
@@ -218,7 +218,7 @@ def test_tree_build_matches_feature_loop_reference(bootstrap, min_node, complexi
 
     Xq = make_tied_problem(seed=7, n=200)[0]
     np.testing.assert_array_equal(
-        kernels.tree_predict(*fast[:5], Xq), tree_predict_loop(*reference[:5], Xq)
+        TreeState(fast[:5]).predict(Xq), tree_predict_loop(*reference[:5], Xq)
     )
 
 
@@ -245,8 +245,24 @@ def test_tree_predict_matches_row_loop_reference(max_depth):
     Xq[5:60:3, 2] = -np.inf
     arrays = kernels.tree_build(X, y, np.arange(400, dtype=np.int64), 3, 0.0, 4, 0, max_depth)
     np.testing.assert_array_equal(
-        kernels.tree_predict(*arrays[:5], Xq), tree_predict_loop(*arrays[:5], Xq)
+        TreeState(arrays[:5]).predict(Xq), tree_predict_loop(*arrays[:5], Xq)
     )
+
+
+@pytest.mark.parametrize("fit", ["tree", "bagged_tree", "random_forest"])
+def test_single_row_tree_predictions_equal_the_batch_rows(fit):
+    X, y = make_nonlinear_problem(seed=18, n=300)
+    model = {
+        "tree": lambda: fit_tree(X, y, complexity=0.0, min_node=2),
+        "bagged_tree": lambda: fit_bagged_tree(X, y, bags=4, seed=3),
+        "random_forest": lambda: fit_random_forest(X, y, trees=4, mtry=2, seed=3),
+    }[fit]()
+    Xq = make_nonlinear_problem(seed=19, n=40)[0]
+    Xq[0, :] = np.nan
+    Xq[1, 0] = -np.inf
+    batch = predict(model, Xq)
+    rows = np.array([predict(model, Xq[i : i + 1])[0] for i in range(len(Xq))])
+    assert np.array_equal(rows.view(np.int64), batch.view(np.int64))
 
 
 # ----------------------------------------------------------- bagging / rf
