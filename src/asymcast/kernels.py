@@ -2,8 +2,7 @@
 
 Each kernel has one path, written with whole-array numpy operations.
 Tree building vectorizes the split search across a node's candidate
-features; tree prediction walks every row down the tree's full depth,
-reading walk tables that ``tree_tables`` builds once per tree.
+features; tree prediction walks every row down the tree's full depth.
 Networks are trained in ``models.neural`` by scipy's L-BFGS-B, so no
 training loop lives here.
 
@@ -151,15 +150,26 @@ def tree_build(X, y, sample_idx, min_node, complexity, mtry, lcg_state, max_dept
     )
 
 
-def tree_tables(node_feature, node_left, node_right):
-    """Walk tables of one tree: (split feature, child table, depth).
+def _tree_depth(node_feature, node_left, node_right):
+    """Number of splits on the longest root-to-leaf path."""
+    depth, level = 0, np.zeros(1, dtype=np.int64)
+    while True:
+        level = level[node_feature[level] >= 0]
+        if not level.shape[0]:
+            return depth
+        level = np.concatenate([node_left[level], node_right[level]])
+        depth += 1
 
-    Built once per tree, when a fitted or loaded tree state is made, so
-    ``tree_predict`` does no per-call set-up. Leaves loop to themselves:
-    their split feature is 0 and both children are the leaf itself. The
-    child table interleaves the two children, ``child[2 * node +
-    goes_right]``. The depth is the number of splits on the longest
-    root-to-leaf path.
+
+def tree_predict(node_feature, node_threshold, node_left, node_right, node_value, X):
+    """Leaf values for every row of X, by a walk of fixed depth.
+
+    Leaves loop to themselves, so every row takes one step per level of
+    the tree's depth and no finished row is set aside. A step reads each
+    row's split value with one flat gather, ``X.ravel()[row * m +
+    feature[node]]``, and its next node from the interleaved child table
+    ``child[2 * node + goes_right]``. Rows with value <= threshold go
+    left, so NaN goes right.
     """
     leaf = node_feature < 0
     nodes = np.arange(node_feature.shape[0])
@@ -167,35 +177,15 @@ def tree_tables(node_feature, node_left, node_right):
     child = np.empty(2 * nodes.shape[0], dtype=np.int64)
     child[0::2] = np.where(leaf, nodes, node_left)
     child[1::2] = np.where(leaf, nodes, node_right)
-    depth, level = 0, np.zeros(1, dtype=np.int64)
-    while True:
-        level = level[node_feature[level] >= 0]
-        if not level.shape[0]:
-            return feature, child, depth
-        level = np.concatenate([node_left[level], node_right[level]])
-        depth += 1
-
-
-def tree_predict(feature, threshold, child, value, depth, X):
-    """Leaf values for every row of X, by a walk of fixed depth.
-
-    ``feature``, ``child`` and ``depth`` are the tables of
-    ``tree_tables``; ``threshold`` and ``value`` are the node arrays.
-    Every row takes one step per level of the tree's depth and no
-    finished row is set aside. A step reads each row's split value with
-    one flat gather, ``X.ravel()[row * m + feature[node]]``, and its next
-    node from the child table. Rows with value <= threshold go left, so
-    NaN goes right.
-    """
     flat = np.ascontiguousarray(X).ravel()
     base = np.arange(X.shape[0]) * X.shape[1]
     node = np.zeros(X.shape[0], dtype=np.int64)
-    for _ in range(depth):
-        goes_right = ~(flat[base + feature[node]] <= threshold[node])
+    for _ in range(_tree_depth(node_feature, node_left, node_right)):
+        goes_right = ~(flat[base + feature[node]] <= node_threshold[node])
         node *= 2
         node += goes_right
         node = child[node]
-    return value[node]
+    return node_value[node]
 
 
 # ------------------------------------------------------------ neural net

@@ -12,8 +12,9 @@ Families
                     everywhere (used for gradient-based training); it
                     is monotone in |e| only while max(a, b) / min(a, b)
                     is at most ``QQC_APPROX_MAX_RATIO`` (about 48.47),
-                    whatever the steepness, and ``CostSpec`` rejects
-                    weights beyond that ratio
+                    whatever the steepness; network training rejects
+                    weights beyond that ratio, while a spec beyond it
+                    can still be built, described and evaluated
 
 Residuals follow the convention ``e = actual - forecast``: a positive
 residual means the forecast underestimated the actual (weight ``a``), a
@@ -79,14 +80,6 @@ class CostSpec:
             raise ConfigurationError(f"tau must lie in (0, 1), got {self.tau}")
         if self.steepness <= 0:
             raise ConfigurationError(f"steepness must be positive, got {self.steepness}")
-        if (
-            self.family == "qqc_approx"
-            and max(self.a, self.b) / min(self.a, self.b) > QQC_APPROX_MAX_RATIO
-        ):
-            raise ConfigurationError(
-                f"qqc_approx is not monotone in |e| once max(a, b)/min(a, b) exceeds "
-                f"{QQC_APPROX_MAX_RATIO:.4f}; got a={self.a}, b={self.b}"
-            )
 
     def describe(self) -> str:
         if self.family == "pinball":

@@ -16,7 +16,8 @@ Training minimizes the full-batch objective
 of ``nn_objective_and_grad`` with scipy's L-BFGS-B quasi-Newton method,
 as R's ``nnet`` trains the same model; biases are unpenalized and
 ``epochs`` caps the L-BFGS iterations. Supported loss modes: squared
-error, pinball, and the smooth quadratic-quadratic approximation.
+error, pinball, and the smooth quadratic-quadratic approximation within
+its weight-ratio bound.
 Training is deterministic given the config seed.
 """
 
@@ -29,7 +30,7 @@ from scipy.optimize import minimize
 
 from .. import kernels
 from ..errors import ConfigurationError, TrainingError
-from ..losses import CostSpec, _eval_raw, _grad_raw
+from ..losses import QQC_APPROX_MAX_RATIO, CostSpec, _eval_raw, _grad_raw
 from .base import FAMILY_NN, Model, check_training_data
 
 _LOSSES = ("squared_error", "pinball", "qqc_approx")
@@ -67,9 +68,22 @@ class NNState:
 
 
 def _check_loss_mode(loss_mode: CostSpec):
+    """Reject losses a network cannot be trained on.
+
+    ``qqc_approx`` beyond ``QQC_APPROX_MAX_RATIO`` is not monotone in |e|,
+    so minimizing it would reward some larger errors over smaller ones.
+    Such a spec is still valid to describe or to evaluate, so only
+    training checks the ratio.
+    """
     if loss_mode.family not in _LOSSES:
         raise ConfigurationError(
             f"{loss_mode.family!r} is not a trainable network loss; use one of {_LOSSES}"
+        )
+    a, b = loss_mode.a, loss_mode.b
+    if loss_mode.family == "qqc_approx" and max(a, b) / min(a, b) > QQC_APPROX_MAX_RATIO:
+        raise ConfigurationError(
+            f"qqc_approx is not monotone in |e| once max(a, b)/min(a, b) exceeds "
+            f"{QQC_APPROX_MAX_RATIO:.4f}; got a={a}, b={b}"
         )
 
 

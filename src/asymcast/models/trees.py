@@ -13,9 +13,7 @@ bagged tree exactly.
 
 Every tree family stores its model as a ``ForestState``: a single tree
 is a one-tree forest, so the three families predict and persist the
-same way. ``TreeState`` holds the node arrays of one tree, which a
-bundle stores, and the walk tables prediction reads, which it builds
-when the tree is fitted or loaded.
+same way. ``TreeState`` holds the node arrays of one tree.
 """
 
 from __future__ import annotations
@@ -34,15 +32,13 @@ NODE_ARRAYS = ("feature", "threshold", "left", "right", "value")
 
 
 class TreeState:
-    """The node arrays of one tree, plus its walk tables, built once here."""
-
     def __init__(self, arrays):
         self.feature, self.threshold, self.left, self.right, self.value = arrays
-        self._walk = kernels.tree_tables(self.feature, self.left, self.right)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        split_feature, child, depth = self._walk
-        return kernels.tree_predict(split_feature, self.threshold, child, self.value, depth, X)
+        return kernels.tree_predict(
+            self.feature, self.threshold, self.left, self.right, self.value, X
+        )
 
 
 class ForestState:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from asymcast.data import SynthConfig, split, standardize, synth_generate
 from asymcast.errors import ConfigurationError, InvalidInputError
-from asymcast.losses import CostSpec
+from asymcast.losses import CostSpec, loss_to_text
 from asymcast.models import (
     LibraryConfig,
     LibraryEntry,
@@ -189,6 +189,36 @@ def test_save_load_round_trip(tmp_path, small_splits, augmented_library):
     assert [(family, params["k"]) for family, params, _ in failing.failures] == [("knn", n_ats + 1)]
     save_library(failing, path)
     assert load_library(path).failures == failing.failures
+
+
+def test_smooth_qqc_beyond_its_weight_ratio_is_skipped_in_builds_and_loads_from_bundles(
+    tmp_path, small_splits, augmented_library
+):
+    # a=0.02, b=1 is a weight ratio of 50: the network is not trained
+    config = replace(SMALL_CONFIG, families=("ols",), aug_a_levels=(0.02,))
+    library = build_library(small_splits, config, augment=True)
+    assert [params.get("loss") for family, params, _ in library.failures] == ["qqc_approx"]
+    assert "not monotone" in library.failures[0][2]
+    assert sorted(e.family for e in library.entries) == ["nn", "ols", "quantile"]
+
+    # a bundle whose network was trained on such a spec still loads and predicts
+    path = tmp_path / "library.npz"
+    save_library(augmented_library, path)
+    index = next(
+        e.index for e in augmented_library.entries if e.hyperparams.get("loss") == "qqc_approx"
+    )
+    beyond = loss_to_text(CostSpec("qqc_approx", a=0.02, b=1.0))
+
+    def set_loss(manifest):
+        manifest["entries"][index]["loss_mode"] = beyond
+
+    rewrite_bundle(path, set_loss)
+    loaded = load_library(path).entry(index).model
+    assert loaded.loss_mode == CostSpec("qqc_approx", a=0.02, b=1.0)
+    X = small_splits.test.features
+    np.testing.assert_array_equal(
+        predict(loaded, X), predict(augmented_library.entry(index).model, X)
+    )
 
 
 def rewrite_bundle(path, edit, drop=(), **extra_arrays):

@@ -198,6 +198,16 @@ def test_nn_config_validation():
         fit_nn(np.zeros((20, 1)), np.full(20, 0.5), NNConfig(), CostSpec("llc", a=0.5))
 
 
+@pytest.mark.parametrize("a,b", [(1.0, 50.0), (50.0, 1.0), (0.02, 1.0)])
+def test_training_rejects_smooth_qqc_beyond_its_weight_ratio(a, b):
+    X, y = standardized_linear_problem(seed=13, n=40)
+    with pytest.raises(ConfigurationError, match="not monotone"):
+        fit_nn(X, y, NNConfig(hidden_nodes=2, epochs=5), CostSpec("qqc_approx", a=a, b=b))
+    # at the bound, in either direction, training runs
+    for low, high in ((1.0, QQC_APPROX_MAX_RATIO), (QQC_APPROX_MAX_RATIO, 1.0)):
+        fit_nn(X, y, NNConfig(hidden_nodes=2, epochs=5), CostSpec("qqc_approx", a=low, b=high))
+
+
 def test_unflatten_round_trip():
     rng = np.random.default_rng(12)
     W1 = rng.normal(size=(3, 2))

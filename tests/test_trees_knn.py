@@ -15,7 +15,7 @@ from asymcast.models import (
     predict,
 )
 from asymcast.models.neighbors import _CHUNK_DISTANCES, NeighborIndex, share_index
-from asymcast.models.trees import ForestState, TreeState
+from asymcast.models.trees import ForestState
 from reference_kernels import tree_build_loop, tree_predict_loop
 
 
@@ -218,7 +218,7 @@ def test_tree_build_matches_feature_loop_reference(bootstrap, min_node, complexi
 
     Xq = make_tied_problem(seed=7, n=200)[0]
     np.testing.assert_array_equal(
-        TreeState(fast[:5]).predict(Xq), tree_predict_loop(*reference[:5], Xq)
+        kernels.tree_predict(*fast[:5], Xq), tree_predict_loop(*reference[:5], Xq)
     )
 
 
@@ -245,7 +245,7 @@ def test_tree_predict_matches_row_loop_reference(max_depth):
     Xq[5:60:3, 2] = -np.inf
     arrays = kernels.tree_build(X, y, np.arange(400, dtype=np.int64), 3, 0.0, 4, 0, max_depth)
     np.testing.assert_array_equal(
-        TreeState(arrays[:5]).predict(Xq), tree_predict_loop(*arrays[:5], Xq)
+        kernels.tree_predict(*arrays[:5], Xq), tree_predict_loop(*arrays[:5], Xq)
     )
 
 
