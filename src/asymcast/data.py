@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -181,6 +182,57 @@ def decode_categories(dataset: Dataset, column: str) -> list:
     return labels
 
 
+# data rows parsed at a time: a column converts in one pass per chunk, and
+# only one chunk's cell strings are held at once
+_CHUNK_ROWS = 1024
+
+
+def _parse_numeric(path, name: str, cells, first_row: int) -> np.ndarray:
+    """The column's cells as floats, read by ``float()`` in one pass.
+
+    A cell ``float()`` rejects raises IngestionError naming its data row
+    (1-based; ``cells[0]`` is row ``first_row``) and the column.
+    """
+    try:
+        return np.array(list(map(float, cells)))
+    except ValueError:
+        for rownum, cell in enumerate(cells, start=first_row):
+            try:
+                float(cell)
+            except ValueError:
+                raise IngestionError(
+                    f"{path}: row {rownum}: non-numeric value {cell!r} in column {name!r}"
+                ) from None
+        raise
+
+
+def _read_columns(path, reader, schema) -> dict:
+    """The data rows as one float array (numeric) or label list (categorical) per column."""
+    chunks = {name: [] for name, _ in schema}
+    first_row = 1
+    while rows := list(itertools.islice(reader, _CHUNK_ROWS)):
+        for rownum, row in enumerate(rows, start=first_row):
+            if len(row) != len(schema):
+                raise IngestionError(
+                    f"{path}: row {rownum} has {len(row)} fields, expected {len(schema)}"
+                )
+        for (name, kind), cells in zip(schema, zip(*rows)):
+            chunks[name].append(
+                [cell.strip() for cell in cells]
+                if kind == "categorical"
+                else _parse_numeric(path, name, cells, first_row)
+            )
+        first_row += len(rows)
+    if first_row == 1:
+        raise IngestionError(f"{path} has a header but no data rows")
+    return {
+        name: list(itertools.chain.from_iterable(chunks[name]))
+        if kind == "categorical"
+        else np.concatenate(chunks[name])
+        for name, kind in schema
+    }
+
+
 def load_csv(path, schema) -> Dataset:
     """Load a typed CSV into a Dataset.
 
@@ -205,28 +257,9 @@ def load_csv(path, schema) -> Dataset:
             raise IngestionError(
                 f"{path}: header {header} does not match schema columns {expected}"
             )
-        raw_columns: dict[str, list] = {name: [] for name in expected}
-        kinds = dict(schema)
-        target_name = next(name for name, kind in schema if kind == "target")
-        for rownum, row in enumerate(reader, start=1):
-            if len(row) != len(expected):
-                raise IngestionError(
-                    f"{path}: row {rownum} has {len(row)} fields, expected {len(expected)}"
-                )
-            for name, cell in zip(expected, row):
-                if kinds[name] == "categorical":
-                    raw_columns[name].append(cell.strip())
-                else:
-                    try:
-                        raw_columns[name].append(float(cell))
-                    except ValueError:
-                        raise IngestionError(
-                            f"{path}: row {rownum}: non-numeric value {cell!r} "
-                            f"in column {name!r}"
-                        ) from None
-    n = len(raw_columns[target_name])
-    if n == 0:
-        raise IngestionError(f"{path} has a header but no data rows")
+        raw_columns = _read_columns(path, reader, schema)
+    n = len(raw_columns[expected[0]])
+    target_name = next(name for name, kind in schema if kind == "target")
     names, cols, cat_map = encode_with_map(raw_columns, schema)
     X = np.column_stack(cols) if cols else np.empty((n, 0))
     y = np.asarray(raw_columns[target_name], dtype=float)

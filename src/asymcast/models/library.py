@@ -9,6 +9,16 @@ trained on the smooth quadratic-quadratic loss; these carry provenance
 "asymmetric". Every network, symmetric or not, is trained by L-BFGS on
 the same full-batch objective, at most ``nn_epochs`` iterations.
 
+Bagged trees, and random forests of one configured ``mtry``, each form
+a group whose sizes nest. A group grows one ensemble at its largest size
+with the seed of its first plan, and every plan of the group keeps the
+prefix of its own size, which is what the public fitter returns for that
+size and seed (``trees.ensemble_prefix``). Each model's hyperparameters
+record the group seed, so the fitter called with them reproduces it.
+Against a seed per plan, only the forecasts of a group's later plans
+change; on the default grid those are ``bags=25`` and the two 60-tree
+forests, and the library grows 151 trees instead of 221.
+
 kNN models fitted on the same rows share one neighbour index, which
 ranks a query's neighbours once for all their k (``neighbors.share_index``).
 ``build_library`` groups them after fitting, before the first validation
@@ -49,7 +59,15 @@ from .base import (
 from .linear import LinearState, fit_ols, fit_quantile, fit_ridge
 from .neighbors import KnnState, NeighborIndex, fit_knn, share_index
 from .neural import NNConfig, NNState, fit_nn
-from .trees import NODE_ARRAYS, ForestState, TreeState, fit_bagged_tree, fit_random_forest, fit_tree
+from .trees import (
+    NODE_ARRAYS,
+    ForestState,
+    TreeState,
+    ensemble_prefix,
+    fit_bagged_tree,
+    fit_random_forest,
+    fit_tree,
+)
 
 log = logging.getLogger("asymcast.library")
 
@@ -62,9 +80,6 @@ SUPPORTED_FAMILIES = (
     FAMILY_BAGGED_TREE,
     FAMILY_RANDOM_FOREST,
 )
-# families present in the wider modeling literature but deliberately not
-# implemented here; config validation names them explicitly
-UNSUPPORTED_FAMILIES = ("svr", "mars", "lasso", "stepwise", "boosted_tree", "bagged_nn")
 
 DEFAULT_A_LEVELS = tuple(round(0.1 * i, 1) for i in range(1, 11))
 
@@ -87,13 +102,10 @@ class LibraryConfig:
 
     def __post_init__(self):
         for family in self.families:
-            if family in SUPPORTED_FAMILIES:
-                continue
-            if family in UNSUPPORTED_FAMILIES:
-                raise ConfigurationError(f"model family {family!r} is declared unsupported")
-            raise ConfigurationError(
-                f"unknown model family {family!r}; supported: {SUPPORTED_FAMILIES}"
-            )
+            if family not in SUPPORTED_FAMILIES:
+                raise ConfigurationError(
+                    f"unknown model family {family!r}; supported: {SUPPORTED_FAMILIES}"
+                )
 
 
 @dataclass(frozen=True)
@@ -129,12 +141,45 @@ def _model_seed(master_seed: int, plan_index: int) -> int:
     return int(np.random.SeedSequence(entropy=(master_seed, plan_index)).generate_state(1)[0])
 
 
+def _nested_ensembles(fit, sizes):
+    """Per-size fitters for one group of tree ensembles that share one growth.
+
+    ``fit(X, y, size, seed)`` is a bagging or forest fitter. The first
+    fitter called grows ``fit`` once at the largest of ``sizes``, and each
+    returns the first trees of that ensemble, as many as its own size;
+    by the prefix property (see ``trees``) that is what ``fit`` returns
+    for the size. The growth is kept only as long as the fitters are, one
+    ``build_library`` call. A size below 1 calls ``fit`` itself, so it
+    fails alone, with the fitter's own error.
+    """
+    grown = {}
+
+    def fitter(size):
+        def fit_prefix(X, y, seed):
+            if size < 1:
+                return fit(X, y, size, seed)
+            if seed not in grown:
+                grown[seed] = fit(X, y, max(sizes), seed)
+            return ensemble_prefix(grown[seed], size)
+
+        return fit_prefix
+
+    return fitter
+
+
 def _build_plans(config: LibraryConfig, augment: bool, n_features: int):
-    """Enumerate (family, hyperparams, fitter) triples in a stable order."""
+    """Enumerate (family, hyperparams, fitter, seed_index) plans in a stable order.
+
+    A plan's fit draws the seed of plan ``seed_index``: its own index, or
+    for bagging and forests the first plan of its group. A group is every
+    bagged-tree plan, or every forest plan of one configured ``mtry``; it
+    grows one ensemble at its largest size, and each of its plans takes
+    the prefix of its own size (``_nested_ensembles``).
+    """
     plans = []
 
-    def add(family, params, fitter):
-        plans.append((family, params, fitter))
+    def add(family, params, fitter, seed_index=None):
+        plans.append((family, params, fitter, len(plans) if seed_index is None else seed_index))
 
     fams = config.families
     if FAMILY_OLS in fams:
@@ -161,21 +206,30 @@ def _build_plans(config: LibraryConfig, augment: bool, n_features: int):
                 lambda X, y, seed, k=k: fit_nn(X, y, _nn_config(config, k, seed)),
             )
     if FAMILY_BAGGED_TREE in fams:
+        first, grow = len(plans), _nested_ensembles(
+            lambda X, y, bags, seed: fit_bagged_tree(X, y, bags, seed), config.bag_counts
+        )
         for bags in config.bag_counts:
-            add(
-                FAMILY_BAGGED_TREE,
-                {"bags": bags},
-                lambda X, y, seed, bags=bags: fit_bagged_tree(X, y, bags, seed),
-            )
+            add(FAMILY_BAGGED_TREE, {"bags": bags}, grow(bags), first)
     if FAMILY_RANDOM_FOREST in fams:
+        groups = {
+            mtry: _nested_ensembles(
+                lambda X, y, trees, seed, mtry=mtry: fit_random_forest(
+                    X, y, trees, min(mtry, n_features), seed
+                ),
+                config.rf_trees,
+            )
+            for mtry in config.rf_mtrys
+        }
+        first = {}
         for trees in config.rf_trees:
             for mtry in config.rf_mtrys:
+                first.setdefault(mtry, len(plans))
                 add(
                     FAMILY_RANDOM_FOREST,
                     {"trees": trees, "mtry": mtry},
-                    lambda X, y, seed, trees=trees, mtry=mtry: fit_random_forest(
-                        X, y, trees, min(mtry, n_features), seed
-                    ),
+                    groups[mtry](trees),
+                    first[mtry],
                 )
 
     if augment:
@@ -228,9 +282,9 @@ def build_library(
     X_val = splits.validation.features
     plans = _build_plans(config, augment, X.shape[1])
     fitted, entries, failures = [], [], []
-    for plan_index, (family, params, fitter) in enumerate(plans):
+    for family, params, fitter, seed_index in plans:
         try:
-            model = fitter(X, y, _model_seed(config.master_seed, plan_index))
+            model = fitter(X, y, _model_seed(config.master_seed, seed_index))
         except Exception as exc:  # noqa: BLE001 - skip-and-log is the contract
             log.warning("skipping %s %s: %s", family, params, exc)
             failures.append((family, params, str(exc)))

@@ -11,6 +11,12 @@ their bootstrap indices from the same seeded stream, so a one-tree
 forest with mtry equal to the feature count reproduces a one-bag
 bagged tree exactly.
 
+Tree t of an ensemble is drawn from that stream after trees 0..t-1 and
+from nothing else, so an ensemble is a prefix of every larger one with
+the same seed and settings: the first t trees of a T-tree fit are the
+t-tree fit, node array for node array. ``ensemble_prefix`` cuts such a
+prefix, which lets a model library grow each group of sizes once.
+
 Every tree family stores its model as a ``ForestState``: a single tree
 is a one-tree forest, so the three families predict and persist the
 same way. ``TreeState`` holds the node arrays of one tree.
@@ -96,6 +102,25 @@ def fit_bagged_tree(
     state = _fit_tree_ensemble(X, y, bags, X.shape[1], seed, complexity, min_node)
     params = {"bags": bags, "seed": seed, "complexity": complexity, "min_node": min_node}
     return Model(FAMILY_BAGGED_TREE, params, state, X.shape[1])
+
+
+# the hyperparameter that holds an ensemble family's tree count
+_SIZE_PARAMS = {FAMILY_BAGGED_TREE: "bags", FAMILY_RANDOM_FOREST: "trees"}
+
+
+def ensemble_prefix(model: Model, size: int) -> Model:
+    """The ensemble of ``model``'s first ``size`` trees, 1 <= size <= its tree count.
+
+    By the prefix property this equals the fitter's model for ``size``
+    trees with ``model``'s seed and settings, hyperparameters included.
+    """
+    trees = model.state.trees
+    if not 1 <= size <= len(trees):
+        raise ConfigurationError(
+            f"a prefix of {len(trees)} trees needs a size in [1, {len(trees)}], got {size}"
+        )
+    params = {**model.hyperparams, _SIZE_PARAMS[model.family]: size}
+    return Model(model.family, params, ForestState(trees[:size]), model.n_features)
 
 
 def fit_random_forest(

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import asymcast.data as data_module
 from asymcast.data import (
     Dataset,
     SynthConfig,
@@ -47,6 +48,35 @@ def test_load_csv_reports_bad_row(tmp_path):
     p = tmp_path / "toy.csv"
     write_toy_csv(p, ["1.0,diesel,0.5", "oops,petrol,0.6"])
     with pytest.raises(IngestionError, match="row 2"):
+        load_csv(p, TOY_SCHEMA)
+
+
+def test_load_csv_reads_numbers_as_float_does(tmp_path, monkeypatch):
+    # chunks of 2 rows, so the 5 rows span three
+    monkeypatch.setattr(data_module, "_CHUNK_ROWS", 2)
+    p = tmp_path / "toy.csv"
+    ages = [" 2 ", "1_000", "+3e-1", "\u00a04", "0.1"]
+    fuels = ["diesel", "petrol ", "hybrid", "diesel", " petrol"]
+    write_toy_csv(p, [f"{age},{fuel},0.5" for age, fuel in zip(ages, fuels)])
+    ds = load_csv(p, TOY_SCHEMA)
+    np.testing.assert_array_equal(ds.features[:, 0], [float(age) for age in ages])
+    assert decode_categories(ds, "fuel") == [fuel.strip() for fuel in fuels]
+
+
+@pytest.mark.parametrize("cell", ["0x10", "", "1.0.0", "1 0"])
+def test_load_csv_names_the_row_and_column_float_rejects(tmp_path, monkeypatch, cell):
+    monkeypatch.setattr(data_module, "_CHUNK_ROWS", 2)
+    p = tmp_path / "toy.csv"
+    write_toy_csv(p, ["1.0,diesel,0.5", "2.0,petrol,0.6", "3.0,diesel,0.7", f"4.0,diesel,{cell}"])
+    with pytest.raises(IngestionError, match=f"row 4: non-numeric value '{cell}' in column 'price'"):
+        load_csv(p, TOY_SCHEMA)
+
+
+def test_load_csv_names_a_short_row(tmp_path, monkeypatch):
+    monkeypatch.setattr(data_module, "_CHUNK_ROWS", 2)
+    p = tmp_path / "toy.csv"
+    write_toy_csv(p, ["1.0,diesel,0.5", "2.0,petrol,0.6", "3.0,diesel"])
+    with pytest.raises(IngestionError, match="row 3 has 2 fields, expected 3"):
         load_csv(p, TOY_SCHEMA)
 
 

@@ -15,13 +15,17 @@ from asymcast.models import (
     LibraryEntry,
     ModelLibrary,
     build_library,
+    fit_bagged_tree,
     fit_knn,
+    fit_random_forest,
     load_library,
     predict,
     save_library,
     select_best,
 )
+from asymcast.models import library as library_module
 from asymcast.models.library import SUPPORTED_FAMILIES
+from asymcast.models.trees import NODE_ARRAYS
 
 SMALL_CONFIG = LibraryConfig(
     ridge_lambdas=(0.01, 1.0),
@@ -103,6 +107,136 @@ def test_unsupported_family_is_named():
         LibraryConfig(families=("ols", "svr"))
     with pytest.raises(ConfigurationError, match="quintic"):
         LibraryConfig(families=("quintic",))
+
+
+def test_a_failed_fit_is_logged_but_not_printed(small_splits, capfd, caplog):
+    n_ats = small_splits.ats.target.shape[0]
+    config = replace(SMALL_CONFIG, families=("ols", "knn"), knn_ks=(5, n_ats + 1))
+    with caplog.at_level("WARNING", logger="asymcast"):
+        library = build_library(small_splits, config, augment=False)
+    assert len(library.failures) == 1
+    assert [r.name for r in caplog.records] == ["asymcast.library"]
+    assert "skipping knn" in caplog.records[0].getMessage()
+    assert capfd.readouterr().err == ""
+
+
+# ------------------------------------------------ nested tree ensembles
+
+NESTED_CONFIG = replace(
+    SMALL_CONFIG,
+    families=("bagged_tree", "random_forest"),
+    bag_counts=(2, 5),
+    rf_trees=(3, 6),
+    rf_mtrys=(4, 8),
+)
+
+
+@pytest.fixture(scope="module")
+def nested_library(small_splits):
+    return build_library(small_splits, NESTED_CONFIG, augment=False)
+
+
+def refit(entry, splits):
+    """The public fitter called with the hyperparameters the entry's model records."""
+    fit = {"bagged_tree": fit_bagged_tree, "random_forest": fit_random_forest}[entry.family]
+    return fit(splits.ats.features, splits.ats.target, **entry.model.hyperparams)
+
+
+def assert_same_trees(trees, expected):
+    assert len(trees) == len(expected)
+    for tree, other in zip(trees, expected):
+        for name in NODE_ARRAYS:
+            np.testing.assert_array_equal(getattr(tree, name), getattr(other, name))
+
+
+def test_nested_ensembles_equal_the_public_fitters(small_splits, nested_library):
+    assert [e.hyperparams for e in nested_library.entries] == [
+        {"bags": 2},
+        {"bags": 5},
+        {"trees": 3, "mtry": 4},
+        {"trees": 3, "mtry": 8},
+        {"trees": 6, "mtry": 4},
+        {"trees": 6, "mtry": 8},
+    ]
+    for entry in nested_library.entries:
+        model = refit(entry, small_splits)
+        assert model.hyperparams == entry.model.hyperparams
+        assert_same_trees(entry.model.state.trees, model.state.trees)
+        np.testing.assert_array_equal(
+            predict(model, small_splits.validation.features), entry.val_pred
+        )
+
+
+def test_each_group_grows_once_and_smaller_entries_are_its_prefixes(nested_library):
+    # plan index -> index of the larger plan of its group
+    groups = {0: 1, 2: 4, 3: 5}
+    seeds = [e.model.hyperparams["seed"] for e in nested_library.entries]
+    assert len(set(seeds)) == 3
+    for small, large in groups.items():
+        small_trees = nested_library.entry(small).model.state.trees
+        large_trees = nested_library.entry(large).model.state.trees
+        assert seeds[small] == seeds[large]
+        assert all(a is b for a, b in zip(small_trees, large_trees))
+        assert len(small_trees) < len(large_trees)
+        assert_same_trees(small_trees, large_trees[: len(small_trees)])
+
+
+def test_each_group_calls_its_fitter_once_through_the_library_module(
+    small_splits, nested_library, monkeypatch
+):
+    # a tracer rebinds the fitters in the library module's namespace
+    calls = []
+
+    def counted(name, fit):
+        def wrapper(X, y, size, *args):
+            calls.append((name, size) + args[:-1])
+            return fit(X, y, size, *args)
+
+        monkeypatch.setattr(library_module, name, wrapper)
+
+    counted("fit_bagged_tree", fit_bagged_tree)
+    counted("fit_random_forest", fit_random_forest)
+    library = build_library(small_splits, NESTED_CONFIG, augment=False)
+    assert calls == [
+        ("fit_bagged_tree", 5),
+        ("fit_random_forest", 6, 4),
+        ("fit_random_forest", 6, 8),
+    ]
+    np.testing.assert_array_equal(library.validation_matrix(), nested_library.validation_matrix())
+
+
+def test_a_size_0_plan_fails_alone_and_the_rest_of_its_group_fits(small_splits, nested_library):
+    config = replace(NESTED_CONFIG, bag_counts=(0, 2, 5), rf_trees=(3, 0, 6))
+    library = build_library(small_splits, config, augment=False)
+    assert library.failures == [
+        ("bagged_tree", {"bags": 0}, "need at least one bag, got 0"),
+        ("random_forest", {"trees": 0, "mtry": 4}, "need at least one tree, got 0"),
+        ("random_forest", {"trees": 0, "mtry": 8}, "need at least one tree, got 0"),
+    ]
+    assert [e.hyperparams for e in library.entries] == [
+        e.hyperparams for e in nested_library.entries
+    ]
+    for entry in library.entries:
+        model = refit(entry, small_splits)
+        np.testing.assert_array_equal(
+            predict(model, small_splits.validation.features), entry.val_pred
+        )
+    # a family with no sizes plans nothing
+    library = build_library(small_splits, replace(NESTED_CONFIG, bag_counts=()), augment=False)
+    assert [e.family for e in library.entries] == ["random_forest"] * 4
+
+
+def test_nested_ensembles_survive_save_and_load(tmp_path, small_splits, nested_library):
+    path = tmp_path / "library.npz"
+    save_library(nested_library, path)
+    loaded = load_library(path)
+    X = small_splits.test.features
+    for original, rebuilt in zip(nested_library.entries, loaded.entries):
+        assert rebuilt.hyperparams == original.hyperparams
+        assert rebuilt.model.hyperparams == original.model.hyperparams
+        assert_same_trees(rebuilt.model.state.trees, original.model.state.trees)
+        np.testing.assert_array_equal(rebuilt.val_pred, original.val_pred)
+        np.testing.assert_array_equal(predict(rebuilt.model, X), predict(original.model, X))
 
 
 # ------------------------------------------------------------- select_best

@@ -3,6 +3,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asymcast import kernels
 from asymcast.errors import ConfigurationError, SchemaError
@@ -15,7 +17,7 @@ from asymcast.models import (
     predict,
 )
 from asymcast.models.neighbors import _CHUNK_DISTANCES, NeighborIndex, share_index
-from asymcast.models.trees import ForestState
+from asymcast.models.trees import NODE_ARRAYS, ForestState, ensemble_prefix
 from reference_kernels import tree_build_loop, tree_predict_loop
 
 
@@ -272,6 +274,42 @@ def test_forest_single_tree_full_mtry_equals_single_bag():
     rf = fit_random_forest(X, y, trees=1, mtry=X.shape[1], seed=99)
     bag = fit_bagged_tree(X, y, bags=1, seed=99)
     np.testing.assert_array_equal(predict(rf, X), predict(bag, X))
+
+
+def assert_same_trees(trees, expected):
+    assert len(trees) == len(expected)
+    for tree, other in zip(trees, expected):
+        for name in NODE_ARRAYS:
+            np.testing.assert_array_equal(getattr(tree, name), getattr(other, name))
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 6), min_size=2, max_size=2).map(sorted),
+    mtry=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    bagged=st.booleans(),
+)
+def test_smaller_ensembles_are_prefixes_of_larger_ones(sizes, mtry, seed, bagged):
+    X, y = make_nonlinear_problem(seed=20, n=120)
+    t = sizes[0]
+    if bagged:
+        small, large = (fit_bagged_tree(X, y, bags=size, seed=seed) for size in sizes)
+    else:
+        small, large = (fit_random_forest(X, y, size, mtry, seed) for size in sizes)
+    assert_same_trees(small.state.trees, large.state.trees[:t])
+    cut = ensemble_prefix(large, t)
+    assert cut.hyperparams == small.hyperparams
+    assert_same_trees(cut.state.trees, small.state.trees)
+    np.testing.assert_array_equal(predict(cut, X), predict(small, X))
+
+
+def test_ensemble_prefix_needs_a_size_within_the_ensemble():
+    X, y = make_nonlinear_problem(seed=21, n=60)
+    forest = fit_random_forest(X, y, trees=3, mtry=2, seed=0)
+    for size in (0, 4):
+        with pytest.raises(ConfigurationError, match=f"in \\[1, 3\\], got {size}"):
+            ensemble_prefix(forest, size)
 
 
 def test_forest_seeded_determinism():
