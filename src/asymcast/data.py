@@ -89,7 +89,6 @@ class DataSplits:
     ats: Dataset
     validation: Dataset
     test: Dataset
-    full_train: Dataset
     seed: int
 
 
@@ -152,6 +151,8 @@ def encode_with_map(raw_columns, schema, categorical_map=None):
             continue
         if categorical_map is None:
             levels = sorted(set(values))
+        elif name not in categorical_map:
+            raise ConfigurationError(f"categorical map has no levels for column {name!r}")
         else:
             levels = categorical_map[name]
             known = set(levels)
@@ -233,12 +234,19 @@ def _read_columns(path, reader, schema) -> dict:
     }
 
 
-def load_csv(path, schema) -> Dataset:
+def load_csv(path, schema, categorical_map=None) -> Dataset:
     """Load a typed CSV into a Dataset.
 
     ``schema`` is a parsed column list or raw schema text. The header must
     match the schema names in order; numeric parse failures report the
     offending data row (1-based).
+
+    Without ``categorical_map`` the dummy columns come from the labels
+    this file holds. Rows scored by a fitted model must be encoded with
+    the training ``Dataset.categorical_map`` instead, so that their
+    columns line up with the training columns: a level the file lacks
+    still gets its column, and a label the map does not know raises
+    IngestionError naming its data row.
     """
     if isinstance(schema, str):
         schema = parse_schema(schema)
@@ -260,7 +268,7 @@ def load_csv(path, schema) -> Dataset:
         raw_columns = _read_columns(path, reader, schema)
     n = len(raw_columns[expected[0]])
     target_name = next(name for name, kind in schema if kind == "target")
-    names, cols, cat_map = encode_with_map(raw_columns, schema)
+    names, cols, cat_map = encode_with_map(raw_columns, schema, categorical_map)
     X = np.column_stack(cols) if cols else np.empty((n, 0))
     y = np.asarray(raw_columns[target_name], dtype=float)
     return Dataset(X, tuple(names), y, cat_map, np.arange(n, dtype=np.int64))
@@ -296,15 +304,11 @@ def split(dataset: Dataset, seed: int) -> DataSplits:
     n_test = int(np.floor(0.30 * n))
     n_train = n - n_test
     n_ats = int(round(n_train * 4.0 / 7.0))
-    train_idx = perm[:n_train]
-    ats_idx = train_idx[:n_ats]
-    val_idx = train_idx[n_ats:]
-    test_idx = perm[n_train:]
+    ats_idx, val_idx, test_idx = np.split(perm, [n_ats, n_train])
     return DataSplits(
         ats=dataset.take(ats_idx),
         validation=dataset.take(val_idx),
         test=dataset.take(test_idx),
-        full_train=dataset.take(train_idx),
         seed=seed,
     )
 
@@ -327,8 +331,8 @@ class Standardizer:
 def standardize(splits: DataSplits) -> tuple[DataSplits, Standardizer]:
     """Center/scale every feature by ATS statistics; flag constant columns.
 
-    The same transform is applied to validation, test, and full_train, so
-    no statistic ever sees rows outside the ATS.
+    The same transform is applied to validation and test, so no statistic
+    ever sees rows outside the ATS.
     """
     ats_X = splits.ats.features
     means = ats_X.mean(axis=0)
@@ -354,7 +358,6 @@ def standardize(splits: DataSplits) -> tuple[DataSplits, Standardizer]:
         ats=rebuild(splits.ats),
         validation=rebuild(splits.validation),
         test=rebuild(splits.test),
-        full_train=rebuild(splits.full_train),
         seed=splits.seed,
     )
     return out, scaler

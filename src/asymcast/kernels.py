@@ -6,10 +6,11 @@ features; tree prediction walks every row down the tree's full depth.
 Networks are trained in ``models.neural`` by scipy's L-BFGS-B, so no
 training loop lives here.
 
-Random-forest feature subsampling draws from a small explicit LCG, its
-only use. It fixes the order of the forests' ``mtry`` draws as a
-function of the seed alone, so fitted forests are reproducible bit for
-bit.
+A random forest's ``mtry`` candidate features at each scanned node are
+the first ``mtry`` entries of a permutation drawn from one numpy
+Generator per tree, seeded by ``tree_build``'s ``seed``. The draws are a
+function of that seed alone, so fitted forests are reproducible bit for
+bit; a tree that scans every feature draws nothing.
 """
 
 import numpy as np
@@ -17,33 +18,22 @@ import numpy as np
 # pipebench's environment report reads this; there is no compiled path
 USE_NUMBA = False
 
-# 32-bit LCG (Numerical Recipes constants)
-_LCG_A = 1664525
-_LCG_C = 1013904223
-_LCG_M = 4294967296  # 2**32
-
-
-def lcg_choice(state, k):
-    """Next LCG state and a draw in [0, k)."""
-    state = (_LCG_A * state + _LCG_C) % _LCG_M
-    return state, (state * k) // _LCG_M
-
 
 # ----------------------------------------------------------------- trees
 
-def tree_build(X, y, sample_idx, min_node, complexity, mtry, lcg_state, max_depth):
+def tree_build(X, y, sample_idx, min_node, complexity, mtry, seed, max_depth):
     """Grow a regression tree on rows ``sample_idx`` (repeats allowed).
 
     Splits greedily maximize the sum-of-squares reduction; a split is
     kept only when it reduces the node sum of squares by at least
     ``complexity`` times the root sum of squares and leaves at least
-    ``min_node >= 1`` rows on each side. ``mtry < n_features`` samples
-    that many candidate features per split (random forests). Nodes are
-    grown depth first, and among equal gains the first candidate feature
-    and the lowest cut win.
+    ``min_node >= 1`` rows on each side. ``mtry < n_features`` draws
+    that many candidate features per split from ``default_rng(seed)``
+    (random forests). Nodes are grown depth first, and among equal gains
+    the first candidate feature and the lowest cut win.
 
-    Returns (feature, threshold, left, right, value, n_nodes); leaves
-    carry feature -1. Rows with value <= threshold go left.
+    Returns (feature, threshold, left, right, value); leaves carry
+    feature -1. Rows with value <= threshold go left.
     """
     n = sample_idx.shape[0]
     m = X.shape[1]
@@ -55,7 +45,7 @@ def tree_build(X, y, sample_idx, min_node, complexity, mtry, lcg_state, max_dept
     node_value = np.zeros(cap, dtype=np.float64)
 
     idx = sample_idx.copy()
-    feat_pool = np.arange(m)
+    rng = np.random.default_rng(seed) if mtry < m else None
     columns = np.arange(min(mtry, m))
     counts = np.arange(n + 1, dtype=np.float64)
 
@@ -78,16 +68,13 @@ def tree_build(X, y, sample_idx, min_node, complexity, mtry, lcg_state, max_dept
         if n_node < 2 * min_node or depth >= max_depth:
             continue
 
-        if mtry < m:
-            # partial Fisher-Yates draw of mtry distinct features
-            for i in range(mtry):
-                lcg_state, j = lcg_choice(lcg_state, m - i)
-                j += i
-                feat_pool[i], feat_pool[j] = feat_pool[j], feat_pool[i]
-            feats = feat_pool[:mtry]
+        if rng is not None:
+            # a uniform mtry-subset in random order; rng.choice(m, mtry,
+            # replace=False) costs about four times as much per call
+            feats = rng.permutation(m)[:mtry]
             block = X[seg[:, None], feats]
         else:
-            feats = feat_pool
+            feats = columns
             block = X[seg]
 
         # Candidate scan over all features at once: maximize
@@ -146,7 +133,6 @@ def tree_build(X, y, sample_idx, min_node, complexity, mtry, lcg_state, max_dept
         node_left[:n_nodes].copy(),
         node_right[:n_nodes].copy(),
         node_value[:n_nodes].copy(),
-        n_nodes,
     )
 
 

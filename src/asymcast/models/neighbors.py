@@ -31,8 +31,10 @@ class NeighborIndex:
     """Training rows and targets, ranked once per query for every k in ``ks``."""
 
     def __init__(self, X, y, ks):
-        self.X = np.ascontiguousarray(X, dtype=float)
-        self.y = np.asarray(y, dtype=float)
+        # copies: a caller writing to its arrays after the fit must not
+        # move the forecasts, nor leave the memo answering for old rows
+        self.X = np.array(X, dtype=float, order="C")
+        self.y = np.array(y, dtype=float)
         self.ks = tuple(sorted(set(ks)))
         n = self.X.shape[0]
         bad = [k for k in self.ks if not 1 <= k <= n]

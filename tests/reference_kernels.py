@@ -12,11 +12,13 @@ import numpy as np
 import scipy.optimize
 import scipy.sparse
 
-from asymcast.kernels import lcg_choice
 
+def tree_build_loop(X, y, sample_idx, min_node, complexity, mtry, seed, max_depth):
+    """Depth-first greedy regression tree, one candidate feature at a time.
 
-def tree_build_loop(X, y, sample_idx, min_node, complexity, mtry, lcg_state, max_depth):
-    """Depth-first greedy regression tree, one candidate feature at a time."""
+    With ``mtry`` below the feature count, each scanned node takes the
+    first ``mtry`` entries of a permutation from ``default_rng(seed)``.
+    """
     n = sample_idx.shape[0]
     m = X.shape[1]
     cap = 2 * n + 3
@@ -27,7 +29,7 @@ def tree_build_loop(X, y, sample_idx, min_node, complexity, mtry, lcg_state, max
     node_value = np.zeros(cap, dtype=np.float64)
 
     idx = sample_idx.copy()
-    feat_pool = np.arange(m)
+    rng = np.random.default_rng(seed)
 
     y_root = y[idx]
     root_sum = np.sum(y_root)
@@ -46,21 +48,13 @@ def tree_build_loop(X, y, sample_idx, min_node, complexity, mtry, lcg_state, max
         if n_node < 2 * min_node or depth >= max_depth:
             continue
 
-        if mtry < m:
-            for i in range(mtry):
-                lcg_state, j = lcg_choice(lcg_state, m - i)
-                j = j + i
-                feat_pool[i], feat_pool[j] = feat_pool[j], feat_pool[i]
-            n_feat = mtry
-        else:
-            n_feat = m
+        candidates = rng.permutation(m)[:mtry] if mtry < m else range(m)
 
         base = total * total / n_node
         best_gain = 0.0
         best_feature = -1
         best_threshold = 0.0
-        for fi in range(n_feat):
-            f = feat_pool[fi] if mtry < m else fi
+        for f in candidates:
             xs = X[:, f][seg]
             order = np.argsort(xs, kind="mergesort")
             xs_s = xs[order]
@@ -108,7 +102,6 @@ def tree_build_loop(X, y, sample_idx, min_node, complexity, mtry, lcg_state, max
         node_left[:n_nodes],
         node_right[:n_nodes],
         node_value[:n_nodes],
-        n_nodes,
     )
 
 

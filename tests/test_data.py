@@ -44,6 +44,36 @@ def test_load_csv_dummy_encodes_categoricals(tmp_path):
     assert ds.categorical_map == {"fuel": ["diesel", "hybrid", "petrol"]}
 
 
+def test_load_csv_with_training_map_aligns_dummy_columns(tmp_path):
+    train_path, fresh_path = tmp_path / "train.csv", tmp_path / "fresh.csv"
+    write_toy_csv(
+        train_path, ["1.0,diesel,0.5", "2.0,electric,0.6", "3.0,hybrid,0.7", "4.0,petrol,0.8"]
+    )
+    write_toy_csv(fresh_path, ["1.0,hybrid,0.5", "2.0,petrol,0.6", "3.0,diesel,0.7"])
+    train = load_csv(train_path, TOY_SCHEMA)
+    fresh = load_csv(fresh_path, TOY_SCHEMA, train.categorical_map)
+    # "electric" is missing from the fresh file but keeps its column
+    assert fresh.feature_names == train.feature_names
+    assert fresh.categorical_map == train.categorical_map
+    np.testing.assert_array_equal(
+        fresh.features[:, 1:], [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]
+    )
+    assert decode_categories(fresh, "fuel") == ["hybrid", "petrol", "diesel"]
+    # without the map the fresh file's levels shift under the training columns
+    assert load_csv(fresh_path, TOY_SCHEMA).feature_names != train.feature_names
+
+
+def test_load_csv_with_training_map_rejects_an_unknown_label(tmp_path):
+    train_path, fresh_path = tmp_path / "train.csv", tmp_path / "fresh.csv"
+    write_toy_csv(train_path, ["1.0,diesel,0.5", "2.0,hybrid,0.6", "3.0,petrol,0.7"])
+    write_toy_csv(fresh_path, ["1.0,diesel,0.5", "2.0,hybrid,0.6", "3.0,lpg,0.7"])
+    train = load_csv(train_path, TOY_SCHEMA)
+    with pytest.raises(IngestionError, match="row 3: unknown category 'lpg'"):
+        load_csv(fresh_path, TOY_SCHEMA, train.categorical_map)
+    with pytest.raises(ConfigurationError, match="no levels for column 'fuel'"):
+        load_csv(train_path, TOY_SCHEMA, {"gear": ["automatic", "manual"]})
+
+
 def test_load_csv_reports_bad_row(tmp_path):
     p = tmp_path / "toy.csv"
     write_toy_csv(p, ["1.0,diesel,0.5", "oops,petrol,0.6"])
@@ -142,7 +172,6 @@ def test_split_proportions_follow_protocol():
     assert sp.test.n_rows == 300
     assert sp.ats.n_rows == 400
     assert sp.validation.n_rows == 300
-    assert sp.full_train.n_rows == 700
 
 
 def test_split_is_deterministic_and_seed_sensitive():
@@ -160,10 +189,6 @@ def test_split_partition_is_disjoint_and_complete():
     pieces = [sp.ats.row_ids, sp.validation.row_ids, sp.test.row_ids]
     combined = np.concatenate(pieces)
     assert len(np.unique(combined)) == ds.n_rows
-    # full_train is exactly ats followed by validation
-    np.testing.assert_array_equal(
-        sp.full_train.row_ids, np.concatenate([sp.ats.row_ids, sp.validation.row_ids])
-    )
     # proportions within one row of 30% / 4:3
     assert abs(sp.test.n_rows - 0.3 * ds.n_rows) <= 1
     assert abs(sp.ats.n_rows * 3 - sp.validation.n_rows * 4) <= 4

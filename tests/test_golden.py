@@ -14,6 +14,12 @@ entry of each criterion: a markdown's objective is piecewise linear
 under ``llc``, and the Brent search turns last-digit changes of a
 forecast into changes of up to its 1e-7 tolerance.
 
+A forest's per-split feature draws are ``rng.permutation(m)[:mtry]``
+from a numpy Generator that each tree seeds from its ensemble's
+bootstrap stream (``kernels.tree_build``), so the ``mtry=4`` forest's
+pins also hold numpy's ``permutation`` to its stream. The ``mtry=15``
+forest scans every feature and draws nothing.
+
 Bit-level pins hold only where numpy's vectorized ``exp`` and sums and
 the BLAS/LAPACK routines round as they did at capture: another SIMD
 level or BLAS kernel changes the synthetic data and the linear and
@@ -59,7 +65,7 @@ TREE_DIGESTS = {
         "f301cf9fe76bfe4dec0d78ae48adbf170fe61823e26356490f805e1be3aa16d7"
     ),
     "6:random_forest:mtry=4,trees=4": (
-        "42eb05ffe58be84b02c780f066ea1f40f163ff6b57ade27fd5b8ca1facdb55c8"
+        "6c51831e04a3ce88d72462d3c46a707bd827fae36f47ef568d889f4d2b3ed67b"
     ),
     "7:random_forest:mtry=15,trees=4": (
         "c6ee015a363165febdfa854d110834c66cb04076a0eb02949d67f109d76279cd"
@@ -85,7 +91,7 @@ PREDICTION_DIGESTS = {
         "8cf6942dfdc99b4de3954120e8aa2b60d11705ba07179ec02fffd82f5b13e01b"
     ),
     "6:random_forest:mtry=4,trees=4": (
-        "e675738898b9c86c59f4af28503b3f728eb21854c86d88c2603daba61101c3d4"
+        "3ffa13ca8e30ba99b22660bd2f0f064c33ef0badfacf33551c2dee2204debc52"
     ),
     "7:random_forest:mtry=15,trees=4": (
         "56f1c50c89fddfe69521d4e7a01b1aea69dcc8dc6822ee4f8e35fe1fcee6e2ad"

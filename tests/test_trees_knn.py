@@ -103,6 +103,18 @@ def test_knn_memo_follows_the_query_contents():
     np.testing.assert_array_equal(predict(model, Xq), predict(fit_knn(X, y, 5), Xq))
 
 
+def test_knn_keeps_its_training_rows_when_the_caller_writes_to_them():
+    X, y = make_nonlinear_problem(seed=26, n=200)
+    Xq = make_nonlinear_problem(seed=27, n=50)[0]
+    model = fit_knn(X, y, 3)
+    expected = fit_knn(X.copy(), y.copy(), 3)
+    X[:, 0] = -X[:, 0]
+    y += 1.0
+    # the second query differs from the first, so it is ranked, not recalled
+    for Q in (Xq, Xq[:20]):
+        np.testing.assert_array_equal(predict(model, Q), predict(expected, Q))
+
+
 def test_knn_index_answers_concurrent_queries_separately():
     X, y = make_nonlinear_problem(seed=24, n=300)
     queries = [make_nonlinear_problem(seed=25 + t, n=64)[0] for t in range(4)]
@@ -213,14 +225,14 @@ def test_tree_build_matches_feature_loop_reference(bootstrap, min_node, complexi
     args = (X, y, rows, min_node, complexity, mtry, 4242, 30)
     fast = kernels.tree_build(*args)
     reference = tree_build_loop(*args)
-    assert fast[5] == reference[5]
-    for got, want in zip(fast[:5], reference[:5]):
+    assert len(fast) == len(reference) == len(NODE_ARRAYS)
+    for got, want in zip(fast, reference):
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
 
     Xq = make_tied_problem(seed=7, n=200)[0]
     np.testing.assert_array_equal(
-        kernels.tree_predict(*fast[:5], Xq), tree_predict_loop(*reference[:5], Xq)
+        kernels.tree_predict(*fast, Xq), tree_predict_loop(*reference, Xq)
     )
 
 
@@ -247,7 +259,7 @@ def test_tree_predict_matches_row_loop_reference(max_depth):
     Xq[5:60:3, 2] = -np.inf
     arrays = kernels.tree_build(X, y, np.arange(400, dtype=np.int64), 3, 0.0, 4, 0, max_depth)
     np.testing.assert_array_equal(
-        kernels.tree_predict(*arrays[:5], Xq), tree_predict_loop(*arrays[:5], Xq)
+        kernels.tree_predict(*arrays, Xq), tree_predict_loop(*arrays, Xq)
     )
 
 
@@ -270,9 +282,12 @@ def test_single_row_tree_predictions_equal_the_batch_rows(fit):
 # ----------------------------------------------------------- bagging / rf
 
 def test_forest_single_tree_full_mtry_equals_single_bag():
+    # a forest that scans every feature draws only its bootstraps, so it
+    # equals the bagged ensemble of the same seed tree for tree
     X, y = make_nonlinear_problem(seed=11, n=300)
-    rf = fit_random_forest(X, y, trees=1, mtry=X.shape[1], seed=99)
-    bag = fit_bagged_tree(X, y, bags=1, seed=99)
+    rf = fit_random_forest(X, y, trees=5, mtry=X.shape[1], seed=99)
+    bag = fit_bagged_tree(X, y, bags=5, seed=99)
+    assert_same_trees(rf.state.trees, bag.state.trees)
     np.testing.assert_array_equal(predict(rf, X), predict(bag, X))
 
 
@@ -327,14 +342,6 @@ def test_forest_validates_mtry():
         fit_random_forest(X, y, trees=3, mtry=9, seed=0)
 
 
-def test_ensembles_validate_min_node():
-    X, y = make_nonlinear_problem(seed=13, n=50)
-    with pytest.raises(ConfigurationError, match="min_node"):
-        fit_random_forest(X, y, trees=3, mtry=2, seed=0, min_node=0)
-    with pytest.raises(ConfigurationError, match="min_node"):
-        fit_bagged_tree(X, y, bags=3, seed=0, min_node=0)
-
-
 def test_bagging_beats_single_tree_on_most_seeds():
     """Averaging bootstrap trees should not hurt held-out error."""
     wins = 0
@@ -345,7 +352,7 @@ def test_bagging_beats_single_tree_on_most_seeds():
         Xv = rng.uniform(-2, 2, size=(300, 4))
         yv = np.sin(2 * Xv[:, 0]) + np.abs(Xv[:, 1]) + rng.normal(0, 0.3, 300)
         single = fit_tree(X, y, complexity=0.0, min_node=5)
-        bagged = fit_bagged_tree(X, y, bags=25, seed=seed, complexity=0.0, min_node=5)
+        bagged = fit_bagged_tree(X, y, bags=25, seed=seed)
         mse_single = np.mean((yv - predict(single, Xv)) ** 2)
         mse_bagged = np.mean((yv - predict(bagged, Xv)) ** 2)
         wins += mse_bagged <= mse_single
