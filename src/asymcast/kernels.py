@@ -2,7 +2,8 @@
 
 Each kernel has one path, written with whole-array numpy operations.
 Tree building vectorizes the split search across a node's candidate
-features; tree prediction walks every row down the tree's full depth.
+features and records the depth of the tree's deepest node; tree
+prediction walks every row down that many levels.
 Networks are trained in ``models.neural`` by scipy's L-BFGS-B, so no
 training loop lives here.
 
@@ -32,8 +33,9 @@ def tree_build(X, y, sample_idx, min_node, complexity, mtry, seed, max_depth):
     (random forests). Nodes are grown depth first, and among equal gains
     the first candidate feature and the lowest cut win.
 
-    Returns (feature, threshold, left, right, value); leaves carry
-    feature -1. Rows with value <= threshold go left.
+    Returns (feature, threshold, left, right, value, depth): the node
+    arrays, whose leaves carry feature -1, and the number of splits on
+    the longest root-to-leaf path. Rows with value <= threshold go left.
     """
     n = sample_idx.shape[0]
     m = X.shape[1]
@@ -57,8 +59,11 @@ def tree_build(X, y, sample_idx, min_node, complexity, mtry, seed, max_depth):
 
     stack = [(0, 0, n, 0)]
     n_nodes = 1
+    deepest = 0
     while stack:
         node, lo, hi, depth = stack.pop()
+        if depth > deepest:
+            deepest = depth
         seg = idx[lo:hi]
         n_node = hi - lo
         ys = y[seg]
@@ -133,11 +138,16 @@ def tree_build(X, y, sample_idx, min_node, complexity, mtry, seed, max_depth):
         node_left[:n_nodes].copy(),
         node_right[:n_nodes].copy(),
         node_value[:n_nodes].copy(),
+        deepest,
     )
 
 
-def _tree_depth(node_feature, node_left, node_right):
-    """Number of splits on the longest root-to-leaf path."""
+def tree_depth(node_feature, node_left, node_right):
+    """Number of splits on the longest root-to-leaf path, by a walk over the levels.
+
+    ``tree_build`` returns this depth; the walk serves trees stored
+    without it.
+    """
     depth, level = 0, np.zeros(1, dtype=np.int64)
     while True:
         level = level[node_feature[level] >= 0]
@@ -147,11 +157,12 @@ def _tree_depth(node_feature, node_left, node_right):
         depth += 1
 
 
-def tree_predict(node_feature, node_threshold, node_left, node_right, node_value, X):
+def tree_predict(node_feature, node_threshold, node_left, node_right, node_value, depth, X):
     """Leaf values for every row of X, by a walk of fixed depth.
 
-    Leaves loop to themselves, so every row takes one step per level of
-    the tree's depth and no finished row is set aside. A step reads each
+    ``depth`` is the tree's depth as ``tree_build`` returns it. Leaves
+    loop to themselves, so every row takes ``depth`` steps and no
+    finished row is set aside. A step reads each
     row's split value with one flat gather, ``X.ravel()[row * m +
     feature[node]]``, and its next node from the interleaved child table
     ``child[2 * node + goes_right]``. Rows with value <= threshold go
@@ -166,7 +177,7 @@ def tree_predict(node_feature, node_threshold, node_left, node_right, node_value
     flat = np.ascontiguousarray(X).ravel()
     base = np.arange(X.shape[0]) * X.shape[1]
     node = np.zeros(X.shape[0], dtype=np.int64)
-    for _ in range(_tree_depth(node_feature, node_left, node_right)):
+    for _ in range(depth):
         goes_right = ~(flat[base + feature[node]] <= node_threshold[node])
         node *= 2
         node += goes_right

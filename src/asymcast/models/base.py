@@ -3,11 +3,12 @@
 A fitted model is its family tag, the hyperparameters it was fitted
 with, a state object, the loss mode used for training, and a
 symmetric/asymmetric provenance flag. States do not change once built,
-with two exceptions in kNN: ``build_library`` and ``load_library`` point
-kNN states fitted on equal training rows at one shared neighbour index,
-and that index keeps the per-k forecasts of its latest query as a memo.
-The memo is keyed on the query's contents and swapped whole, so
-prediction stays deterministic and safe for concurrent callers.
+with two exceptions: ``build_library`` and ``load_library`` point kNN
+states fitted on equal training rows at one shared neighbour index, and
+forests that share trees at one group walk; and both keep what they
+computed for the latest query in a ``QueryMemo``, one per library. The
+memo is keyed on the query's contents and swapped whole, so prediction
+stays deterministic and safe for concurrent callers.
 """
 
 from __future__ import annotations
@@ -59,6 +60,36 @@ class Model:
     def describe(self) -> str:
         params = ", ".join(f"{k}={v}" for k, v in sorted(self.hyperparams.items()))
         return f"{self.family}({params})"
+
+
+class QueryMemo:
+    """Values computed for the latest query, keyed on one copy of its contents.
+
+    Models of a library that score the same rows one after another share
+    the work, and a query changed in place is computed again. The query
+    copy and its values are replaced whole, so concurrent callers see one
+    query's values or another's, never a mix.
+    """
+
+    def __init__(self):
+        self._memo = None  # (query copy, {key: value})
+
+    def get(self, key, X: np.ndarray, compute):
+        """``compute(X)``, or its value stored under ``key`` for an equal query.
+
+        A key must not refer to the memo: the memo would then hold itself
+        in a reference cycle, and every query it keeps would wait for the
+        cyclic garbage collector. The value is shared with the memo:
+        callers must not write to it.
+        """
+        memo = self._memo
+        if memo is None or not np.array_equal(memo[0], X):
+            memo = (X.copy(), {})
+            self._memo = memo
+        values = memo[1]
+        if key not in values:
+            values[key] = compute(X)
+        return values[key]
 
 
 def check_training_data(X, y, min_rows: int = 1):

@@ -20,17 +20,38 @@ change; on the default grid those are ``bags=25`` and the two 60-tree
 forests, and the library grows 151 trees instead of 221.
 
 kNN models fitted on the same rows share one neighbour index, which
-ranks a query's neighbours once for all their k (``neighbors.share_index``).
-``build_library`` groups them after fitting, before the first validation
-forecast; ``load_library`` groups the kNN entries whose stored training
-rows are equal, which are the same groups, so a loaded model reproduces
-its stored validation forecasts bit for bit.
+ranks a query's neighbours once for all their k (``neighbors.share_index``),
+and forests whose trees prefix a larger forest's trees share one walk of
+each distinct tree per query (``trees.share_trees``). Both keep their
+results in one ``QueryMemo`` per library, which holds one copy of the
+latest query. ``build_library`` forms both kinds of group after fitting,
+before the first validation forecast, and ``load_library`` forms the
+same groups, so a loaded model reproduces its stored validation
+forecasts bit for bit.
 
 A fit that fails is skipped and recorded in ``ModelLibrary.failures``.
 ``save_library`` writes the entries and those failure records to one
-versioned ``.npz`` bundle, so a loaded library still says which fits
-failed and why. Each manifest entry keeps both the grid label of its
-plan and the hyperparameters the model was fitted with.
+``.npz`` bundle with a json manifest, so a loaded library still says
+which fits failed and why. Each manifest entry keeps the grid label of
+its plan, the hyperparameters the model was fitted with, and in
+version 3 a locator of its state in the bundle's shared arrays:
+
+- ``betas``: every linear model's coefficients, concatenated; an entry
+  names its ``[start, stop)``.
+- ``nn_params``: every network's flat parameters (W1, b1, v, v0, as the
+  trainer flattens them), concatenated; an entry names its
+  ``[start, stop)`` and hidden width.
+- ``tree_<array>`` for each node array: the nodes of every distinct
+  tree, concatenated, with ``tree_nodes`` (node count) and
+  ``tree_depths`` (walk depth) per tree. A group of forests stores its
+  largest forest's trees once; an entry names its first tree and count.
+- ``knn<i>_X``, ``knn<i>_y``: one copy of each kNN training set; an
+  entry names its set.
+- ``val_pred``: the validation forecasts, one row per entry in manifest
+  order, and ``val_actuals``.
+
+Versions 1 and 2 stored each entry's arrays under an ``e<index>_``
+prefix; they still load, through ``_rebuild_state``.
 """
 
 from __future__ import annotations
@@ -41,6 +62,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .. import kernels
 from ..data import DataSplits
 from ..errors import ConfigurationError, InvalidInputError
 from ..losses import CostSpec, eval_mean, loss_from_text, loss_to_text, tau_from_weights
@@ -54,11 +76,12 @@ from .base import (
     FAMILY_RIDGE,
     FAMILY_TREE,
     Model,
+    QueryMemo,
     predict,
 )
 from .linear import LinearState, fit_ols, fit_quantile, fit_ridge
 from .neighbors import KnnState, NeighborIndex, fit_knn, share_index
-from .neural import NNConfig, NNState, fit_nn
+from .neural import NNConfig, NNState, fit_nn, flatten_params, unflatten_params
 from .trees import (
     NODE_ARRAYS,
     ForestState,
@@ -67,6 +90,8 @@ from .trees import (
     fit_bagged_tree,
     fit_random_forest,
     fit_tree,
+    prefix_groups,
+    share_trees,
 )
 
 log = logging.getLogger("asymcast.library")
@@ -292,7 +317,9 @@ def build_library(
         fitted.append((family, params, model))
     # before the first forecast, so every kNN model ranks at the largest k
     # of its group, as it will after load_library
-    share_index([model.state for _, _, model in fitted])
+    states, memo = [model.state for _, _, model in fitted], QueryMemo()
+    share_index(states, memo)
+    share_trees(states, memo)
     for family, params, model in fitted:
         try:
             val_pred = predict(model, X_val)
@@ -325,35 +352,85 @@ def select_best(library: ModelLibrary, criterion: CostSpec, families=None) -> in
 
 # ------------------------------------------------------------- persistence
 
-_BUNDLE_VERSION = 2  # version 1 bundles carry no failure records
+_BUNDLE_VERSION = 3
+# versions 1 and 2 store each entry's arrays under its own prefix and load
+# through _rebuild_state; version 1 carries no failure records
+_LEGACY_VERSIONS = (1, 2)
 
 
-def _state_arrays(model: Model, prefix: str) -> dict:
-    state = model.state
-    if isinstance(state, LinearState):
-        return {f"{prefix}beta": state.beta}
-    if isinstance(state, KnnState):
-        return {f"{prefix}X": state.index.X, f"{prefix}y": state.index.y}
-    if isinstance(state, ForestState):
-        arrays = {
-            f"{prefix}{name}": np.concatenate([getattr(t, name) for t in state.trees])
-            for name in NODE_ARRAYS
-        }
-        arrays[f"{prefix}counts"] = np.array(
-            [t.feature.shape[0] for t in state.trees], dtype=np.int64
+def _flat(chunks, dtype=float) -> np.ndarray:
+    return np.concatenate(chunks) if chunks else np.zeros(0, dtype=dtype)
+
+
+def _pack(library: ModelLibrary):
+    """The version 3 arrays of ``library``'s models, and each entry's locator into them."""
+    flat = {"betas": [], "nn_params": []}
+    trees, knn_sets = [], []
+
+    def put(name, array) -> list:
+        start = sum(chunk.shape[0] for chunk in flat[name])
+        flat[name].append(array)
+        return [start, start + array.shape[0]]
+
+    states = [entry.model.state for entry in library.entries]
+    # each group's largest forest stores its trees once; members name a prefix
+    forest_at = {}
+    for group in prefix_groups(states):
+        for forest in group:
+            forest_at[id(forest)] = [len(trees), len(forest.trees)]
+        trees.extend(group[0].trees)
+    locators = []
+    for state in states:
+        if isinstance(state, LinearState):
+            locators.append({"beta": put("betas", state.beta)})
+        elif isinstance(state, NNState):
+            params = flatten_params(state.W1, state.b1, state.v, state.v0)
+            locators.append({"params": put("nn_params", params), "hidden": state.v.shape[0]})
+        elif isinstance(state, ForestState):
+            locators.append({"trees": forest_at[id(state)]})
+        elif isinstance(state, KnnState):
+            index = state.index
+            for i, other in enumerate(knn_sets):
+                if np.array_equal(other.X, index.X) and np.array_equal(other.y, index.y):
+                    break
+            else:
+                i = len(knn_sets)
+                knn_sets.append(index)
+            locators.append({"knn": i})
+        else:
+            raise ConfigurationError(f"cannot serialize model state {type(state).__name__}")
+    arrays = {name: _flat(chunks) for name, chunks in flat.items()}
+    for name in NODE_ARRAYS:
+        arrays[f"tree_{name}"] = _flat(
+            [getattr(tree, name) for tree in trees],
+            np.int64 if name in ("feature", "left", "right") else float,
         )
-        return arrays
-    if isinstance(state, NNState):
-        return {
-            f"{prefix}W1": state.W1,
-            f"{prefix}b1": state.b1,
-            f"{prefix}v": state.v,
-            f"{prefix}v0": state.v0,
-        }
-    raise ConfigurationError(f"cannot serialize model state {type(state).__name__}")
+    arrays["tree_nodes"] = np.array([tree.feature.shape[0] for tree in trees], dtype=np.int64)
+    arrays["tree_depths"] = np.array([tree.depth for tree in trees], dtype=np.int64)
+    for i, index in enumerate(knn_sets):
+        arrays[f"knn{i}_X"] = index.X
+        arrays[f"knn{i}_y"] = index.y
+    return arrays, locators
+
+
+def _unpack(family: str, hyperparams: dict, n_features: int, locator: dict, arrays, trees, knn):
+    """A version 3 entry's state; ``trees`` and ``knn`` are the bundle's shared parts."""
+    if family in (FAMILY_OLS, FAMILY_RIDGE, FAMILY_QUANTILE):
+        lo, hi = locator["beta"]
+        return LinearState(arrays["betas"][lo:hi])
+    if family == FAMILY_NN:
+        lo, hi = locator["params"]
+        return NNState(*unflatten_params(arrays["nn_params"][lo:hi], n_features, locator["hidden"]))
+    if family in (FAMILY_TREE, FAMILY_BAGGED_TREE, FAMILY_RANDOM_FOREST):
+        first, count = locator["trees"]
+        return ForestState(trees[first : first + count])
+    if family == FAMILY_KNN:
+        return KnnState(knn[locator["knn"]], hyperparams["k"])
+    raise ConfigurationError(f"cannot rebuild model family {family!r}")
 
 
 def _rebuild_state(family: str, hyperparams: dict, arrays: dict, prefix: str):
+    """A version 1 or 2 entry's state, from the arrays under its prefix."""
     if family in (FAMILY_OLS, FAMILY_RIDGE, FAMILY_QUANTILE):
         return LinearState(arrays[f"{prefix}beta"])
     if family == FAMILY_KNN:
@@ -361,15 +438,15 @@ def _rebuild_state(family: str, hyperparams: dict, arrays: dict, prefix: str):
         return KnnState(NeighborIndex(arrays[f"{prefix}X"], arrays[f"{prefix}y"], (k,)), k)
     if family in (FAMILY_TREE, FAMILY_BAGGED_TREE, FAMILY_RANDOM_FOREST):
         nodes = [arrays[f"{prefix}{name}"] for name in NODE_ARRAYS]
-        # older bundles store a single tree without counts
+        # version 1 stores a single tree without counts
         counts = arrays.get(f"{prefix}counts", [nodes[0].shape[0]])
         offsets = np.concatenate([[0], np.cumsum(counts)])
-        return ForestState(
-            [
-                TreeState(tuple(a[lo:hi] for a in nodes))
-                for lo, hi in zip(offsets[:-1], offsets[1:])
-            ]
-        )
+        trees = []
+        for lo, hi in zip(offsets[:-1], offsets[1:]):
+            feature, threshold, left, right, value = (a[lo:hi] for a in nodes)
+            depth = kernels.tree_depth(feature, left, right)
+            trees.append(TreeState(feature, threshold, left, right, value, depth))
+        return ForestState(trees)
     if family == FAMILY_NN:
         # older bundles name the hidden activation: 0 logistic, 1 tanh
         act = arrays.get(f"{prefix}act")
@@ -388,8 +465,13 @@ def _rebuild_state(family: str, hyperparams: dict, arrays: dict, prefix: str):
 
 
 def save_library(library: ModelLibrary, path) -> None:
-    """Persist the library as a versioned npz bundle with a json manifest."""
-    arrays = {"val_actuals": library.val_actuals}
+    """Persist the library as a version 3 npz bundle with a json manifest."""
+    arrays, locators = _pack(library)
+    n_val = library.val_actuals.shape[0]
+    arrays["val_actuals"] = library.val_actuals
+    arrays["val_pred"] = (
+        library.validation_matrix() if library.entries else np.zeros((0, n_val))
+    )
     manifest = {
         "version": _BUNDLE_VERSION,
         "augmented": library.augmented,
@@ -397,10 +479,7 @@ def save_library(library: ModelLibrary, path) -> None:
         "entries": [],
         "failures": library.failures,
     }
-    for entry in library.entries:
-        prefix = f"e{entry.index}_"
-        arrays[f"{prefix}val_pred"] = entry.val_pred
-        arrays.update(_state_arrays(entry.model, prefix))
+    for entry, locator in zip(library.entries, locators):
         manifest["entries"].append(
             {
                 "index": entry.index,
@@ -410,6 +489,7 @@ def save_library(library: ModelLibrary, path) -> None:
                 "provenance": entry.provenance,
                 "n_features": entry.model.n_features,
                 "loss_mode": loss_to_text(entry.model.loss_mode),
+                "state": locator,
             }
         )
     arrays["manifest"] = np.frombuffer(
@@ -418,39 +498,63 @@ def save_library(library: ModelLibrary, path) -> None:
     np.savez_compressed(path, **arrays)
 
 
+def _shared_parts(manifest: dict, arrays: dict, memo: QueryMemo):
+    """A version 3 bundle's distinct trees, and one neighbour index per kNN training set."""
+    offsets = np.concatenate([[0], np.cumsum(arrays["tree_nodes"])])
+    nodes = [arrays[f"tree_{name}"] for name in NODE_ARRAYS]
+    trees = [
+        TreeState(*(a[lo:hi] for a in nodes), depth)
+        for lo, hi, depth in zip(offsets[:-1], offsets[1:], arrays["tree_depths"])
+    ]
+    ks = {}
+    for meta in manifest["entries"]:
+        if "knn" in meta["state"]:
+            ks.setdefault(meta["state"]["knn"], []).append(meta["model_hyperparams"]["k"])
+    knn = {i: NeighborIndex(arrays[f"knn{i}_X"], arrays[f"knn{i}_y"], k) for i, k in ks.items()}
+    for index in knn.values():
+        index.memo = memo
+    return trees, knn
+
+
 def load_library(path) -> ModelLibrary:
+    """A library saved by ``save_library``, in bundle version 1, 2 or 3."""
     with np.load(path, allow_pickle=False) as bundle:
         arrays = {key: bundle[key] for key in bundle.files}
     manifest = json.loads(bytes(arrays["manifest"]).decode("utf-8"))
-    if manifest["version"] not in (1, _BUNDLE_VERSION):
-        raise ConfigurationError(
-            f"library bundle version {manifest['version']} is not supported"
-        )
+    version = manifest["version"]
+    if version not in (*_LEGACY_VERSIONS, _BUNDLE_VERSION):
+        raise ConfigurationError(f"library bundle version {version} is not supported")
+    memo = QueryMemo()
+    if version == _BUNDLE_VERSION:
+        trees, knn = _shared_parts(manifest, arrays, memo)
     entries = []
-    for meta in manifest["entries"]:
-        prefix = f"e{meta['index']}_"
-        # older bundles kept only the grid label
+    for row, meta in enumerate(manifest["entries"]):
+        family = meta["family"]
+        # version 1 kept only the grid label
         hyperparams = meta.get("model_hyperparams", meta["hyperparams"])
+        if version == _BUNDLE_VERSION:
+            state = _unpack(family, hyperparams, meta["n_features"], meta["state"], arrays, trees, knn)
+            val_pred = arrays["val_pred"][row]
+        else:
+            prefix = f"e{meta['index']}_"
+            state = _rebuild_state(family, hyperparams, arrays, prefix)
+            val_pred = arrays[f"{prefix}val_pred"]
         model = Model(
-            meta["family"],
+            family,
             hyperparams,
-            _rebuild_state(meta["family"], hyperparams, arrays, prefix),
+            state,
             meta["n_features"],
             loss_mode=loss_from_text(meta["loss_mode"]),
             provenance=meta["provenance"],
         )
         entries.append(
-            LibraryEntry(
-                meta["index"],
-                meta["family"],
-                meta["hyperparams"],
-                meta["provenance"],
-                model,
-                arrays[f"{prefix}val_pred"],
-            )
+            LibraryEntry(meta["index"], family, meta["hyperparams"], meta["provenance"], model, val_pred)
         )
-    # the groups build_library formed: kNN entries on equal training rows
-    share_index([entry.model.state for entry in entries])
+    states = [entry.model.state for entry in entries]
+    if version in _LEGACY_VERSIONS:
+        # the groups build_library formed: kNN entries on equal training rows
+        share_index(states, memo)
+    share_trees(states, memo)
     failures = [tuple(failure) for failure in manifest.get("failures", [])]
     return ModelLibrary(
         entries, arrays["val_actuals"], manifest["augmented"], manifest["master_seed"], failures

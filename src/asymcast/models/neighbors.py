@@ -9,10 +9,23 @@ models with ``share_index``, which compares the stored training rows,
 so a loaded library forms the groups its build formed and each loaded
 model reproduces its stored forecasts bit for bit, even under ties.
 
-The index keeps the per-k means of its latest query only, keyed on a
-copy of the query's contents, not its identity: models of one library
-scoring the same rows one after another share one ranking, and a query
-changed in place is ranked again.
+The index keeps the per-k means of its latest query in a
+``base.QueryMemo``, keyed on the query's contents, not its identity:
+models of one library scoring the same rows one after another share one
+ranking, and a query changed in place is ranked again. ``share_index``
+takes the library's memo, so the index shares its query copy with the
+library's tree groups.
+
+Ranking. The index stores ``-2 X`` and the squared row norms, and a
+chunk's distances are ``q @ (-2 X)ᵀ + |x|²`` (the |q|² term is constant
+per row and left out). Scaling by -2 is exact, and BLAS sees the same
+transposed layout as for ``q @ Xᵀ``, so these are the bits of
+``|x|² - 2 (q @ Xᵀ)``. ``argpartition`` picks the largest k's nearest
+candidates and the default ``argsort`` orders them. That sort is not
+stable, so a row whose sorted candidate distances are not strictly
+increasing (equal neighbours, or NaN from a non-finite query) is ranked
+again by a stable sort of its candidates in training-row order, which
+breaks distance ties by training row.
 """
 
 from __future__ import annotations
@@ -20,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigurationError
-from .base import FAMILY_KNN, Model, check_training_data
+from .base import FAMILY_KNN, Model, QueryMemo, check_training_data
 
 # distances per brute-force chunk: 512 KB of float64, so the chunk and its
 # temporaries stay small next to the training matrix
@@ -41,22 +54,16 @@ class NeighborIndex:
         if bad:
             raise ConfigurationError(f"k_neighbors must lie in [1, n={n}], got {bad[0]}")
         self._sq = np.einsum("ij,ij->i", self.X, self.X)
-        # (query copy, {k: means}); replaced whole, so concurrent readers
-        # see one query's pair or another's, never a mix
-        self._memo = None
+        self._m2 = -2.0 * self.X
+        self.memo = QueryMemo()
+        self._key = object()
 
     def means(self, Q) -> dict:
         """Mean target of the k nearest training rows of each query row, per k.
 
         The arrays are shared with the memo: callers must not write to them.
         """
-        Q = np.asarray(Q, dtype=float)
-        memo = self._memo
-        if memo is not None and np.array_equal(memo[0], Q):
-            return memo[1]
-        means = self._rank(Q)
-        self._memo = (Q.copy(), means)
-        return means
+        return self.memo.get(self._key, np.asarray(Q, dtype=float), self._rank)
 
     def _rank(self, Q) -> dict:
         n = self.X.shape[0]
@@ -67,16 +74,24 @@ class NeighborIndex:
         chunk = max(1, _CHUNK_DISTANCES // n)
         for lo in range(0, Q.shape[0], chunk):
             q = Q[lo : lo + chunk]
-            d2 = self._sq[None, :] - 2.0 * (q @ self.X.T)  # + |q|^2, constant per row
+            d2 = q @ self._m2.T
+            d2 += self._sq  # + |q|^2, constant per row
+            rows = np.arange(q.shape[0])[:, None]
             if top < n:
-                # the top candidates in row order, so the stable sort below
-                # breaks distance ties by training row
                 cand = np.argpartition(d2, top - 1, axis=1)[:, :top]
-                cand.sort(axis=1)
-                rows = np.arange(q.shape[0])[:, None]
-                ranked = cand[rows, np.argsort(d2[rows, cand], axis=1, kind="stable")]
+                dist = d2[rows, cand]
             else:
-                ranked = np.argsort(d2, axis=1, kind="stable")
+                cand, dist = np.broadcast_to(np.arange(n), d2.shape), d2
+            order = np.argsort(dist, axis=1)
+            ranked = cand[rows, order]
+            dist = dist[rows, order]
+            tied = np.flatnonzero(~(dist[:, 1:] > dist[:, :-1]).all(axis=1))
+            if tied.shape[0]:
+                # candidates in row order, so the stable sort breaks ties by training row
+                cand = np.sort(cand[tied], axis=1)
+                sub = np.arange(tied.shape[0])[:, None]
+                stable = np.argsort(d2[tied[:, None], cand], axis=1, kind="stable")
+                ranked[tied] = cand[sub, stable]
             csum = self.y[ranked].cumsum(axis=1)
             out[:, lo : lo + q.shape[0]] = csum[:, cols].T / divisors[:, None]
         return dict(zip(self.ks, out))
@@ -94,11 +109,12 @@ class KnnState:
         return self.index.means(X)[self.k].copy()
 
 
-def share_index(states) -> None:
+def share_index(states, memo: QueryMemo | None = None) -> None:
     """Point the kNN states among ``states`` that hold equal training rows at one index.
 
-    Each group's index serves every k of the group; other states are left
-    as they are.
+    Each group's index serves every k of the group and keeps its rankings
+    in ``memo``, by default a memo of its own; other states are left as
+    they are.
     """
     groups = []
     for state in states:
@@ -114,6 +130,8 @@ def share_index(states) -> None:
     for group in groups:
         first = group[0].index
         index = NeighborIndex(first.X, first.y, [state.k for state in group])
+        if memo is not None:
+            index.memo = memo
         for state in group:
             state.index = index
 

@@ -22,7 +22,19 @@ such a prefix, which lets a model library fit each group of sizes once.
 
 Every tree family stores its model as a ``ForestState``: a single tree
 is a one-tree forest, so the three families predict and persist the
-same way. ``TreeState`` holds the node arrays of one tree.
+same way. ``TreeState`` holds the node arrays of one tree and its depth.
+
+A library's nested ensembles share their trees, so ``build_library``
+and ``load_library`` call ``share_trees``: every forest whose trees are
+a prefix of a larger forest's trees (node array for node array) joins
+that forest's group, and the group's ``TreeSums`` walks its trees. For
+a new query it walks each tree once and keeps the running sum at every
+member's size, summed in the order ``ForestState.predict`` sums, so a
+member's forecast keeps its bits whichever member asks first. The sums
+live in the library's ``QueryMemo``, which holds one copy of the latest
+query for every group and neighbour index, keyed on contents, so a
+query changed in place is walked again. A forest that shares its trees
+with no other predicts on its own.
 """
 
 from __future__ import annotations
@@ -31,7 +43,14 @@ import numpy as np
 
 from .. import kernels
 from ..errors import ConfigurationError
-from .base import FAMILY_BAGGED_TREE, FAMILY_RANDOM_FOREST, FAMILY_TREE, Model, check_training_data
+from .base import (
+    FAMILY_BAGGED_TREE,
+    FAMILY_RANDOM_FOREST,
+    FAMILY_TREE,
+    Model,
+    QueryMemo,
+    check_training_data,
+)
 
 MAX_DEPTH = 30
 # the growth settings of every bagged and forest tree
@@ -44,24 +63,106 @@ NODE_ARRAYS = ("feature", "threshold", "left", "right", "value")
 
 
 class TreeState:
-    def __init__(self, arrays):
-        self.feature, self.threshold, self.left, self.right, self.value = arrays
+    def __init__(self, feature, threshold, left, right, value, depth):
+        self.feature, self.threshold, self.left, self.right, self.value = (
+            feature, threshold, left, right, value
+        )
+        self.depth = int(depth)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return kernels.tree_predict(
-            self.feature, self.threshold, self.left, self.right, self.value, X
+            self.feature, self.threshold, self.left, self.right, self.value, self.depth, X
         )
+
+
+def _tree_sum(trees, X, sizes=()):
+    """Sum of the trees' forecasts, and copies of the running sum after each size in ``sizes``."""
+    out = np.zeros(X.shape[0])
+    kept = {}
+    for count, tree in enumerate(trees, start=1):
+        out += tree.predict(X)
+        if count in sizes:
+            kept[count] = out.copy()
+    return out, kept
 
 
 class ForestState:
     def __init__(self, trees):
         self.trees = trees
+        # the group's TreeSums once share_trees puts the forest in a group
+        self.shared = None
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        out = np.zeros(X.shape[0])
-        for tree in self.trees:
-            out += tree.predict(X)
-        return out / len(self.trees)
+        if self.shared is not None:
+            return self.shared.prefix_sum(len(self.trees), X) / len(self.trees)
+        return _tree_sum(self.trees, X)[0] / len(self.trees)
+
+
+class TreeSums:
+    """A group's trees, walked once per query for every member forest.
+
+    The group is the trees of its largest forest and the sizes of its
+    members; the running sums at those sizes live in the library's
+    ``QueryMemo``.
+    """
+
+    def __init__(self, trees, sizes, memo: QueryMemo):
+        self.trees = trees
+        self.sizes = frozenset(sizes)
+        self.memo = memo
+        self._key = object()
+
+    def prefix_sum(self, size: int, X: np.ndarray) -> np.ndarray:
+        """Sum of the forecasts of the first ``size`` trees; callers must not write to it."""
+        return self.memo.get(self._key, X, self._walk)[size]
+
+    def _walk(self, X):
+        return _tree_sum(self.trees, X, self.sizes)[1]
+
+
+def _same_tree(a: TreeState, b: TreeState) -> bool:
+    return a is b or all(
+        np.array_equal(getattr(a, name), getattr(b, name)) for name in NODE_ARRAYS
+    )
+
+
+def prefix_groups(states) -> list:
+    """The forests among ``states`` in groups of shared trees, each group largest first.
+
+    A forest whose trees equal the first trees of a larger (or equal)
+    forest, node array for node array, joins that forest's group.
+    """
+    groups = []
+    for forest in sorted(
+        (state for state in states if isinstance(state, ForestState)), key=lambda f: -len(f.trees)
+    ):
+        for group in groups:
+            if all(_same_tree(a, b) for a, b in zip(forest.trees, group[0].trees)):
+                group.append(forest)
+                break
+        else:
+            groups.append([forest])
+    return groups
+
+
+def share_trees(states, memo: QueryMemo | None = None) -> None:
+    """Point the forests among ``states`` that share trees at one walk per group.
+
+    The members of a group (``prefix_groups``) take the tree objects of
+    its largest forest and one ``TreeSums``, which keeps its sums in
+    ``memo``, by default a memo for these groups alone. A group of one
+    forest keeps the direct path. Other states are left as they are.
+    """
+    memo = QueryMemo() if memo is None else memo
+    for group in prefix_groups(states):
+        if len(group) == 1:
+            group[0].shared = None
+            continue
+        largest = group[0].trees
+        sums = TreeSums(largest, (len(forest.trees) for forest in group), memo)
+        for forest in group:
+            forest.trees = largest[: len(forest.trees)]
+            forest.shared = sums
 
 
 def fit_tree(X, y, complexity: float = 1e-3, min_node: int = 10) -> Model:
@@ -71,8 +172,8 @@ def fit_tree(X, y, complexity: float = 1e-3, min_node: int = 10) -> Model:
             f"need complexity >= 0 and min_node >= 1, got {complexity}, {min_node}"
         )
     idx = np.arange(X.shape[0], dtype=np.int64)
-    arrays = kernels.tree_build(X, y, idx, min_node, complexity, X.shape[1], 0, MAX_DEPTH)
-    state = ForestState([TreeState(arrays)])
+    tree = TreeState(*kernels.tree_build(X, y, idx, min_node, complexity, X.shape[1], 0, MAX_DEPTH))
+    state = ForestState([tree])
     params = {"complexity": complexity, "min_node": min_node}
     return Model(FAMILY_TREE, params, state, X.shape[1])
 
@@ -87,7 +188,7 @@ def _fit_tree_ensemble(X, y, n_trees, mtry, seed) -> ForestState:
         arrays = kernels.tree_build(
             X, y, boot, ENSEMBLE_MIN_NODE, ENSEMBLE_COMPLEXITY, mtry, tree_seed, MAX_DEPTH
         )
-        trees.append(TreeState(arrays))
+        trees.append(TreeState(*arrays))
     return ForestState(trees)
 
 

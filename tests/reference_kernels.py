@@ -1,11 +1,13 @@
 """Loop-based reference implementations the fast kernels are checked against.
 
 ``tree_build_loop`` scans the candidate features of a node one at a time,
-``tree_predict_loop`` walks each row down the tree on its own, and
+``tree_predict_loop`` walks each row down the tree on its own,
 ``quantile_primal`` solves quantile regression as the n x (p + 2n)
-primal LP. They are deliberately the plain formulations: the tests
-require the vectorized tree kernels to match them bit for bit and the
-dual quantile LP to reach the same objective.
+primal LP, and ``knn_rank_means`` ranks neighbours by one stable sort of
+the candidates per query row. They are deliberately the plain
+formulations: the tests require the vectorized tree kernels and the
+neighbour ranking to match them bit for bit and the dual quantile LP to
+reach the same objective.
 """
 
 import numpy as np
@@ -15,6 +17,8 @@ import scipy.sparse
 
 def tree_build_loop(X, y, sample_idx, min_node, complexity, mtry, seed, max_depth):
     """Depth-first greedy regression tree, one candidate feature at a time.
+
+    Returns the node arrays and the depth of the deepest node.
 
     With ``mtry`` below the feature count, each scanned node takes the
     first ``mtry`` entries of a permutation from ``default_rng(seed)``.
@@ -37,8 +41,11 @@ def tree_build_loop(X, y, sample_idx, min_node, complexity, mtry, seed, max_dept
 
     stack = [(0, 0, n, 0)]
     n_nodes = 1
+    deepest = 0
     while stack:
         node, lo, hi, depth = stack.pop()
+        if depth > deepest:
+            deepest = depth
         seg = idx[lo:hi]
         n_node = hi - lo
         ys = y[seg]
@@ -102,6 +109,7 @@ def tree_build_loop(X, y, sample_idx, min_node, complexity, mtry, seed, max_dept
         node_left[:n_nodes],
         node_right[:n_nodes],
         node_value[:n_nodes],
+        deepest,
     )
 
 
@@ -134,3 +142,35 @@ def quantile_primal(X, y, tau):
     result = scipy.optimize.linprog(c, A_eq=A_eq, b_eq=y, bounds=bounds, method="highs")
     assert result.success, result.message
     return result.x[:p]
+
+
+def knn_rank_means(X, y, ks, Q, chunk_distances):
+    """Per-k neighbour means of the query rows, ranked as ``NeighborIndex`` once did.
+
+    Distances are |x|^2 - 2 (q @ X^T) per chunk of ``chunk_distances //
+    n`` query rows; the largest k's candidates from ``argpartition`` are
+    put in training-row order and ranked by a stable sort, so distance
+    ties break by training row.
+    """
+    X = np.asarray(X, dtype=float)
+    n = X.shape[0]
+    ks = sorted(set(ks))
+    top = ks[-1]
+    sq = np.einsum("ij,ij->i", X, X)
+    cols = np.array(ks) - 1
+    divisors = np.array(ks, dtype=float)
+    out = np.empty((len(ks), Q.shape[0]))
+    chunk = max(1, chunk_distances // n)
+    for lo in range(0, Q.shape[0], chunk):
+        q = Q[lo : lo + chunk]
+        d2 = sq[None, :] - 2.0 * (q @ X.T)
+        if top < n:
+            cand = np.argpartition(d2, top - 1, axis=1)[:, :top]
+            cand.sort(axis=1)
+            rows = np.arange(q.shape[0])[:, None]
+            ranked = cand[rows, np.argsort(d2[rows, cand], axis=1, kind="stable")]
+        else:
+            ranked = np.argsort(d2, axis=1, kind="stable")
+        csum = y[ranked].cumsum(axis=1)
+        out[:, lo : lo + q.shape[0]] = csum[:, cols].T / divisors[:, None]
+    return dict(zip(ks, out))

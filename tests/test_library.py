@@ -1,6 +1,7 @@
 import io
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -355,9 +356,9 @@ def test_smooth_qqc_beyond_its_weight_ratio_is_skipped_in_builds_and_loads_from_
     )
 
 
-def rewrite_bundle(path, edit, drop=(), **extra_arrays):
+def rewrite_bundle(path, edit, **extra_arrays):
     with np.load(path) as bundle:
-        arrays = {key: bundle[key] for key in bundle.files if key not in drop}
+        arrays = {key: bundle[key] for key in bundle.files}
     arrays.update(extra_arrays)
     manifest = json.loads(bytes(arrays["manifest"]).decode("utf-8"))
     edit(manifest)
@@ -365,53 +366,102 @@ def rewrite_bundle(path, edit, drop=(), **extra_arrays):
     np.savez_compressed(path, **arrays)
 
 
-def test_version_1_bundle_loads_and_unknown_versions_are_rejected(
-    tmp_path, small_splits, symmetric_library
-):
-    path = tmp_path / "library.npz"
-    save_library(symmetric_library, path)
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
-    def as_version_1(manifest):
-        # version 1 wrote no failure records or fitted hyperparameters,
-        # and kNN entries named their algorithm
-        manifest["version"] = 1
-        del manifest["failures"]
-        for meta in manifest["entries"]:
-            del meta["model_hyperparams"]
-            if meta["family"] == "knn":
-                meta["hyperparams"]["algorithm"] = "brute"
 
-    # older bundles also stored each network's hidden activation, 0 for logistic,
-    # and a single tree's node arrays without counts
-    (net,) = [e.index for e in symmetric_library.entries if e.family == "nn"]
-    (tree,) = [e.index for e in symmetric_library.entries if e.family == "tree"]
-    rewrite_bundle(
-        path, as_version_1, drop=(f"e{tree}_counts",), **{f"e{net}_act": np.array([0])}
-    )
-    loaded = load_library(path)
-    assert loaded.failures == []
-    np.testing.assert_array_equal(loaded.validation_matrix(), symmetric_library.validation_matrix())
-    assert loaded.entry(net).model.hyperparams == symmetric_library.entry(net).hyperparams
-    X = np.eye(symmetric_library.entry(net).model.n_features)
-    np.testing.assert_array_equal(
-        predict(loaded.entry(net).model, X), predict(symmetric_library.entry(net).model, X)
-    )
-    knn = [loaded.entry(e.index).model.state for e in symmetric_library.entries if e.family == "knn"]
+def load_fixture(version):
+    return load_library(FIXTURES / f"library_v{version}.npz")
+
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_older_bundle_fixtures_reproduce_their_stored_forecasts(version):
+    """Bundles of versions 1 and 2 load, and every entry predicts its stored val_pred.
+
+    The fixtures come from ``python tests/make_bundle_fixtures.py <checkout>``
+    run on a checkout that writes version 2.
+    """
+    library = load_fixture(version)
+    X_val = np.load(FIXTURES / "bundle_queries.npy")
+    assert len(library) == 13
+    for entry in library.entries:
+        forecast = predict(entry.model, X_val)
+        assert np.array_equal(forecast.view(np.int64), entry.val_pred.view(np.int64)), entry.index
+    failures = [] if version == 1 else [("knn", {"k": 81}, "k_neighbors must lie in [1, n=80], got 81")]
+    assert library.failures == failures
+
+
+def test_version_1_bundle_loads_and_unknown_versions_are_rejected(tmp_path, symmetric_library):
+    v1, v2 = load_fixture(1), load_fixture(2)
+    # version 1 kept only the grid label, so a network reports that
+    (net, *_) = [e.index for e in v1.entries if e.family == "nn"]
+    assert v1.entry(net).model.hyperparams == v2.entry(net).hyperparams
+    assert v2.entry(net).model.hyperparams["epochs"] == 10
+    # a single tree stored without counts, and one index for both kNN entries
+    (tree,) = [e for e in v1.entries if e.family == "tree"]
+    assert len(tree.model.state.trees) == 1
+    knn = [e.model.state for e in v1.entries if e.family == "knn"]
     assert len({id(state.index) for state in knn}) == 1
-    assert knn[0].index.ks == SMALL_CONFIG.knn_ks
-    X = small_splits.test.features
-    assert len(loaded.entry(tree).model.state.trees) == 1
-    np.testing.assert_array_equal(
-        predict(loaded.entry(tree).model, X), predict(symmetric_library.entry(tree).model, X)
-    )
+    assert knn[0].index.ks == (3, 5)
 
-    rewrite_bundle(path, lambda manifest: None, **{f"e{net}_act": np.array([1])})
+    # version 1 named each network's hidden activation; only 0, logistic, loads
+    path = tmp_path / "library.npz"
+    with np.load(FIXTURES / "library_v1.npz") as bundle:
+        arrays = {key: bundle[key] for key in bundle.files}
+    arrays[f"e{net}_act"] = np.array([1])
+    np.savez_compressed(path, **arrays)
     with pytest.raises(ConfigurationError, match="activation code 1"):
         load_library(path)
 
-    rewrite_bundle(path, lambda manifest: manifest.update(version=3))
-    with pytest.raises(ConfigurationError, match="version 3"):
+    save_library(symmetric_library, path)
+    rewrite_bundle(path, lambda manifest: manifest.update(version=4))
+    with pytest.raises(ConfigurationError, match="version 4"):
         load_library(path)
+
+
+def query_memos(library) -> set:
+    """Ids of the memos of the library's tree groups and kNN indexes."""
+    states = [e.model.state for e in library.entries]
+    memos = {id(s.shared.memo) for s in states if getattr(s, "shared", None) is not None}
+    return memos | {id(s.index.memo) for s in states if hasattr(s, "index")}
+
+
+def test_older_bundles_group_their_forests_by_equal_node_arrays():
+    library = load_fixture(2)
+    for family in ("bagged_tree", "random_forest"):
+        small, large = (e.model.state for e in library.entries if e.family == family)
+        assert (len(small.trees), len(large.trees)) == (2, 3)
+        assert small.shared is large.shared is not None
+        assert all(a is b for a, b in zip(small.trees, large.trees))
+    (tree,) = [e.model.state for e in library.entries if e.family == "tree"]
+    assert tree.shared is None
+    assert len(query_memos(library)) == 1
+
+
+def test_bundle_stores_shared_trees_and_training_sets_once(tmp_path):
+    # an older bundle saved again as version 3
+    path = tmp_path / "library.npz"
+    older = load_fixture(2)
+    save_library(older, path)
+    with np.load(path) as bundle:
+        files = set(bundle.files)
+        stored_trees = bundle["tree_nodes"].shape[0]
+        manifest = json.loads(bytes(bundle["manifest"]).decode("utf-8"))
+    assert manifest["version"] == 3
+    # one tree, then the 3 trees of the bagging group and of the forest group
+    assert stored_trees == 1 + 3 + 3
+    assert {"knn0_X", "knn0_y"} <= files and "knn1_X" not in files
+    assert not any(name.startswith("e0_") for name in files)
+    loaded = load_library(path)
+    knn = [e.model.state for e in loaded.entries if e.family == "knn"]
+    assert len({id(state.index) for state in knn}) == 1
+    assert knn[0].index.ks == (3, 5)
+    assert len(query_memos(loaded)) == 1
+    X_val = np.load(FIXTURES / "bundle_queries.npy")
+    for entry, before in zip(loaded.entries, older.entries):
+        assert entry.model.hyperparams == before.model.hyperparams
+        forecast = predict(entry.model, X_val)
+        assert np.array_equal(forecast.view(np.int64), before.val_pred.view(np.int64))
+    assert loaded.failures == older.failures
 
 
 def test_load_shares_one_index_per_training_set(tmp_path, small_splits, augmented_library):
@@ -424,8 +474,12 @@ def test_load_shares_one_index_per_training_set(tmp_path, small_splits, augmente
     # an entry whose stored training rows differ keeps an index of its own
     odd = knn[0]
     with np.load(path) as bundle:
-        X, y = bundle[f"e{odd}_X"][1:], bundle[f"e{odd}_y"][1:]
-    rewrite_bundle(path, lambda manifest: None, **{f"e{odd}_X": X, f"e{odd}_y": y})
+        X, y = bundle["knn0_X"][1:], bundle["knn0_y"][1:]
+
+    def point_at_second_set(manifest):
+        manifest["entries"][odd]["state"] = {"knn": 1}
+
+    rewrite_bundle(path, point_at_second_set, knn1_X=X, knn1_y=y)
     loaded = load_library(path)
     alone, *rest = (loaded.entry(i).model.state for i in knn)
     assert alone.index.ks == (alone.k,)

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from asymcast.errors import ConfigurationError, InvalidInputError
 from asymcast.losses import (
     FAMILIES,
+    _eval_raw,
     QQC_APPROX_MAX_RATIO,
     CostSpec,
     eval_loss,
@@ -123,6 +124,27 @@ def test_mean_rejects_mismatched_or_empty_vectors():
         eval_mean(spec, [1.0, 2.0], [1.0])
     with pytest.raises(InvalidInputError):
         eval_mean(spec, [], [])
+
+
+@settings(max_examples=60)
+@given(
+    family=st.sampled_from(FAMILIES),
+    a=WEIGHTS,
+    tau=TAUS,
+    n=st.integers(1, 300),
+    rows=st.none() | st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mean_has_the_bits_of_np_mean(family, a, tau, n, rows, seed):
+    rng = np.random.default_rng(seed)
+    y = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 2, n)
+    f = y + rng.normal(size=n if rows is None else (rows, n))
+    spec = CostSpec(family, a=a, b=1.0, tau=tau)
+    got = eval_mean(spec, y, f)
+    expected = np.mean(_eval_raw(spec, y - f), axis=-1)
+    if rows is None:
+        assert isinstance(got, float)
+    assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(expected).view(np.int64))
 
 
 @pytest.mark.parametrize("family", ["squared_error", "llc", "qqc", "lec", "pinball", "qqc_approx"])

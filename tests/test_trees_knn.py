@@ -1,9 +1,11 @@
+import gc
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from asymcast import kernels
@@ -16,9 +18,17 @@ from asymcast.models import (
     fit_tree,
     predict,
 )
+from asymcast.models import neighbors as neighbors_module
+from asymcast.models.base import QueryMemo
 from asymcast.models.neighbors import _CHUNK_DISTANCES, NeighborIndex, share_index
-from asymcast.models.trees import NODE_ARRAYS, ForestState, ensemble_prefix
-from reference_kernels import tree_build_loop, tree_predict_loop
+from asymcast.models.trees import (
+    NODE_ARRAYS,
+    ForestState,
+    TreeState,
+    ensemble_prefix,
+    share_trees,
+)
+from reference_kernels import knn_rank_means, tree_build_loop, tree_predict_loop
 
 
 def make_nonlinear_problem(seed, n=600, noise=0.15):
@@ -142,6 +152,68 @@ def test_knn_index_answers_concurrent_queries_separately():
     assert wrong == []
 
 
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    distinct=st.integers(1, 12),
+    n=st.integers(1, 60),
+    m=st.integers(1, 3),
+    queries=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+@example(distinct=3, n=40, m=2, queries=30, seed=0, data=None)
+def test_neighbor_ranking_equals_the_stable_sort_oracle(distinct, n, m, queries, seed, data):
+    # half-integer coordinates and repeated training rows give equal distances
+    rng = np.random.default_rng(seed)
+    points = np.round(2 * rng.normal(size=(distinct, m))) / 2
+    X = points[rng.integers(0, distinct, n)]
+    y = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3, n)
+    Q = np.round(2 * rng.normal(size=(queries, m))) / 2
+    if data is None:
+        ks, chunk = [1, n - 1, n], 3 * n
+    else:
+        ks = data.draw(st.sets(st.integers(1, n), min_size=1, max_size=4), label="ks")
+        # a few query rows per chunk, so the query spans chunks
+        chunk = data.draw(st.integers(1, 4 * n), label="chunk_distances")
+    expected = knn_rank_means(X, y, ks, Q, chunk)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(neighbors_module, "_CHUNK_DISTANCES", chunk)
+        got = NeighborIndex(X, y, ks).means(Q)
+    assert sorted(got) == sorted(expected)
+    for k in expected:
+        assert same_bits(got[k], expected[k])
+
+
+@pytest.mark.parametrize("top", [150, 200])
+def test_neighbor_ranking_breaks_ties_by_training_row(top):
+    # 200 training rows on 5 points: every query sees long runs of equal distances
+    rng = np.random.default_rng(40)
+    X = rng.integers(-2, 3, size=(5, 2)).astype(float)[rng.integers(0, 5, 200)]
+    y = rng.normal(size=200)
+    Q = rng.integers(-2, 3, size=(50, 2)).astype(float)
+    d2 = np.einsum("ij,ij->i", X, X) - 2.0 * (Q @ X.T)
+    # where the default sort keeps equal distances in row order, this test shows nothing
+    assert not np.array_equal(np.argsort(d2, axis=1), np.argsort(d2, axis=1, kind="stable"))
+    ks = (1, 7, top)
+    got = NeighborIndex(X, y, ks).means(Q)
+    expected = knn_rank_means(X, y, ks, Q, _CHUNK_DISTANCES)
+    for k in ks:
+        assert same_bits(got[k], expected[k])
+
+
+def test_neighbor_distances_keep_the_bits_of_the_unscaled_product():
+    X, _ = make_nonlinear_problem(seed=41, n=300)
+    Q = make_nonlinear_problem(seed=42, n=100)[0]
+    index = NeighborIndex(X, np.zeros(300), (1,))
+    d2 = Q @ index._m2.T
+    d2 += index._sq
+    assert same_bits(d2, np.einsum("ij,ij->i", X, X)[None, :] - 2.0 * (Q @ X.T))
+
+
 def test_knn_validates_configuration():
     X, y = make_nonlinear_problem(seed=5, n=30)
     with pytest.raises(ConfigurationError):
@@ -223,16 +295,18 @@ def test_tree_build_matches_feature_loop_reference(bootstrap, min_node, complexi
     else:
         rows = np.arange(len(y), dtype=np.int64)
     args = (X, y, rows, min_node, complexity, mtry, 4242, 30)
-    fast = kernels.tree_build(*args)
-    reference = tree_build_loop(*args)
+    *fast, depth = kernels.tree_build(*args)
+    *reference, reference_depth = tree_build_loop(*args)
     assert len(fast) == len(reference) == len(NODE_ARRAYS)
     for got, want in zip(fast, reference):
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
+    # the recorded depth is the one a walk over the levels finds
+    assert depth == reference_depth == kernels.tree_depth(fast[0], fast[2], fast[3])
 
     Xq = make_tied_problem(seed=7, n=200)[0]
     np.testing.assert_array_equal(
-        kernels.tree_predict(*fast, Xq), tree_predict_loop(*reference, Xq)
+        kernels.tree_predict(*fast, depth, Xq), tree_predict_loop(*reference, Xq)
     )
 
 
@@ -257,9 +331,12 @@ def test_tree_predict_matches_row_loop_reference(max_depth):
     Xq[3:60:3, 0] = np.nan
     Xq[4:60:3, 1] = np.inf
     Xq[5:60:3, 2] = -np.inf
-    arrays = kernels.tree_build(X, y, np.arange(400, dtype=np.int64), 3, 0.0, 4, 0, max_depth)
+    *arrays, depth = kernels.tree_build(
+        X, y, np.arange(400, dtype=np.int64), 3, 0.0, 4, 0, max_depth
+    )
+    assert depth == kernels.tree_depth(arrays[0], arrays[2], arrays[3]) <= max_depth
     np.testing.assert_array_equal(
-        kernels.tree_predict(*arrays, Xq), tree_predict_loop(*arrays, Xq)
+        kernels.tree_predict(*arrays, depth, Xq), tree_predict_loop(*arrays, Xq)
     )
 
 
@@ -365,3 +442,135 @@ def test_ols_is_no_better_than_forest_on_interactions():
     forest = fit_random_forest(X, y, trees=30, mtry=2, seed=0)
     ols = fit_ols(X, y)
     assert np.mean((yv - predict(forest, Xv)) ** 2) < np.mean((yv - predict(ols, Xv)) ** 2)
+
+
+# ---------------------------------------------------------- shared trees
+
+def nested_forests(sizes=(2, 4, 7), seed=5):
+    """Prefixes of one forest, as ensemble_prefix cuts them, and unshared copies of each."""
+    X, y = make_nonlinear_problem(seed=30, n=200)
+    large = fit_random_forest(X, y, trees=max(sizes), mtry=2, seed=seed)
+    shared = [ensemble_prefix(large, size).state for size in sizes]
+    alone = [ForestState(list(state.trees)) for state in shared]
+    return shared, alone
+
+
+@settings(max_examples=15, deadline=None)
+@given(order=st.permutations(range(4)))
+def test_shared_forests_predict_the_bits_of_unshared_ones_in_any_order(order):
+    shared, alone = nested_forests(sizes=(1, 3, 3, 7))
+    share_trees(shared)
+    assert all(state.shared is not None for state in shared)
+    Q = make_nonlinear_problem(seed=31, n=150)[0]
+    for i in order:
+        assert same_bits(shared[i].predict(Q), alone[i].predict(Q))
+
+
+def test_shared_forests_walk_a_query_changed_in_place_again():
+    shared, alone = nested_forests()
+    share_trees(shared)
+    Q = make_nonlinear_problem(seed=32, n=100)[0]
+    first = shared[0].predict(Q)
+    assert same_bits(first, alone[0].predict(Q))
+    # a returned forecast is the caller's own
+    first[:] = np.nan
+    assert same_bits(shared[0].predict(Q), alone[0].predict(Q))
+    Q[:10] += 1.0
+    for state, expected in zip(shared, alone):
+        assert same_bits(state.predict(Q), expected.predict(Q))
+
+
+def test_one_query_walks_each_distinct_tree_once(monkeypatch):
+    shared, alone = nested_forests()
+    other = fit_bagged_tree(*make_nonlinear_problem(seed=33, n=200), bags=3, seed=1).state
+    share_trees(shared + [other])
+    walked = []
+    tree_predict = kernels.tree_predict
+
+    def counted(feature, *args):
+        walked.append(id(feature))
+        return tree_predict(feature, *args)
+
+    monkeypatch.setattr(kernels, "tree_predict", counted)
+    Q = make_nonlinear_problem(seed=34, n=50)[0]
+    for state in shared + [other]:
+        state.predict(Q)
+    assert len(walked) == len(set(walked)) == 7 + 3
+    # the same query again is answered from the memo, an unshared forest walks again
+    for state in shared + [other]:
+        state.predict(Q.copy())
+    assert len(walked) == 7 + 3 + 3
+
+
+def test_a_forest_that_shares_nothing_keeps_the_direct_path():
+    shared, _ = nested_forests()
+    lone = fit_tree(*make_nonlinear_problem(seed=35, n=200)).state
+    trees = lone.trees
+    share_trees(shared + [lone])
+    assert lone.shared is None and lone.trees is trees
+    Q = make_nonlinear_problem(seed=36, n=50)[0]
+    assert same_bits(lone.predict(Q), trees[0].predict(Q))
+
+
+def test_forests_with_equal_node_arrays_share_one_group():
+    # unshared copies of the trees, as an older bundle loads them
+    shared, alone = nested_forests()
+    copies = [
+        ForestState(
+            [TreeState(*(getattr(t, name).copy() for name in NODE_ARRAYS), t.depth) for t in state.trees]
+        )
+        for state in alone
+    ]
+    share_trees(copies)
+    largest = copies[-1].trees
+    assert len({id(state.shared) for state in copies}) == 1
+    assert all(state.trees[0] is largest[0] for state in copies)
+    Q = make_nonlinear_problem(seed=37, n=50)[0]
+    for state, expected in zip(copies, alone):
+        assert same_bits(state.predict(Q), expected.predict(Q))
+
+
+def test_shared_forests_answer_concurrent_queries_separately():
+    shared, alone = nested_forests(sizes=(2, 5))
+    share_trees(shared)
+    queries = [make_nonlinear_problem(seed=38 + t, n=40)[0] for t in range(4)]
+    expected = [[state.predict(Q) for state in alone] for Q in queries]
+    wrong = []
+
+    def work(t):
+        for round_ in range(60):
+            i = (t + round_) % len(shared)
+            if not same_bits(shared[i].predict(queries[t]), expected[t][i]):
+                wrong.append(t)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(len(queries))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+
+
+def test_a_dropped_memo_is_freed_without_the_cycle_collector():
+    shared, _ = nested_forests()
+    knn = fit_knn(*make_nonlinear_problem(seed=43, n=100), 3).state
+    memo = QueryMemo()
+    share_index([knn], memo)
+    share_trees(shared, memo)
+    Q = make_nonlinear_problem(seed=44, n=50)[0]
+    knn.predict(Q)
+    shared[0].predict(Q)
+    ref = weakref.ref(memo)
+    gc.disable()
+    try:
+        # a memo in a reference cycle would keep its query until a collection
+        del memo, knn, shared
+        assert ref() is None
+    finally:
+        gc.enable()
