@@ -1,0 +1,128 @@
+"""Microbenchmarks of asymcast's hot kernels on seeded synthetic data.
+
+    python benchmarks/bench_kernels.py             # the pipeline benchmark's sizes
+    python benchmarks/bench_kernels.py --tiny      # small sizes, about a second
+    python benchmarks/bench_kernels.py --seed 20170710
+
+Times five kernels, each the best of several calls, and prints one JSON
+line with the seconds per call, the sizes and the seed. It writes no file.
+
+- ``tree_build``: one bagged tree (a bootstrap sample, every feature a
+  candidate) on the training rows of an n = 3,000 dataset (1,200 rows).
+- ``tree_predict``: that tree on 10,000 fresh rows.
+- ``nn_objective_and_grad``: one pinball-loss evaluation of a 6-unit
+  network, with its gradient, on the training rows of an n = 8,000
+  dataset (3,200 rows).
+- ``fit_quantile``: one quantile regression at tau = 1/3 on those rows.
+- ``knn_rank``: a ``NeighborIndex`` over the 1,200 training rows ranking
+  the 10,000 fresh rows for the library's k values.
+
+The package is imported from ``src/`` of this checkout, with one
+BLAS/OpenMP thread.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import sys
+import time
+from pathlib import Path
+
+for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_name] = "1"
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+import numpy as np  # noqa: E402
+
+from asymcast import kernels  # noqa: E402
+from asymcast.data import SynthConfig, split, standardize, synth_generate  # noqa: E402
+from asymcast.losses import CostSpec, tau_from_weights  # noqa: E402
+from asymcast.models import LibraryConfig, fit_quantile  # noqa: E402
+from asymcast.models.neighbors import NeighborIndex  # noqa: E402
+from asymcast.models.neural import (  # noqa: E402
+    NNConfig,
+    flatten_params,
+    init_params,
+    nn_objective_and_grad,
+)
+from asymcast.models.trees import ENSEMBLE_COMPLEXITY, ENSEMBLE_MIN_NODE, MAX_DEPTH  # noqa: E402
+
+FULL = {"tree_n": 3000, "linear_n": 8000, "query_rows": 10000, "repeats": 5}
+TINY = {"tree_n": 200, "linear_n": 200, "query_rows": 300, "repeats": 3}
+
+
+def training_rows(n: int, seed: int):
+    splits, scaler = standardize(split(synth_generate(SynthConfig(n=n, seed=seed)), seed))
+    return splits.ats.features, splits.ats.target, scaler
+
+
+def best_of(repeats: int, call) -> float:
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        call()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def run(sizes: dict, seed: int) -> dict:
+    repeats = sizes["repeats"]
+    X_tree, y_tree, scaler = training_rows(sizes["tree_n"], seed)
+    X_lin, y_lin, _ = training_rows(sizes["linear_n"], seed)
+    fresh = synth_generate(SynthConfig(n=sizes["query_rows"], seed=seed + 1))
+    Q = scaler.transform(fresh.features)
+
+    rng = np.random.default_rng(seed)
+    boot = rng.integers(0, X_tree.shape[0], size=X_tree.shape[0]).astype(np.int64)
+    m = X_tree.shape[1]
+
+    def build():
+        return kernels.tree_build(
+            X_tree, y_tree, boot, ENSEMBLE_MIN_NODE, ENSEMBLE_COMPLEXITY, m, seed, MAX_DEPTH
+        )
+
+    tree = build()
+    tau = tau_from_weights(0.5, 1.0)
+    config = NNConfig(hidden_nodes=6, seed=seed)
+    loss = CostSpec("pinball", tau=tau)
+    theta = flatten_params(*init_params(X_lin.shape[1], y_lin, config))
+    ks = tuple(k for k in LibraryConfig().knn_ks if k <= X_tree.shape[0])
+
+    seconds = {
+        "tree_build": best_of(repeats, build),
+        "tree_predict": best_of(repeats, lambda: kernels.tree_predict(*tree, Q)),
+        "nn_objective_and_grad": best_of(
+            repeats, lambda: nn_objective_and_grad(theta, X_lin, y_lin, config, loss)
+        ),
+        "fit_quantile": best_of(repeats, lambda: fit_quantile(X_lin, y_lin, tau)),
+        # a new index per call: an index answers a repeated query from its memo
+        "knn_rank": best_of(repeats, lambda: NeighborIndex(X_tree, y_tree, ks).means(Q)),
+    }
+    return {
+        "seed": seed,
+        "repeats": repeats,
+        "sizes": {
+            "tree_rows": X_tree.shape[0],
+            "tree_nodes": int(tree[0].shape[0]),
+            "linear_rows": X_lin.shape[0],
+            "features": m,
+            "query_rows": Q.shape[0],
+            "knn_ks": list(ks),
+        },
+        "seconds": seconds,
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--tiny", action="store_true", help="small sizes, for a smoke test")
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args(argv)
+    print(json.dumps(run(TINY if args.tiny else FULL, args.seed)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -15,9 +15,32 @@ HiGHS solver returns beta as the negated multipliers of those rows. The
 contract is objective-value optimality, checked in the tests against the
 primal LP and grid/perturbation oracles.
 
+The dual is solved over a working set of rows (Portnoy & Koenker,
+Statistical Science 1997, section 4). The rows are ranked by their
+least-squares residual. The working set is the 3 sqrt(n p) rows around
+rank tau n, with p the number of coefficients, shifted to stay within
+the n ranks. (At n = 3,200 rows and 16 coefficients, 11 of 80 fits
+needed a second solve; with 2 sqrt(n p) rows, 56 of 80 did.) Rows
+ranked below the set are fixed at d = 0, rows ranked above it at d = 1,
+and the A-column sum of the rows at 1 moves to the right-hand side.
+
+A row's reduced cost in the full dual is its residual r = y - A beta,
+so the reduced solution plus the fixed values is optimal for the full
+dual exactly when every row fixed at 1 has r >= 0 and every row fixed
+at 0 has r <= 0 (complementary slackness). This is checked on all n
+rows after every solve. Rows that fail the check join the working set
+and the reduced dual is solved again. A reduced dual with no feasible
+point (a rare 0/1 column whose ones all rank outside the set, say)
+triples the band. Each round frees at least one row, and the full row
+set is the full dual, which is always feasible at d = (1 - tau) 1, so
+the loop ends with a checked optimum; designs with n <= 9 p start there
+and take one solve. Where the optimal face is degenerate, the working
+set can end at another optimal vertex than the full solve would: the
+objective is the same, beta is not.
+
 HiGHS runs without presolve. The dual's p + 1 equality rows are dense
 and every variable has the same box [0, 1], so presolve finds nothing to
-remove, yet it took about a third of the solve time at n = 3,200 rows.
+remove, yet it took about a third of the solve time of a 3,200-row dual.
 The solver then starts from the same model and returns the same beta.
 """
 
@@ -98,6 +121,11 @@ def quantile_objective(beta, X, y, tau: float) -> float:
     return float(np.sum(np.where(d > 0, tau * d, (tau - 1.0) * d)))
 
 
+def _band_start(n: int, size: int, tau: float) -> int:
+    """First rank of the working-set band of ``size`` rows centred on rank tau n."""
+    return min(max(round(tau * n - size / 2), 0), max(n - size, 0))
+
+
 def fit_quantile(X, y, tau: float) -> Model:
     """Linear quantile regression at level tau via the dual LP."""
     if not 0.0 < tau < 1.0:
@@ -107,21 +135,46 @@ def fit_quantile(X, y, tau: float) -> Model:
     if n <= p:
         raise InvalidInputError(f"need n > m+1 rows, got n={n} for {p} coefficients")
 
-    result = scipy.optimize.linprog(
-        -y,
-        A_eq=A.T,
-        b_eq=(1.0 - tau) * A.sum(axis=0),
-        bounds=(0.0, 1.0),
-        method="highs",
-        options={"presolve": False},
-    )
-    if not result.success:
-        marginals = getattr(result.get("eqlin"), "marginals", None)
-        best = quantile_objective(-marginals, X, y, tau) if marginals is not None else None
-        raise ConvergenceError(
-            f"quantile LP did not converge: {result.message}", best_objective=best
+    ols, *_ = np.linalg.lstsq(A, y, rcond=None)
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.argsort(y - A @ ols, kind="stable")] = np.arange(n)
+    size = int(np.ceil(3.0 * np.sqrt(n * p)))
+    start = _band_start(n, size, tau)
+    lower = rank < start  # fixed at d = 0
+    upper = rank >= start + size  # fixed at d = 1
+    target = (1.0 - tau) * A.sum(axis=0)
+    beta = None
+    while True:
+        free = ~(lower | upper)
+        result = scipy.optimize.linprog(
+            -y[free],
+            A_eq=A[free].T,
+            b_eq=target - upper @ A,
+            bounds=(0.0, 1.0),
+            method="highs",
+            options={"presolve": False},
         )
-    beta = -result.eqlin.marginals
+        if result.status == 2 and not free.all():
+            size *= 3
+            start = _band_start(n, size, tau)
+            lower &= rank < start
+            upper &= rank >= start + size
+            continue
+        if not result.success:
+            marginals = getattr(result.get("eqlin"), "marginals", None)
+            if marginals is not None:
+                beta = -marginals
+            best = quantile_objective(beta, X, y, tau) if beta is not None else None
+            raise ConvergenceError(
+                f"quantile LP did not converge: {result.message}", best_objective=best
+            )
+        beta = -result.eqlin.marginals
+        resid = y - A @ beta
+        wrong = (lower & (resid > 0)) | (upper & (resid < 0))
+        if not wrong.any():
+            break
+        lower &= ~wrong
+        upper &= ~wrong
     return Model(
         FAMILY_QUANTILE,
         {"tau": tau},

@@ -9,7 +9,9 @@ and every non-quantile validation forecast bit for bit, the selected
 entries exactly, and the fitted markdowns and quantile objectives to
 1e-9 relative. Quantile forecasts are left out of the hashes because
 two LP formulations reach the same optimum through different
-floating-point paths. The markdowns are fitted to the best non-quantile
+floating-point paths, and where the optimal face is degenerate the
+working-set dual can end at another optimal vertex than the full dual
+would. The markdowns are fitted to the best non-quantile
 entry of each criterion: a markdown's objective is piecewise linear
 under ``llc``, and the Brent search turns last-digit changes of a
 forecast into changes of up to its 1e-7 tolerance.
