@@ -168,21 +168,6 @@ def encode_with_map(raw_columns, schema, categorical_map=None):
     return names, matrix_cols, cat_map
 
 
-def decode_categories(dataset: Dataset, column: str) -> list:
-    """Reconstruct original category labels of ``column`` from its dummies."""
-    levels = dataset.categorical_map[column]
-    n = dataset.n_rows
-    labels = [levels[0]] * n
-    for level in levels[1:]:
-        dummy = f"{column}_{level}"
-        j = dataset.feature_names.index(dummy)
-        col = dataset.features[:, j]
-        for i in range(n):
-            if col[i] == 1.0:
-                labels[i] = level
-    return labels
-
-
 # data rows parsed at a time: a column converts in one pass per chunk, and
 # only one chunk's cell strings are held at once
 _CHUNK_ROWS = 1024

@@ -2,8 +2,9 @@
 
 Each kernel has one path, written with whole-array numpy operations.
 Tree building vectorizes the split search across a node's candidate
-features and records the depth of the tree's deepest node; tree
-prediction walks every row down that many levels.
+features and returns the depth of the tree's deepest node, which the
+tree keeps, also in a saved bundle; tree prediction walks every row down
+that many levels.
 Networks are trained in ``models.neural`` by scipy's L-BFGS-B, so no
 training loop lives here.
 
@@ -140,21 +141,6 @@ def tree_build(X, y, sample_idx, min_node, complexity, mtry, seed, max_depth):
         node_value[:n_nodes].copy(),
         deepest,
     )
-
-
-def tree_depth(node_feature, node_left, node_right):
-    """Number of splits on the longest root-to-leaf path, by a walk over the levels.
-
-    ``tree_build`` returns this depth; the walk serves trees stored
-    without it.
-    """
-    depth, level = 0, np.zeros(1, dtype=np.int64)
-    while True:
-        level = level[node_feature[level] >= 0]
-        if not level.shape[0]:
-            return depth
-        level = np.concatenate([node_left[level], node_right[level]])
-        depth += 1
 
 
 def tree_predict(node_feature, node_threshold, node_left, node_right, node_value, depth, X):

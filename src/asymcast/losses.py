@@ -110,8 +110,8 @@ def _logistic_blend(e: np.ndarray, spec: CostSpec):
 
 # _eval_raw and _grad_raw take a finite float residual array and check
 # nothing: eval_loss and grad_loss check their input first, the network
-# objective checks its residuals once per evaluation, and
-# validate_generalized_cost probes deliberately corrupted specs here.
+# objective checks its residuals once per evaluation, and the tests'
+# generalized-cost check probes deliberately corrupted specs here.
 
 def _eval_raw(spec: CostSpec, e: np.ndarray) -> np.ndarray:
     family = spec.family
@@ -196,31 +196,6 @@ def tau_from_weights(a: float, b: float = 1.0) -> float:
     if not (math.isfinite(a) and math.isfinite(b)) or a <= 0 or b <= 0:
         raise ConfigurationError(f"weights must be positive and finite, got a={a}, b={b}")
     return a / (a + b)
-
-
-def validate_generalized_cost(spec: CostSpec, grid) -> bool:
-    """Check the generalized-cost-function requirements on a grid.
-
-    True iff C(0) = 0, C(e) > 0 for every nonzero grid point, and C is
-    monotone non-decreasing in |e| separately over the positive and the
-    negative grid points. Diagnostic only: never raises on a bad spec.
-    """
-    pts = np.asarray(grid, dtype=float)
-    values = _eval_raw(spec, pts)
-    zero_mask = pts == 0.0
-    if zero_mask.any() and np.any(values[zero_mask] != 0.0):
-        return False
-    nonzero = ~zero_mask
-    if np.any(values[nonzero] <= 0.0):
-        return False
-    pos = np.sort(pts[pts > 0])
-    neg = np.sort(np.abs(pts[pts < 0]))
-    for side, magnitudes in (("pos", pos), ("neg", neg)):
-        signed = magnitudes if side == "pos" else -magnitudes
-        v = _eval_raw(spec, signed)
-        if np.any(np.diff(v) < 0.0):
-            return False
-    return True
 
 
 # Plain-text serialization: "key=value" lines, floats via repr so the

@@ -32,9 +32,10 @@ forecasts bit for bit.
 A fit that fails is skipped and recorded in ``ModelLibrary.failures``.
 ``save_library`` writes the entries and those failure records to one
 ``.npz`` bundle with a json manifest, so a loaded library still says
-which fits failed and why. Each manifest entry keeps the grid label of
-its plan, the hyperparameters the model was fitted with, and in
-version 3 a locator of its state in the bundle's shared arrays:
+which fits failed and why. The bundle is version 3, the only version
+``load_library`` reads. Each manifest entry keeps the grid label of its
+plan, the hyperparameters the model was fitted with, and a locator of
+its state in the bundle's shared arrays:
 
 - ``betas``: every linear model's coefficients, concatenated; an entry
   names its ``[start, stop)``.
@@ -49,9 +50,6 @@ version 3 a locator of its state in the bundle's shared arrays:
   entry names its set.
 - ``val_pred``: the validation forecasts, one row per entry in manifest
   order, and ``val_actuals``.
-
-Versions 1 and 2 stored each entry's arrays under an ``e<index>_``
-prefix; they still load, through ``_rebuild_state``.
 """
 
 from __future__ import annotations
@@ -62,7 +60,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .. import kernels
 from ..data import DataSplits
 from ..errors import ConfigurationError, InvalidInputError
 from ..losses import CostSpec, eval_mean, loss_from_text, loss_to_text, tau_from_weights
@@ -315,8 +312,8 @@ def build_library(
             failures.append((family, params, str(exc)))
             continue
         fitted.append((family, params, model))
-    # before the first forecast, so every kNN model ranks at the largest k
-    # of its group, as it will after load_library
+    # before the first forecast, so the validation forecasts already rank
+    # and walk each query once per group
     states, memo = [model.state for _, _, model in fitted], QueryMemo()
     share_index(states, memo)
     share_trees(states, memo)
@@ -353,9 +350,6 @@ def select_best(library: ModelLibrary, criterion: CostSpec, families=None) -> in
 # ------------------------------------------------------------- persistence
 
 _BUNDLE_VERSION = 3
-# versions 1 and 2 store each entry's arrays under its own prefix and load
-# through _rebuild_state; version 1 carries no failure records
-_LEGACY_VERSIONS = (1, 2)
 
 
 def _flat(chunks, dtype=float) -> np.ndarray:
@@ -429,41 +423,6 @@ def _unpack(family: str, hyperparams: dict, n_features: int, locator: dict, arra
     raise ConfigurationError(f"cannot rebuild model family {family!r}")
 
 
-def _rebuild_state(family: str, hyperparams: dict, arrays: dict, prefix: str):
-    """A version 1 or 2 entry's state, from the arrays under its prefix."""
-    if family in (FAMILY_OLS, FAMILY_RIDGE, FAMILY_QUANTILE):
-        return LinearState(arrays[f"{prefix}beta"])
-    if family == FAMILY_KNN:
-        k = hyperparams["k"]
-        return KnnState(NeighborIndex(arrays[f"{prefix}X"], arrays[f"{prefix}y"], (k,)), k)
-    if family in (FAMILY_TREE, FAMILY_BAGGED_TREE, FAMILY_RANDOM_FOREST):
-        nodes = [arrays[f"{prefix}{name}"] for name in NODE_ARRAYS]
-        # version 1 stores a single tree without counts
-        counts = arrays.get(f"{prefix}counts", [nodes[0].shape[0]])
-        offsets = np.concatenate([[0], np.cumsum(counts)])
-        trees = []
-        for lo, hi in zip(offsets[:-1], offsets[1:]):
-            feature, threshold, left, right, value = (a[lo:hi] for a in nodes)
-            depth = kernels.tree_depth(feature, left, right)
-            trees.append(TreeState(feature, threshold, left, right, value, depth))
-        return ForestState(trees)
-    if family == FAMILY_NN:
-        # older bundles name the hidden activation: 0 logistic, 1 tanh
-        act = arrays.get(f"{prefix}act")
-        if act is not None and int(act[0]) != 0:
-            raise ConfigurationError(
-                f"network {prefix[:-1]} uses activation code {int(act[0])}; only the "
-                f"logistic hidden layer (code 0) is supported, so refit this library"
-            )
-        return NNState(
-            arrays[f"{prefix}W1"],
-            arrays[f"{prefix}b1"],
-            arrays[f"{prefix}v"],
-            arrays[f"{prefix}v0"],
-        )
-    raise ConfigurationError(f"cannot rebuild model family {family!r}")
-
-
 def save_library(library: ModelLibrary, path) -> None:
     """Persist the library as a version 3 npz bundle with a json manifest."""
     arrays, locators = _pack(library)
@@ -517,28 +476,22 @@ def _shared_parts(manifest: dict, arrays: dict, memo: QueryMemo):
 
 
 def load_library(path) -> ModelLibrary:
-    """A library saved by ``save_library``, in bundle version 1, 2 or 3."""
+    """A library saved by ``save_library``, from a version 3 bundle."""
     with np.load(path, allow_pickle=False) as bundle:
         arrays = {key: bundle[key] for key in bundle.files}
     manifest = json.loads(bytes(arrays["manifest"]).decode("utf-8"))
     version = manifest["version"]
-    if version not in (*_LEGACY_VERSIONS, _BUNDLE_VERSION):
-        raise ConfigurationError(f"library bundle version {version} is not supported")
+    if version != _BUNDLE_VERSION:
+        raise ConfigurationError(
+            f"library bundle version {version} does not load; only version "
+            f"{_BUNDLE_VERSION} does, so refit the library and save it again"
+        )
     memo = QueryMemo()
-    if version == _BUNDLE_VERSION:
-        trees, knn = _shared_parts(manifest, arrays, memo)
+    trees, knn = _shared_parts(manifest, arrays, memo)
     entries = []
-    for row, meta in enumerate(manifest["entries"]):
-        family = meta["family"]
-        # version 1 kept only the grid label
-        hyperparams = meta.get("model_hyperparams", meta["hyperparams"])
-        if version == _BUNDLE_VERSION:
-            state = _unpack(family, hyperparams, meta["n_features"], meta["state"], arrays, trees, knn)
-            val_pred = arrays["val_pred"][row]
-        else:
-            prefix = f"e{meta['index']}_"
-            state = _rebuild_state(family, hyperparams, arrays, prefix)
-            val_pred = arrays[f"{prefix}val_pred"]
+    for meta, val_pred in zip(manifest["entries"], arrays["val_pred"], strict=True):
+        family, hyperparams = meta["family"], meta["model_hyperparams"]
+        state = _unpack(family, hyperparams, meta["n_features"], meta["state"], arrays, trees, knn)
         model = Model(
             family,
             hyperparams,
@@ -550,12 +503,8 @@ def load_library(path) -> ModelLibrary:
         entries.append(
             LibraryEntry(meta["index"], family, meta["hyperparams"], meta["provenance"], model, val_pred)
         )
-    states = [entry.model.state for entry in entries]
-    if version in _LEGACY_VERSIONS:
-        # the groups build_library formed: kNN entries on equal training rows
-        share_index(states, memo)
-    share_trees(states, memo)
-    failures = [tuple(failure) for failure in manifest.get("failures", [])]
+    share_trees([entry.model.state for entry in entries], memo)
+    failures = [tuple(failure) for failure in manifest["failures"]]
     return ModelLibrary(
         entries, arrays["val_actuals"], manifest["augmented"], manifest["master_seed"], failures
     )

@@ -4,10 +4,10 @@ kNN models fitted on the same training rows share one ``NeighborIndex``.
 For a query the index makes one brute-force distance pass and ranks the
 neighbours once, at the largest k it serves, ordering them by (distance,
 training row); every k then reads its mean from running sums of the
-ranked targets. ``build_library`` and ``load_library`` group their kNN
-models with ``share_index``, which compares the stored training rows,
-so a loaded library forms the groups its build formed and each loaded
-model reproduces its stored forecasts bit for bit, even under ties.
+ranked targets. That order is exact, ties included, so a k forecasts the
+same bits alone as in any group. ``build_library`` groups its kNN models
+with ``share_index``, which compares the training rows, and
+``load_library`` builds one index per stored training set.
 
 The index keeps the per-k means of its latest query in a
 ``base.QueryMemo``, keyed on the query's contents, not its identity:
@@ -20,12 +20,13 @@ Ranking. The index stores ``-2 X`` and the squared row norms, and a
 chunk's distances are ``q @ (-2 X)ᵀ + |x|²`` (the |q|² term is constant
 per row and left out). Scaling by -2 is exact, and BLAS sees the same
 transposed layout as for ``q @ Xᵀ``, so these are the bits of
-``|x|² - 2 (q @ Xᵀ)``. ``argpartition`` picks the largest k's nearest
-candidates and the default ``argsort`` orders them. That sort is not
-stable, so a row whose sorted candidate distances are not strictly
-increasing (equal neighbours, or NaN from a non-finite query) is ranked
-again by a stable sort of its candidates in training-row order, which
-breaks distance ties by training row.
+``|x|² - 2 (q @ Xᵀ)``. ``argpartition`` picks the nearest candidates,
+one more than the largest k, and the default ``argsort`` orders them.
+That sort is not stable, and the partition may leave out any of the rows
+tied with its last candidate, but both show as a sorted step that is not
+strictly increasing (as does NaN from a non-finite query). Such a row is
+ranked again by a stable sort of all its distances, which breaks ties by
+training row.
 """
 
 from __future__ import annotations
@@ -78,20 +79,16 @@ class NeighborIndex:
             d2 += self._sq  # + |q|^2, constant per row
             rows = np.arange(q.shape[0])[:, None]
             if top < n:
-                cand = np.argpartition(d2, top - 1, axis=1)[:, :top]
+                # one candidate past the largest k, so a tie at its boundary shows
+                cand = np.argpartition(d2, top, axis=1)[:, : top + 1]
                 dist = d2[rows, cand]
             else:
                 cand, dist = np.broadcast_to(np.arange(n), d2.shape), d2
             order = np.argsort(dist, axis=1)
-            ranked = cand[rows, order]
+            ranked = cand[rows, order[:, :top]]
             dist = dist[rows, order]
             tied = np.flatnonzero(~(dist[:, 1:] > dist[:, :-1]).all(axis=1))
-            if tied.shape[0]:
-                # candidates in row order, so the stable sort breaks ties by training row
-                cand = np.sort(cand[tied], axis=1)
-                sub = np.arange(tied.shape[0])[:, None]
-                stable = np.argsort(d2[tied[:, None], cand], axis=1, kind="stable")
-                ranked[tied] = cand[sub, stable]
+            ranked[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :top]
             csum = self.y[ranked].cumsum(axis=1)
             out[:, lo : lo + q.shape[0]] = csum[:, cols].T / divisors[:, None]
         return dict(zip(self.ks, out))

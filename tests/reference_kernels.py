@@ -1,18 +1,26 @@
-"""Loop-based reference implementations the fast kernels are checked against.
+"""Loop-based reference implementations the fast kernels are checked against,
+and the checks the tests share that the package itself does not need.
 
 ``tree_build_loop`` scans the candidate features of a node one at a time,
+``tree_depth`` finds a tree's depth by a walk over its levels,
 ``tree_predict_loop`` walks each row down the tree on its own,
 ``quantile_primal`` solves quantile regression as the n x (p + 2n)
 primal LP, and ``knn_rank_means`` ranks neighbours by one stable sort of
-the candidates per query row. They are deliberately the plain
+every query row's distances. They are deliberately the plain
 formulations: the tests require the vectorized tree kernels and the
 neighbour ranking to match them bit for bit and the dual quantile LP to
 reach the same objective.
+
+``decode_categories`` reads a categorical column back from its dummies,
+and ``validate_generalized_cost`` checks a cost function's shape on a
+grid of residuals.
 """
 
 import numpy as np
 import scipy.optimize
 import scipy.sparse
+
+from asymcast.losses import _eval_raw
 
 
 def tree_build_loop(X, y, sample_idx, min_node, complexity, mtry, seed, max_depth):
@@ -113,6 +121,17 @@ def tree_build_loop(X, y, sample_idx, min_node, complexity, mtry, seed, max_dept
     )
 
 
+def tree_depth(node_feature, node_left, node_right):
+    """Number of splits on the longest root-to-leaf path, by a walk over the levels."""
+    depth, level = 0, np.zeros(1, dtype=np.int64)
+    while True:
+        level = level[node_feature[level] >= 0]
+        if not level.shape[0]:
+            return depth
+        level = np.concatenate([node_left[level], node_right[level]])
+        depth += 1
+
+
 def tree_predict_loop(node_feature, node_threshold, node_left, node_right, node_value, X):
     """Walk each row from the root to its leaf."""
     out = np.empty(X.shape[0], dtype=np.float64)
@@ -145,17 +164,15 @@ def quantile_primal(X, y, tau):
 
 
 def knn_rank_means(X, y, ks, Q, chunk_distances):
-    """Per-k neighbour means of the query rows, ranked as ``NeighborIndex`` once did.
+    """Per-k neighbour means of the query rows, by a stable sort of every row.
 
     Distances are |x|^2 - 2 (q @ X^T) per chunk of ``chunk_distances //
-    n`` query rows; the largest k's candidates from ``argpartition`` are
-    put in training-row order and ranked by a stable sort, so distance
-    ties break by training row.
+    n`` query rows, the bits ``NeighborIndex`` computes; a stable sort of
+    each row's distances breaks ties by training row.
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
     ks = sorted(set(ks))
-    top = ks[-1]
     sq = np.einsum("ij,ij->i", X, X)
     cols = np.array(ks) - 1
     divisors = np.array(ks, dtype=float)
@@ -164,13 +181,47 @@ def knn_rank_means(X, y, ks, Q, chunk_distances):
     for lo in range(0, Q.shape[0], chunk):
         q = Q[lo : lo + chunk]
         d2 = sq[None, :] - 2.0 * (q @ X.T)
-        if top < n:
-            cand = np.argpartition(d2, top - 1, axis=1)[:, :top]
-            cand.sort(axis=1)
-            rows = np.arange(q.shape[0])[:, None]
-            ranked = cand[rows, np.argsort(d2[rows, cand], axis=1, kind="stable")]
-        else:
-            ranked = np.argsort(d2, axis=1, kind="stable")
+        ranked = np.argsort(d2, axis=1, kind="stable")[:, : ks[-1]]
         csum = y[ranked].cumsum(axis=1)
         out[:, lo : lo + q.shape[0]] = csum[:, cols].T / divisors[:, None]
     return dict(zip(ks, out))
+
+
+def decode_categories(dataset, column: str) -> list:
+    """Reconstruct original category labels of ``column`` from its dummies."""
+    levels = dataset.categorical_map[column]
+    n = dataset.n_rows
+    labels = [levels[0]] * n
+    for level in levels[1:]:
+        dummy = f"{column}_{level}"
+        j = dataset.feature_names.index(dummy)
+        col = dataset.features[:, j]
+        for i in range(n):
+            if col[i] == 1.0:
+                labels[i] = level
+    return labels
+
+
+def validate_generalized_cost(spec, grid) -> bool:
+    """Check the generalized-cost-function requirements on a grid.
+
+    True iff C(0) = 0, C(e) > 0 for every nonzero grid point, and C is
+    monotone non-decreasing in |e| separately over the positive and the
+    negative grid points. Diagnostic only: never raises on a bad spec.
+    """
+    pts = np.asarray(grid, dtype=float)
+    values = _eval_raw(spec, pts)
+    zero_mask = pts == 0.0
+    if zero_mask.any() and np.any(values[zero_mask] != 0.0):
+        return False
+    nonzero = ~zero_mask
+    if np.any(values[nonzero] <= 0.0):
+        return False
+    pos = np.sort(pts[pts > 0])
+    neg = np.sort(np.abs(pts[pts < 0]))
+    for side, magnitudes in (("pos", pos), ("neg", neg)):
+        signed = magnitudes if side == "pos" else -magnitudes
+        v = _eval_raw(spec, signed)
+        if np.any(np.diff(v) < 0.0):
+            return False
+    return True

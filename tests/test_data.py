@@ -7,7 +7,6 @@ from asymcast.data import (
     SynthConfig,
     Standardizer,
     dataset_hash,
-    decode_categories,
     encode_with_map,
     export_csv,
     load_csv,
@@ -22,6 +21,7 @@ from asymcast.data import (
     SYNTH_SCHEMA,
 )
 from asymcast.errors import ConfigurationError, IngestionError, InvalidInputError
+from reference_kernels import decode_categories
 
 TOY_SCHEMA = "age:numeric\nfuel:categorical\nprice:target\n"
 

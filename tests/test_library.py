@@ -1,7 +1,6 @@
 import io
 import json
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +25,9 @@ from asymcast.models import (
 )
 from asymcast.models import library as library_module
 from asymcast.models.library import SUPPORTED_FAMILIES
+from asymcast.models.neighbors import _CHUNK_DISTANCES
 from asymcast.models.trees import NODE_ARRAYS
+from reference_kernels import knn_rank_means
 
 SMALL_CONFIG = LibraryConfig(
     ridge_lambdas=(0.01, 1.0),
@@ -366,56 +367,17 @@ def rewrite_bundle(path, edit, **extra_arrays):
     np.savez_compressed(path, **arrays)
 
 
-FIXTURES = Path(__file__).resolve().parent / "fixtures"
-
-
-def load_fixture(version):
-    return load_library(FIXTURES / f"library_v{version}.npz")
-
-
-@pytest.mark.parametrize("version", [1, 2])
-def test_older_bundle_fixtures_reproduce_their_stored_forecasts(version):
-    """Bundles of versions 1 and 2 load, and every entry predicts its stored val_pred.
-
-    The fixtures come from ``python tests/make_bundle_fixtures.py <checkout>``
-    run on a checkout that writes version 2.
-    """
-    library = load_fixture(version)
-    X_val = np.load(FIXTURES / "bundle_queries.npy")
-    assert len(library) == 13
-    for entry in library.entries:
-        forecast = predict(entry.model, X_val)
-        assert np.array_equal(forecast.view(np.int64), entry.val_pred.view(np.int64)), entry.index
-    failures = [] if version == 1 else [("knn", {"k": 81}, "k_neighbors must lie in [1, n=80], got 81")]
-    assert library.failures == failures
-
-
-def test_version_1_bundle_loads_and_unknown_versions_are_rejected(tmp_path, symmetric_library):
-    v1, v2 = load_fixture(1), load_fixture(2)
-    # version 1 kept only the grid label, so a network reports that
-    (net, *_) = [e.index for e in v1.entries if e.family == "nn"]
-    assert v1.entry(net).model.hyperparams == v2.entry(net).hyperparams
-    assert v2.entry(net).model.hyperparams["epochs"] == 10
-    # a single tree stored without counts, and one index for both kNN entries
-    (tree,) = [e for e in v1.entries if e.family == "tree"]
-    assert len(tree.model.state.trees) == 1
-    knn = [e.model.state for e in v1.entries if e.family == "knn"]
-    assert len({id(state.index) for state in knn}) == 1
-    assert knn[0].index.ks == (3, 5)
-
-    # version 1 named each network's hidden activation; only 0, logistic, loads
+@pytest.mark.parametrize("version", [1, 2, 4])
+def test_bundles_of_other_versions_do_not_load(tmp_path, symmetric_library, version):
     path = tmp_path / "library.npz"
-    with np.load(FIXTURES / "library_v1.npz") as bundle:
-        arrays = {key: bundle[key] for key in bundle.files}
-    arrays[f"e{net}_act"] = np.array([1])
-    np.savez_compressed(path, **arrays)
-    with pytest.raises(ConfigurationError, match="activation code 1"):
+    save_library(symmetric_library, path)
+    rewrite_bundle(path, lambda manifest: manifest.update(version=version))
+    with pytest.raises(ConfigurationError, match=f"version {version} does not load.*refit"):
         load_library(path)
 
-    save_library(symmetric_library, path)
-    rewrite_bundle(path, lambda manifest: manifest.update(version=4))
-    with pytest.raises(ConfigurationError, match="version 4"):
-        load_library(path)
+
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def query_memos(library) -> set:
@@ -425,43 +387,37 @@ def query_memos(library) -> set:
     return memos | {id(s.index.memo) for s in states if hasattr(s, "index")}
 
 
-def test_older_bundles_group_their_forests_by_equal_node_arrays():
-    library = load_fixture(2)
-    for family in ("bagged_tree", "random_forest"):
-        small, large = (e.model.state for e in library.entries if e.family == family)
-        assert (len(small.trees), len(large.trees)) == (2, 3)
-        assert small.shared is large.shared is not None
-        assert all(a is b for a, b in zip(small.trees, large.trees))
-    (tree,) = [e.model.state for e in library.entries if e.family == "tree"]
-    assert tree.shared is None
-    assert len(query_memos(library)) == 1
-
-
-def test_bundle_stores_shared_trees_and_training_sets_once(tmp_path):
-    # an older bundle saved again as version 3
+def test_bundle_stores_shared_trees_and_training_sets_once(tmp_path, tiny_splits):
+    n_ats = tiny_splits.ats.target.shape[0]
+    config = replace(
+        TINY_CONFIG,
+        families=("knn", "tree", "bagged_tree", "random_forest"),
+        knn_ks=(3, 5, n_ats + 1),
+        bag_counts=(2, 3),
+        rf_trees=(2, 3),
+    )
+    library = build_library(tiny_splits, config, augment=False)
+    assert [family for family, _, _ in library.failures] == ["knn"]
     path = tmp_path / "library.npz"
-    older = load_fixture(2)
-    save_library(older, path)
+    save_library(library, path)
     with np.load(path) as bundle:
         files = set(bundle.files)
         stored_trees = bundle["tree_nodes"].shape[0]
-        manifest = json.loads(bytes(bundle["manifest"]).decode("utf-8"))
-    assert manifest["version"] == 3
     # one tree, then the 3 trees of the bagging group and of the forest group
     assert stored_trees == 1 + 3 + 3
     assert {"knn0_X", "knn0_y"} <= files and "knn1_X" not in files
-    assert not any(name.startswith("e0_") for name in files)
     loaded = load_library(path)
     knn = [e.model.state for e in loaded.entries if e.family == "knn"]
     assert len({id(state.index) for state in knn}) == 1
     assert knn[0].index.ks == (3, 5)
     assert len(query_memos(loaded)) == 1
-    X_val = np.load(FIXTURES / "bundle_queries.npy")
-    for entry, before in zip(loaded.entries, older.entries):
+    X = tiny_splits.test.features
+    for entry, before in zip(loaded.entries, library.entries, strict=True):
         assert entry.model.hyperparams == before.model.hyperparams
-        forecast = predict(entry.model, X_val)
-        assert np.array_equal(forecast.view(np.int64), before.val_pred.view(np.int64))
-    assert loaded.failures == older.failures
+        assert same_bits(entry.val_pred, before.val_pred)
+        assert same_bits(predict(entry.model, tiny_splits.validation.features), before.val_pred)
+        assert same_bits(predict(entry.model, X), predict(before.model, X))
+    assert loaded.failures == library.failures
 
 
 def test_load_shares_one_index_per_training_set(tmp_path, small_splits, augmented_library):
@@ -502,11 +458,12 @@ def test_loaded_knn_reproduces_validation_forecasts_under_distance_ties(tmp_path
     X, y, X_val = tied.ats.features, tied.ats.target, tied.validation.features
     config = replace(SMALL_CONFIG, families=("knn",), knn_ks=(1, 5, 25))
     library = build_library(tied, config, augment=False)
-    # ties decide which rows count: ranking at each k alone gives other means
-    assert any(
-        not np.array_equal(predict(fit_knn(X, y, k), X_val), entry.val_pred)
-        for k, entry in zip(config.knn_ks, library.entries)
-    )
+    # ties at the boundary of some k decide which rows count
+    d2 = np.sort(np.einsum("ij,ij->i", X, X) - 2.0 * (X_val @ X.T), axis=1)
+    assert any((d2[:, k - 1] == d2[:, k]).any() for k in config.knn_ks)
+    expected = knn_rank_means(X, y, config.knn_ks, X_val, _CHUNK_DISTANCES)
+    for k, entry in zip(config.knn_ks, library.entries, strict=True):
+        assert same_bits(entry.val_pred, expected[k])
     path = tmp_path / "library.npz"
     save_library(library, path)
     for entry in load_library(path).entries:

@@ -28,7 +28,7 @@ from asymcast.models.trees import (
     ensemble_prefix,
     share_trees,
 )
-from reference_kernels import knn_rank_means, tree_build_loop, tree_predict_loop
+from reference_kernels import knn_rank_means, tree_build_loop, tree_depth, tree_predict_loop
 
 
 def make_nonlinear_problem(seed, n=600, noise=0.15):
@@ -205,6 +205,20 @@ def test_neighbor_ranking_breaks_ties_by_training_row(top):
         assert same_bits(got[k], expected[k])
 
 
+@pytest.mark.parametrize("k", [1, 3, 7, 40])
+def test_a_k_alone_forecasts_the_bits_of_the_same_k_in_any_group(k):
+    # integer points: equal distances at the boundary of every k
+    rng = np.random.default_rng(45)
+    X = rng.integers(-3, 4, size=(300, 2)).astype(float)
+    y = rng.normal(size=300)
+    Q = rng.integers(-3, 4, size=(50, 2)).astype(float)
+    d2 = np.sort(np.einsum("ij,ij->i", X, X) - 2.0 * (Q @ X.T), axis=1)
+    assert (d2[:, k - 1] == d2[:, k]).any()
+    alone = NeighborIndex(X, y, (k,)).means(Q)[k]
+    for group in ((k, k + 1), (k, 2 * k + 3), (1, k, 100), (k, 299), (k, 300)):
+        assert same_bits(NeighborIndex(X, y, group).means(Q)[k], alone), group
+
+
 def test_neighbor_distances_keep_the_bits_of_the_unscaled_product():
     X, _ = make_nonlinear_problem(seed=41, n=300)
     Q = make_nonlinear_problem(seed=42, n=100)[0]
@@ -302,7 +316,7 @@ def test_tree_build_matches_feature_loop_reference(bootstrap, min_node, complexi
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
     # the recorded depth is the one a walk over the levels finds
-    assert depth == reference_depth == kernels.tree_depth(fast[0], fast[2], fast[3])
+    assert depth == reference_depth == tree_depth(fast[0], fast[2], fast[3])
 
     Xq = make_tied_problem(seed=7, n=200)[0]
     np.testing.assert_array_equal(
@@ -334,7 +348,7 @@ def test_tree_predict_matches_row_loop_reference(max_depth):
     *arrays, depth = kernels.tree_build(
         X, y, np.arange(400, dtype=np.int64), 3, 0.0, 4, 0, max_depth
     )
-    assert depth == kernels.tree_depth(arrays[0], arrays[2], arrays[3]) <= max_depth
+    assert depth == tree_depth(arrays[0], arrays[2], arrays[3]) <= max_depth
     np.testing.assert_array_equal(
         kernels.tree_predict(*arrays, depth, Xq), tree_predict_loop(*arrays, Xq)
     )
@@ -513,7 +527,7 @@ def test_a_forest_that_shares_nothing_keeps_the_direct_path():
 
 
 def test_forests_with_equal_node_arrays_share_one_group():
-    # unshared copies of the trees, as an older bundle loads them
+    # unshared copies of the trees, as grid plans that grow identical trees hold them
     shared, alone = nested_forests()
     copies = [
         ForestState(
