@@ -2,13 +2,16 @@
 
 A fitted model is its family tag, the hyperparameters it was fitted
 with, a state object, the loss mode used for training, and a
-symmetric/asymmetric provenance flag. States do not change once built,
-with two exceptions: ``build_library`` and ``load_library`` point kNN
-states fitted on equal training rows at one shared neighbour index, and
-forests that share trees at one group walk; and both keep what they
-computed for the latest query in a ``QueryMemo``, one per library. The
-memo is keyed on the query's contents and swapped whole, so prediction
-stays deterministic and safe for concurrent callers.
+symmetric/asymmetric provenance flag. A library wires the states that
+share prediction work where it creates them: the forests of a nested
+group get one tree walk as the group grows, and ``load_library`` builds
+each group and neighbour index from the bundle. States do not change
+once built, with one exception: after fitting, ``build_library`` points
+its kNN states at one neighbour index over the ATS rows. The shared
+parts keep what they computed for the latest query in a ``QueryMemo``,
+one per library. The memo is keyed on the query's contents and swapped
+whole, so prediction stays deterministic and safe for concurrent
+callers.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import InvalidInputError, SchemaError
+from ..errors import ConfigurationError, InvalidInputError, SchemaError
 from ..losses import CostSpec
 
 FAMILY_OLS = "ols"
@@ -90,6 +93,12 @@ class QueryMemo:
         if key not in values:
             values[key] = compute(X)
         return values[key]
+
+
+def require_integer(name: str, value) -> None:
+    """Raise ConfigurationError naming ``name`` unless ``value`` is an integer, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
 
 
 def check_training_data(X, y, min_rows: int = 1):

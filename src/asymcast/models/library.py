@@ -19,15 +19,17 @@ Against a seed per plan, only the forecasts of a group's later plans
 change; on the default grid those are ``bags=25`` and the two 60-tree
 forests, and the library grows 151 trees instead of 221.
 
-kNN models fitted on the same rows share one neighbour index, which
-ranks a query's neighbours once for all their k (``neighbors.share_index``),
-and forests whose trees prefix a larger forest's trees share one walk of
-each distinct tree per query (``trees.share_trees``). Both keep their
-results in one ``QueryMemo`` per library, which holds one copy of the
-latest query. ``build_library`` forms both kinds of group after fitting,
-before the first validation forecast, and ``load_library`` forms the
-same groups, so a loaded model reproduces its stored validation
-forecasts bit for bit.
+Prediction work is shared where the library creates it, and no
+content comparison decides it. The forests of a nested group hold one
+``trees.TreeSums``, made when the group grows its ensemble, which walks
+each tree once per query for every size. After fitting,
+``build_library`` points every kNN state at one neighbour index over the
+ATS rows, which ranks a query's neighbours once for all the ks. Both
+keep their results in one ``QueryMemo`` per library, which holds one
+copy of the latest query. ``load_library`` forms the groups from the
+bundle's locators, so a loaded model reproduces its stored validation
+forecasts bit for bit. A single tree is built in no group, so two plans
+that grow equal trees each keep and store their own.
 
 A fit that fails is skipped and recorded in ``ModelLibrary.failures``.
 ``save_library`` writes the entries and those failure records to one
@@ -45,9 +47,10 @@ its state in the bundle's shared arrays:
 - ``tree_<array>`` for each node array: the nodes of every distinct
   tree, concatenated, with ``tree_nodes`` (node count) and
   ``tree_depths`` (walk depth) per tree. A group of forests stores its
-  largest forest's trees once; an entry names its first tree and count.
-- ``knn<i>_X``, ``knn<i>_y``: one copy of each kNN training set; an
-  entry names its set.
+  largest forest's trees once; an entry names its first tree and count,
+  and the entries that name the same first tree form a group at load.
+- ``knn<i>_X``, ``knn<i>_y``: one copy of each neighbour index's
+  training set; an entry names its set.
 - ``val_pred``: the validation forecasts, one row per entry in manifest
   order, and ``val_actuals``.
 """
@@ -56,7 +59,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -77,18 +80,17 @@ from .base import (
     predict,
 )
 from .linear import LinearState, fit_ols, fit_quantile, fit_ridge
-from .neighbors import KnnState, NeighborIndex, fit_knn, share_index
+from .neighbors import KnnState, NeighborIndex, fit_knn
 from .neural import NNConfig, NNState, fit_nn, flatten_params, unflatten_params
 from .trees import (
     NODE_ARRAYS,
     ForestState,
     TreeState,
+    TreeSums,
     ensemble_prefix,
     fit_bagged_tree,
     fit_random_forest,
     fit_tree,
-    prefix_groups,
-    share_trees,
 )
 
 log = logging.getLogger("asymcast.library")
@@ -163,16 +165,17 @@ def _model_seed(master_seed: int, plan_index: int) -> int:
     return int(np.random.SeedSequence(entropy=(master_seed, plan_index)).generate_state(1)[0])
 
 
-def _nested_ensembles(fit, sizes):
+def _nested_ensembles(fit, sizes, memo: QueryMemo):
     """Per-size fitters for one group of tree ensembles that share one growth.
 
     ``fit(X, y, size, seed)`` is a bagging or forest fitter. The first
-    fitter called grows ``fit`` once at the largest of ``sizes``, and each
-    returns the first trees of that ensemble, as many as its own size;
-    by the prefix property (see ``trees``) that is what ``fit`` returns
-    for the size. The growth is kept only as long as the fitters are, one
-    ``build_library`` call. A size below 1 calls ``fit`` itself, so it
-    fails alone, with the fitter's own error.
+    fitter called grows ``fit`` once at the largest of ``sizes`` and gives
+    the growth one ``TreeSums`` over ``memo``. Each fitter returns the
+    first trees of that ensemble, as many as its own size, sharing that
+    ``TreeSums``; by the prefix property (see ``trees``) that is what
+    ``fit`` returns for the size. The growth is kept only as long as the
+    fitters are, one ``build_library`` call. A size below 1 calls ``fit``
+    itself, so it fails alone, with the fitter's own error.
     """
     grown = {}
 
@@ -181,22 +184,26 @@ def _nested_ensembles(fit, sizes):
             if size < 1:
                 return fit(X, y, size, seed)
             if seed not in grown:
-                grown[seed] = fit(X, y, max(sizes), seed)
-            return ensemble_prefix(grown[seed], size)
+                model = fit(X, y, max(sizes), seed)
+                grown[seed] = model, TreeSums(model.state.trees, sizes, memo)
+            model, sums = grown[seed]
+            prefix = ensemble_prefix(model, size)
+            return replace(prefix, state=ForestState(prefix.state.trees, sums))
 
         return fit_prefix
 
     return fitter
 
 
-def _build_plans(config: LibraryConfig, augment: bool, n_features: int):
+def _build_plans(config: LibraryConfig, augment: bool, n_features: int, memo: QueryMemo):
     """Enumerate (family, hyperparams, fitter, seed_index) plans in a stable order.
 
     A plan's fit draws the seed of plan ``seed_index``: its own index, or
     for bagging and forests the first plan of its group. A group is every
     bagged-tree plan, or every forest plan of one configured ``mtry``; it
     grows one ensemble at its largest size, and each of its plans takes
-    the prefix of its own size (``_nested_ensembles``).
+    the prefix of its own size (``_nested_ensembles``), whose tree sums
+    live in ``memo``.
     """
     plans = []
 
@@ -229,7 +236,7 @@ def _build_plans(config: LibraryConfig, augment: bool, n_features: int):
             )
     if FAMILY_BAGGED_TREE in fams:
         first, grow = len(plans), _nested_ensembles(
-            lambda X, y, bags, seed: fit_bagged_tree(X, y, bags, seed), config.bag_counts
+            lambda X, y, bags, seed: fit_bagged_tree(X, y, bags, seed), config.bag_counts, memo
         )
         for bags in config.bag_counts:
             add(FAMILY_BAGGED_TREE, {"bags": bags}, grow(bags), first)
@@ -240,6 +247,7 @@ def _build_plans(config: LibraryConfig, augment: bool, n_features: int):
                     X, y, trees, min(mtry, n_features), seed
                 ),
                 config.rf_trees,
+                memo,
             )
             for mtry in config.rf_mtrys
         }
@@ -302,7 +310,8 @@ def build_library(
     X = splits.ats.features
     y = splits.ats.target
     X_val = splits.validation.features
-    plans = _build_plans(config, augment, X.shape[1])
+    memo = QueryMemo()
+    plans = _build_plans(config, augment, X.shape[1], memo)
     fitted, entries, failures = [], [], []
     for family, params, fitter, seed_index in plans:
         try:
@@ -312,11 +321,13 @@ def build_library(
             failures.append((family, params, str(exc)))
             continue
         fitted.append((family, params, model))
-    # before the first forecast, so the validation forecasts already rank
-    # and walk each query once per group
-    states, memo = [model.state for _, _, model in fitted], QueryMemo()
-    share_index(states, memo)
-    share_trees(states, memo)
+    # before the first forecast, so the validation forecasts rank each query once
+    knn = [model.state for _, _, model in fitted if isinstance(model.state, KnnState)]
+    if knn:
+        index = NeighborIndex(X, y, [state.k for state in knn])
+        index.memo = memo
+        for state in knn:
+            state.index = index
     for family, params, model in fitted:
         try:
             val_pred = predict(model, X_val)
@@ -359,38 +370,30 @@ def _flat(chunks, dtype=float) -> np.ndarray:
 def _pack(library: ModelLibrary):
     """The version 3 arrays of ``library``'s models, and each entry's locator into them."""
     flat = {"betas": [], "nn_params": []}
-    trees, knn_sets = [], []
+    # the first stored tree of each tree group, and the set of each neighbour index
+    trees, tree_at, knn_at = [], {}, {}
 
     def put(name, array) -> list:
         start = sum(chunk.shape[0] for chunk in flat[name])
         flat[name].append(array)
         return [start, start + array.shape[0]]
 
-    states = [entry.model.state for entry in library.entries]
-    # each group's largest forest stores its trees once; members name a prefix
-    forest_at = {}
-    for group in prefix_groups(states):
-        for forest in group:
-            forest_at[id(forest)] = [len(trees), len(forest.trees)]
-        trees.extend(group[0].trees)
     locators = []
-    for state in states:
+    for state in (entry.model.state for entry in library.entries):
         if isinstance(state, LinearState):
             locators.append({"beta": put("betas", state.beta)})
         elif isinstance(state, NNState):
             params = flatten_params(state.W1, state.b1, state.v, state.v0)
             locators.append({"params": put("nn_params", params), "hidden": state.v.shape[0]})
         elif isinstance(state, ForestState):
-            locators.append({"trees": forest_at[id(state)]})
+            # a group stores its largest forest's trees once; members name a prefix
+            group = state if state.shared is None else state.shared
+            if group not in tree_at:
+                tree_at[group] = len(trees)
+                trees.extend(group.trees)
+            locators.append({"trees": [tree_at[group], len(state.trees)]})
         elif isinstance(state, KnnState):
-            index = state.index
-            for i, other in enumerate(knn_sets):
-                if np.array_equal(other.X, index.X) and np.array_equal(other.y, index.y):
-                    break
-            else:
-                i = len(knn_sets)
-                knn_sets.append(index)
-            locators.append({"knn": i})
+            locators.append({"knn": knn_at.setdefault(state.index, len(knn_at))})
         else:
             raise ConfigurationError(f"cannot serialize model state {type(state).__name__}")
     arrays = {name: _flat(chunks) for name, chunks in flat.items()}
@@ -401,14 +404,14 @@ def _pack(library: ModelLibrary):
         )
     arrays["tree_nodes"] = np.array([tree.feature.shape[0] for tree in trees], dtype=np.int64)
     arrays["tree_depths"] = np.array([tree.depth for tree in trees], dtype=np.int64)
-    for i, index in enumerate(knn_sets):
+    for index, i in knn_at.items():
         arrays[f"knn{i}_X"] = index.X
         arrays[f"knn{i}_y"] = index.y
     return arrays, locators
 
 
-def _unpack(family: str, hyperparams: dict, n_features: int, locator: dict, arrays, trees, knn):
-    """A version 3 entry's state; ``trees`` and ``knn`` are the bundle's shared parts."""
+def _unpack(family: str, hyperparams: dict, n_features: int, locator: dict, arrays, groups, knn):
+    """A version 3 entry's state; ``groups`` and ``knn`` are the bundle's shared parts."""
     if family in (FAMILY_OLS, FAMILY_RIDGE, FAMILY_QUANTILE):
         lo, hi = locator["beta"]
         return LinearState(arrays["betas"][lo:hi])
@@ -417,7 +420,7 @@ def _unpack(family: str, hyperparams: dict, n_features: int, locator: dict, arra
         return NNState(*unflatten_params(arrays["nn_params"][lo:hi], n_features, locator["hidden"]))
     if family in (FAMILY_TREE, FAMILY_BAGGED_TREE, FAMILY_RANDOM_FOREST):
         first, count = locator["trees"]
-        return ForestState(trees[first : first + count])
+        return ForestState(groups[first].trees[:count], groups[first])
     if family == FAMILY_KNN:
         return KnnState(knn[locator["knn"]], hyperparams["k"])
     raise ConfigurationError(f"cannot rebuild model family {family!r}")
@@ -458,21 +461,33 @@ def save_library(library: ModelLibrary, path) -> None:
 
 
 def _shared_parts(manifest: dict, arrays: dict, memo: QueryMemo):
-    """A version 3 bundle's distinct trees, and one neighbour index per kNN training set."""
+    """A version 3 bundle's tree groups and neighbour indexes, both over ``memo``.
+
+    Entries that name the same first stored tree form one group, keyed on
+    that tree; entries that name the same training set share its index.
+    """
     offsets = np.concatenate([[0], np.cumsum(arrays["tree_nodes"])])
     nodes = [arrays[f"tree_{name}"] for name in NODE_ARRAYS]
-    trees = [
+    stored = [
         TreeState(*(a[lo:hi] for a in nodes), depth)
         for lo, hi, depth in zip(offsets[:-1], offsets[1:], arrays["tree_depths"])
     ]
-    ks = {}
+    sizes, ks = {}, {}
     for meta in manifest["entries"]:
-        if "knn" in meta["state"]:
-            ks.setdefault(meta["state"]["knn"], []).append(meta["model_hyperparams"]["k"])
+        state = meta["state"]
+        if "trees" in state:
+            first, count = state["trees"]
+            sizes.setdefault(first, []).append(count)
+        elif "knn" in state:
+            ks.setdefault(state["knn"], []).append(meta["model_hyperparams"]["k"])
+    groups = {
+        first: TreeSums(stored[first : first + max(counts)], counts, memo)
+        for first, counts in sizes.items()
+    }
     knn = {i: NeighborIndex(arrays[f"knn{i}_X"], arrays[f"knn{i}_y"], k) for i, k in ks.items()}
     for index in knn.values():
         index.memo = memo
-    return trees, knn
+    return groups, knn
 
 
 def load_library(path) -> ModelLibrary:
@@ -487,11 +502,11 @@ def load_library(path) -> ModelLibrary:
             f"{_BUNDLE_VERSION} does, so refit the library and save it again"
         )
     memo = QueryMemo()
-    trees, knn = _shared_parts(manifest, arrays, memo)
+    groups, knn = _shared_parts(manifest, arrays, memo)
     entries = []
     for meta, val_pred in zip(manifest["entries"], arrays["val_pred"], strict=True):
         family, hyperparams = meta["family"], meta["model_hyperparams"]
-        state = _unpack(family, hyperparams, meta["n_features"], meta["state"], arrays, trees, knn)
+        state = _unpack(family, hyperparams, meta["n_features"], meta["state"], arrays, groups, knn)
         model = Model(
             family,
             hyperparams,
@@ -503,7 +518,6 @@ def load_library(path) -> ModelLibrary:
         entries.append(
             LibraryEntry(meta["index"], family, meta["hyperparams"], meta["provenance"], model, val_pred)
         )
-    share_trees([entry.model.state for entry in entries], memo)
     failures = [tuple(failure) for failure in manifest["failures"]]
     return ModelLibrary(
         entries, arrays["val_actuals"], manifest["augmented"], manifest["master_seed"], failures

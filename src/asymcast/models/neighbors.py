@@ -1,19 +1,20 @@
 """k-nearest-neighbor regression on standardized features.
 
-kNN models fitted on the same training rows share one ``NeighborIndex``.
-For a query the index makes one brute-force distance pass and ranks the
-neighbours once, at the largest k it serves, ordering them by (distance,
-training row); every k then reads its mean from running sums of the
-ranked targets. That order is exact, ties included, so a k forecasts the
-same bits alone as in any group. ``build_library`` groups its kNN models
-with ``share_index``, which compares the training rows, and
+Each ``KnnState`` is one k over a ``NeighborIndex``, which several
+states may share. For a query the index makes one brute-force distance
+pass and ranks the neighbours once, at the largest k it serves, ordering
+them by (distance, training row); every k then reads its mean from
+running sums of the ranked targets. That order is exact, ties included,
+so a k forecasts the same bits alone as in any group. ``fit_knn`` gives
+a model an index of its own. After fitting, ``build_library`` points
+all its kNN states at one index over the ATS rows and their ks, and
 ``load_library`` builds one index per stored training set.
 
 The index keeps the per-k means of its latest query in a
 ``base.QueryMemo``, keyed on the query's contents, not its identity:
 models of one library scoring the same rows one after another share one
-ranking, and a query changed in place is ranked again. ``share_index``
-takes the library's memo, so the index shares its query copy with the
+ranking, and a query changed in place is ranked again. A library's
+index uses the library's memo, so it shares its query copy with the
 library's tree groups.
 
 Ranking. The index stores ``-2 X`` and the squared row norms, and a
@@ -34,7 +35,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigurationError
-from .base import FAMILY_KNN, Model, QueryMemo, check_training_data
+from .base import FAMILY_KNN, Model, QueryMemo, check_training_data, require_integer
 
 # distances per brute-force chunk: 512 KB of float64, so the chunk and its
 # temporaries stay small next to the training matrix
@@ -49,6 +50,9 @@ class NeighborIndex:
         # move the forecasts, nor leave the memo answering for old rows
         self.X = np.array(X, dtype=float, order="C")
         self.y = np.array(y, dtype=float)
+        ks = tuple(ks)
+        for k in ks:
+            require_integer("k_neighbors", k)
         self.ks = tuple(sorted(set(ks)))
         n = self.X.shape[0]
         bad = [k for k in self.ks if not 1 <= k <= n]
@@ -104,33 +108,6 @@ class KnnState:
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Mean target of the k nearest training rows, by brute-force distances."""
         return self.index.means(X)[self.k].copy()
-
-
-def share_index(states, memo: QueryMemo | None = None) -> None:
-    """Point the kNN states among ``states`` that hold equal training rows at one index.
-
-    Each group's index serves every k of the group and keeps its rankings
-    in ``memo``, by default a memo of its own; other states are left as
-    they are.
-    """
-    groups = []
-    for state in states:
-        if not isinstance(state, KnnState):
-            continue
-        for group in groups:
-            first = group[0].index
-            if np.array_equal(first.X, state.index.X) and np.array_equal(first.y, state.index.y):
-                group.append(state)
-                break
-        else:
-            groups.append([state])
-    for group in groups:
-        first = group[0].index
-        index = NeighborIndex(first.X, first.y, [state.k for state in group])
-        if memo is not None:
-            index.memo = memo
-        for state in group:
-            state.index = index
 
 
 def fit_knn(X, y, k_neighbors: int) -> Model:

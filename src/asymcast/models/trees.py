@@ -24,17 +24,17 @@ Every tree family stores its model as a ``ForestState``: a single tree
 is a one-tree forest, so the three families predict and persist the
 same way. ``TreeState`` holds the node arrays of one tree and its depth.
 
-A library's nested ensembles share their trees, so ``build_library``
-and ``load_library`` call ``share_trees``: every forest whose trees are
-a prefix of a larger forest's trees (node array for node array) joins
-that forest's group, and the group's ``TreeSums`` walks its trees. For
-a new query it walks each tree once and keeps the running sum at every
-member's size, summed in the order ``ForestState.predict`` sums, so a
-member's forecast keeps its bits whichever member asks first. The sums
-live in the library's ``QueryMemo``, which holds one copy of the latest
-query for every group and neighbour index, keyed on contents, so a
-query changed in place is walked again. A forest that shares its trees
-with no other predicts on its own.
+The forests of one nested group share their trees and one ``TreeSums``,
+wired where the group is created: ``build_library`` gives each ensemble
+it grows one ``TreeSums`` for the prefixes it cuts with
+``ensemble_prefix``, and ``load_library`` gives one to the entries that
+name the same first stored tree. For a new query the group walks each tree once and keeps
+the running sum at every member's size, summed in the order
+``ForestState.predict`` sums, so a member's forecast keeps its bits
+whichever member asks first. The sums live in the library's
+``QueryMemo``, which holds one copy of the latest query for every group
+and neighbour index, keyed on contents, so a query changed in place is
+walked again. A forest in no group predicts on its own.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from .base import (
     Model,
     QueryMemo,
     check_training_data,
+    require_integer,
 )
 
 MAX_DEPTH = 30
@@ -87,10 +88,10 @@ def _tree_sum(trees, X, sizes=()):
 
 
 class ForestState:
-    def __init__(self, trees):
+    def __init__(self, trees, shared=None):
         self.trees = trees
-        # the group's TreeSums once share_trees puts the forest in a group
-        self.shared = None
+        # the TreeSums of the forest's group, which holds at least its trees
+        self.shared = shared
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         if self.shared is not None:
@@ -102,7 +103,8 @@ class TreeSums:
     """A group's trees, walked once per query for every member forest.
 
     The group is the trees of its largest forest and the sizes of its
-    members; the running sums at those sizes live in the library's
+    members, each a ``ForestState`` of the group's first trees that holds
+    this object; the running sums at those sizes live in the library's
     ``QueryMemo``.
     """
 
@@ -120,53 +122,9 @@ class TreeSums:
         return _tree_sum(self.trees, X, self.sizes)[1]
 
 
-def _same_tree(a: TreeState, b: TreeState) -> bool:
-    return a is b or all(
-        np.array_equal(getattr(a, name), getattr(b, name)) for name in NODE_ARRAYS
-    )
-
-
-def prefix_groups(states) -> list:
-    """The forests among ``states`` in groups of shared trees, each group largest first.
-
-    A forest whose trees equal the first trees of a larger (or equal)
-    forest, node array for node array, joins that forest's group.
-    """
-    groups = []
-    for forest in sorted(
-        (state for state in states if isinstance(state, ForestState)), key=lambda f: -len(f.trees)
-    ):
-        for group in groups:
-            if all(_same_tree(a, b) for a, b in zip(forest.trees, group[0].trees)):
-                group.append(forest)
-                break
-        else:
-            groups.append([forest])
-    return groups
-
-
-def share_trees(states, memo: QueryMemo | None = None) -> None:
-    """Point the forests among ``states`` that share trees at one walk per group.
-
-    The members of a group (``prefix_groups``) take the tree objects of
-    its largest forest and one ``TreeSums``, which keeps its sums in
-    ``memo``, by default a memo for these groups alone. A group of one
-    forest keeps the direct path. Other states are left as they are.
-    """
-    memo = QueryMemo() if memo is None else memo
-    for group in prefix_groups(states):
-        if len(group) == 1:
-            group[0].shared = None
-            continue
-        largest = group[0].trees
-        sums = TreeSums(largest, (len(forest.trees) for forest in group), memo)
-        for forest in group:
-            forest.trees = largest[: len(forest.trees)]
-            forest.shared = sums
-
-
 def fit_tree(X, y, complexity: float = 1e-3, min_node: int = 10) -> Model:
     X, y = check_training_data(X, y, min_rows=2)
+    require_integer("min_node", min_node)
     if complexity < 0 or min_node < 1:
         raise ConfigurationError(
             f"need complexity >= 0 and min_node >= 1, got {complexity}, {min_node}"
@@ -194,6 +152,7 @@ def _fit_tree_ensemble(X, y, n_trees, mtry, seed) -> ForestState:
 
 def fit_bagged_tree(X, y, bags: int, seed: int) -> Model:
     X, y = check_training_data(X, y, min_rows=2)
+    require_integer("bags", bags)
     if bags < 1:
         raise ConfigurationError(f"need at least one bag, got {bags}")
     state = _fit_tree_ensemble(X, y, bags, X.shape[1], seed)
@@ -212,6 +171,7 @@ def ensemble_prefix(model: Model, size: int) -> Model:
     trees with ``model``'s seed and settings, hyperparameters included.
     """
     trees = model.state.trees
+    require_integer("size", size)
     if not 1 <= size <= len(trees):
         raise ConfigurationError(
             f"a prefix of {len(trees)} trees needs a size in [1, {len(trees)}], got {size}"
@@ -222,6 +182,8 @@ def ensemble_prefix(model: Model, size: int) -> Model:
 
 def fit_random_forest(X, y, trees: int, mtry: int, seed: int) -> Model:
     X, y = check_training_data(X, y, min_rows=2)
+    require_integer("trees", trees)
+    require_integer("mtry", mtry)
     if trees < 1:
         raise ConfigurationError(f"need at least one tree, got {trees}")
     if not 1 <= mtry <= X.shape[1]:

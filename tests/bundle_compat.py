@@ -4,12 +4,15 @@
     python tests/bundle_compat.py load lib.npz                      # load here and check
 
 ``save`` builds the default augmented library on seeded synthetic data
-and saves it. ``load`` loads a bundle and checks that every entry
-predicts its stored validation forecasts bit for bit, on the same
-seeded data. Both import ``asymcast`` from ``--src`` (by default this
-checkout's ``src/``), so running one mode at each of two commits checks
-the bundle format across them. ``--n`` and ``--seed`` must match
-between the two runs. The script exits non-zero on any mismatch.
+and saves it, and writes the built library's forecasts of seeded fresh
+rows next to it (``<bundle>.fresh.npy``, one row per entry). ``load``
+loads a bundle and checks, bit for bit, that every entry predicts its
+stored validation forecasts on the same seeded data and the saved
+forecasts of the fresh rows, which the bundle does not store. Both
+import ``asymcast`` from ``--src`` (by default this checkout's
+``src/``), so running one mode at each of two commits checks the bundle
+format and the loaded models across them. ``--n`` and ``--seed`` must
+match between the two runs. The script exits non-zero on any mismatch.
 """
 
 from __future__ import annotations
@@ -17,6 +20,9 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+
+# seeded rows the bundle does not store, forecast before saving and after loading
+FRESH_ROWS = 2000
 
 
 def main(argv=None) -> int:
@@ -35,22 +41,34 @@ def main(argv=None) -> int:
     from asymcast.data import SynthConfig, split, standardize, synth_generate
     from asymcast.models import LibraryConfig, build_library, load_library, predict, save_library
 
-    splits, _ = standardize(split(synth_generate(SynthConfig(n=args.n, seed=args.seed)), args.seed))
+    splits, scaler = standardize(
+        split(synth_generate(SynthConfig(n=args.n, seed=args.seed)), args.seed)
+    )
+    fresh = scaler.transform(synth_generate(SynthConfig(n=FRESH_ROWS, seed=args.seed + 1)).features)
+    fresh_path = args.bundle.with_name(args.bundle.name + ".fresh.npy")
+
+    def forecasts(library, X):
+        return np.vstack([predict(entry.model, X) for entry in library.entries])
+
     if args.mode == "save":
         library = build_library(splits, LibraryConfig(), augment=True)
         save_library(library, args.bundle)
+        np.save(fresh_path, forecasts(library, fresh))
         print(f"saved {len(library)} entries with {asymcast.__file__}")
         return 0
     library = load_library(args.bundle)
-    X_val = splits.validation.features
     if not np.array_equal(library.val_actuals, splits.validation.target):
         print("the bundle's validation targets are not this --n and --seed's data")
         return 1
-    wrong = [
-        entry.index
-        for entry in library.entries
-        if not np.array_equal(predict(entry.model, X_val).view(np.int64), entry.val_pred.view(np.int64))
-    ]
+    stored = np.load(fresh_path)
+    wrong = []
+    for name, expected, X in (
+        ("validation", library.validation_matrix(), splits.validation.features),
+        ("fresh", stored, fresh),
+    ):
+        got = forecasts(library, X)
+        same = (got.view(np.int64) == expected.view(np.int64)).all(axis=1)
+        wrong += [(name, entry.index) for entry, ok in zip(library.entries, same) if not ok]
     print(f"loaded {len(library)} entries with {asymcast.__file__}; differing: {wrong}")
     return 1 if wrong else 0
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from asymcast import kernels
 from asymcast.data import SynthConfig, split, standardize, synth_generate
 from asymcast.errors import ConfigurationError, InvalidInputError
 from asymcast.losses import CostSpec, loss_to_text
@@ -228,6 +229,43 @@ def test_a_size_0_plan_fails_alone_and_the_rest_of_its_group_fits(small_splits, 
     assert [e.family for e in library.entries] == ["random_forest"] * 4
 
 
+def test_build_wires_each_group_to_one_walk_and_one_index_over_one_memo(small_splits):
+    config = replace(
+        NESTED_CONFIG, families=("knn", "tree", "bagged_tree", "random_forest"), knn_ks=(25, 5)
+    )
+    library = build_library(small_splits, config, augment=False)
+    states = {}
+    for entry in library.entries:
+        key = (entry.family, entry.hyperparams.get("mtry"))
+        states.setdefault(key, []).append(entry.model.state)
+    (tree,) = states.pop(("tree", None))
+    assert tree.shared is None
+    knn = states.pop(("knn", None))
+    index = knn[0].index
+    assert all(state.index is index for state in knn) and index.ks == (5, 25)
+    assert same_bits(index.X, small_splits.ats.features)
+    assert same_bits(index.y, small_splits.ats.target)
+    # each group: a bagging group and a forest group per mtry, two sizes each
+    assert len(states) == 3
+    for group in states.values():
+        small, large = sorted(group, key=lambda state: len(state.trees))
+        assert small.shared is large.shared is not None
+        assert large.shared.trees == large.trees
+        assert all(a is b for a, b in zip(small.trees, large.trees))
+    assert len(query_memos(library)) == 1
+
+
+def test_a_k_that_is_not_an_integer_fails_alone(small_splits):
+    config = replace(SMALL_CONFIG, families=("knn",), knn_ks=(3, 5.5, 10))
+    library = build_library(small_splits, config, augment=False)
+    assert library.failures == [("knn", {"k": 5.5}, "k_neighbors must be an integer, got 5.5")]
+    assert [entry.hyperparams["k"] for entry in library.entries] == [3, 10]
+    X, y = small_splits.ats.features, small_splits.ats.target
+    for entry in library.entries:
+        alone = fit_knn(X, y, entry.hyperparams["k"])
+        assert same_bits(entry.val_pred, predict(alone, small_splits.validation.features))
+
+
 def test_nested_ensembles_survive_save_and_load(tmp_path, small_splits, nested_library):
     path = tmp_path / "library.npz"
     save_library(nested_library, path)
@@ -381,7 +419,7 @@ def same_bits(a, b) -> bool:
 
 
 def query_memos(library) -> set:
-    """Ids of the memos of the library's tree groups and kNN indexes."""
+    """Ids of the memos of the tree groups and kNN indexes of a built or loaded library."""
     states = [e.model.state for e in library.entries]
     memos = {id(s.shared.memo) for s in states if getattr(s, "shared", None) is not None}
     return memos | {id(s.index.memo) for s in states if hasattr(s, "index")}
@@ -418,6 +456,43 @@ def test_bundle_stores_shared_trees_and_training_sets_once(tmp_path, tiny_splits
         assert same_bits(predict(entry.model, tiny_splits.validation.features), before.val_pred)
         assert same_bits(predict(entry.model, X), predict(before.model, X))
     assert loaded.failures == library.failures
+
+
+def test_single_tree_entries_that_name_one_stored_tree_share_one_walk(
+    tmp_path, small_splits, monkeypatch
+):
+    # two plans with the same settings grow equal trees; a bundle that
+    # stores the tree once names it for both entries
+    config = replace(SMALL_CONFIG, families=("ols", "tree"), tree_min_nodes=(10, 10))
+    library = build_library(small_splits, config, augment=False)
+    path = tmp_path / "library.npz"
+    save_library(library, path)
+    with np.load(path) as bundle:
+        assert bundle["tree_nodes"].shape[0] == 2
+        nodes = int(bundle["tree_nodes"][0])
+        one_tree = {f"tree_{name}": bundle[f"tree_{name}"][:nodes] for name in NODE_ARRAYS}
+        one_tree.update(tree_nodes=bundle["tree_nodes"][:1], tree_depths=bundle["tree_depths"][:1])
+
+    def name_the_first_tree(manifest):
+        manifest["entries"][2]["state"] = {"trees": [0, 1]}
+
+    rewrite_bundle(path, name_the_first_tree, **one_tree)
+    loaded = load_library(path)
+    first, second = (loaded.entry(i).model.state for i in (1, 2))
+    assert first.shared is second.shared is not None
+    assert first.trees[0] is second.trees[0]
+    walked = []
+    tree_predict = kernels.tree_predict
+
+    def counted(*args):
+        walked.append(args[0])
+        return tree_predict(*args)
+
+    monkeypatch.setattr(kernels, "tree_predict", counted)
+    X_val = small_splits.validation.features
+    for entry in loaded.entries[1:]:
+        assert same_bits(predict(entry.model, X_val), entry.val_pred)
+    assert len(walked) == 1
 
 
 def test_load_shares_one_index_per_training_set(tmp_path, small_splits, augmented_library):

@@ -20,14 +20,8 @@ from asymcast.models import (
 )
 from asymcast.models import neighbors as neighbors_module
 from asymcast.models.base import QueryMemo
-from asymcast.models.neighbors import _CHUNK_DISTANCES, NeighborIndex, share_index
-from asymcast.models.trees import (
-    NODE_ARRAYS,
-    ForestState,
-    TreeState,
-    ensemble_prefix,
-    share_trees,
-)
+from asymcast.models.neighbors import _CHUNK_DISTANCES, KnnState, NeighborIndex
+from asymcast.models.trees import NODE_ARRAYS, ForestState, TreeSums, ensemble_prefix
 from reference_kernels import knn_rank_means, tree_build_loop, tree_depth, tree_predict_loop
 
 
@@ -79,23 +73,21 @@ def test_shared_knn_matches_full_sort_oracle_for_every_k(largest):
     assert Xq.shape[0] > _CHUNK_DISTANCES // X.shape[0]  # the query spans at least two chunks
     # the largest k ranks by a full sort (n) or by a partition first (n - 1)
     ks = range(1, X.shape[0] + (largest == "n"))
-    models = [fit_knn(X, y, k) for k in ks]
-    share_index([model.state for model in models])
-    assert models[0].state.index is models[-1].state.index
+    index = NeighborIndex(X, y, ks)
     expected = ranked_mean_oracle(X, y, Xq)
-    for k, model in zip(ks, models):
-        np.testing.assert_array_equal(predict(model, Xq), expected[:, k - 1])
+    for k in ks:
+        np.testing.assert_array_equal(KnnState(index, k).predict(Xq), expected[:, k - 1])
 
 
 def test_shared_knn_predicts_the_bits_of_a_model_fitted_alone():
     X, y = make_nonlinear_problem(seed=20, n=300)
     Xq = make_nonlinear_problem(seed=21, n=400)[0]
     ks = (3, 5, 10, 25, 100)
-    shared = [fit_knn(X, y, k) for k in ks]
-    share_index([model.state for model in shared])
-    assert shared[0].state.index.ks == ks
-    for k, model in zip(ks, shared):
-        np.testing.assert_array_equal(predict(model, Xq), predict(fit_knn(X, y, k), Xq))
+    # one index over the training rows and every k, as build_library wires it
+    index = NeighborIndex(X, y, (25, 3, 100, 5, 10, 3))
+    assert index.ks == ks
+    for k in (10, 3, 100, 5, 25):
+        assert same_bits(KnnState(index, k).predict(Xq), predict(fit_knn(X, y, k), Xq))
 
 
 def test_knn_memo_follows_the_query_contents():
@@ -234,6 +226,17 @@ def test_knn_validates_configuration():
         fit_knn(X, y, k_neighbors=31)
     with pytest.raises(ConfigurationError):
         fit_knn(X, y, k_neighbors=0)
+
+
+@pytest.mark.parametrize("k", [5.5, 5.0, True, "5"])
+def test_a_k_that_is_not_an_integer_is_named(k):
+    X, y = make_nonlinear_problem(seed=5, n=30)
+    with pytest.raises(ConfigurationError, match=f"k_neighbors must be an integer, got {k!r}"):
+        fit_knn(X, y, k_neighbors=k)
+    with pytest.raises(ConfigurationError, match="k_neighbors must be an integer"):
+        NeighborIndex(X, y, (3, k, 10))
+    # numpy integers are integers
+    assert NeighborIndex(X, y, (np.int64(3), np.int32(10))).ks == (3, 10)
 
 
 # ------------------------------------------------------------------- trees
@@ -433,6 +436,25 @@ def test_forest_validates_mtry():
         fit_random_forest(X, y, trees=3, mtry=9, seed=0)
 
 
+@pytest.mark.parametrize(
+    "name, fit",
+    [
+        ("min_node", lambda X, y, count: fit_tree(X, y, 1e-3, min_node=count)),
+        ("bags", lambda X, y, count: fit_bagged_tree(X, y, bags=count, seed=0)),
+        ("trees", lambda X, y, count: fit_random_forest(X, y, trees=count, mtry=2, seed=0)),
+        ("mtry", lambda X, y, count: fit_random_forest(X, y, trees=2, mtry=count, seed=0)),
+        ("size", lambda X, y, count: ensemble_prefix(fit_bagged_tree(X, y, 3, 0), count)),
+    ],
+)
+@pytest.mark.parametrize("count", [2.5, 2.0, True, "2"])
+def test_tree_counts_that_are_not_integers_are_named(name, fit, count):
+    X, y = make_nonlinear_problem(seed=13, n=50)
+    with pytest.raises(ConfigurationError, match=f"{name} must be an integer, got {count!r}"):
+        fit(X, y, count)
+    # numpy integers are integers
+    assert predict(fit(X, y, np.int64(2)), X).shape == (50,)
+
+
 def test_bagging_beats_single_tree_on_most_seeds():
     """Averaging bootstrap trees should not hurt held-out error."""
     wins = 0
@@ -460,12 +482,13 @@ def test_ols_is_no_better_than_forest_on_interactions():
 
 # ---------------------------------------------------------- shared trees
 
-def nested_forests(sizes=(2, 4, 7), seed=5):
-    """Prefixes of one forest, as ensemble_prefix cuts them, and unshared copies of each."""
+def nested_forests(sizes=(2, 4, 7), seed=5, memo=None):
+    """Prefixes of one forest over one ``TreeSums``, as a library wires them, and unshared ones."""
     X, y = make_nonlinear_problem(seed=30, n=200)
-    large = fit_random_forest(X, y, trees=max(sizes), mtry=2, seed=seed)
-    shared = [ensemble_prefix(large, size).state for size in sizes]
-    alone = [ForestState(list(state.trees)) for state in shared]
+    trees = fit_random_forest(X, y, trees=max(sizes), mtry=2, seed=seed).state.trees
+    sums = TreeSums(trees, sizes, QueryMemo() if memo is None else memo)
+    shared = [ForestState(trees[:size], sums) for size in sizes]
+    alone = [ForestState(trees[:size]) for size in sizes]
     return shared, alone
 
 
@@ -473,8 +496,6 @@ def nested_forests(sizes=(2, 4, 7), seed=5):
 @given(order=st.permutations(range(4)))
 def test_shared_forests_predict_the_bits_of_unshared_ones_in_any_order(order):
     shared, alone = nested_forests(sizes=(1, 3, 3, 7))
-    share_trees(shared)
-    assert all(state.shared is not None for state in shared)
     Q = make_nonlinear_problem(seed=31, n=150)[0]
     for i in order:
         assert same_bits(shared[i].predict(Q), alone[i].predict(Q))
@@ -482,7 +503,6 @@ def test_shared_forests_predict_the_bits_of_unshared_ones_in_any_order(order):
 
 def test_shared_forests_walk_a_query_changed_in_place_again():
     shared, alone = nested_forests()
-    share_trees(shared)
     Q = make_nonlinear_problem(seed=32, n=100)[0]
     first = shared[0].predict(Q)
     assert same_bits(first, alone[0].predict(Q))
@@ -497,7 +517,6 @@ def test_shared_forests_walk_a_query_changed_in_place_again():
 def test_one_query_walks_each_distinct_tree_once(monkeypatch):
     shared, alone = nested_forests()
     other = fit_bagged_tree(*make_nonlinear_problem(seed=33, n=200), bags=3, seed=1).state
-    share_trees(shared + [other])
     walked = []
     tree_predict = kernels.tree_predict
 
@@ -517,36 +536,18 @@ def test_one_query_walks_each_distinct_tree_once(monkeypatch):
 
 
 def test_a_forest_that_shares_nothing_keeps_the_direct_path():
-    shared, _ = nested_forests()
-    lone = fit_tree(*make_nonlinear_problem(seed=35, n=200)).state
-    trees = lone.trees
-    share_trees(shared + [lone])
-    assert lone.shared is None and lone.trees is trees
+    X, y = make_nonlinear_problem(seed=35, n=200)
+    lone = fit_tree(X, y).state
+    # the fitters and a prefix of an unshared ensemble share no walk
+    ensemble = fit_random_forest(X, y, trees=3, mtry=2, seed=0)
+    assert lone.shared is None and ensemble.state.shared is None
+    assert ensemble_prefix(ensemble, 2).state.shared is None
     Q = make_nonlinear_problem(seed=36, n=50)[0]
-    assert same_bits(lone.predict(Q), trees[0].predict(Q))
-
-
-def test_forests_with_equal_node_arrays_share_one_group():
-    # unshared copies of the trees, as grid plans that grow identical trees hold them
-    shared, alone = nested_forests()
-    copies = [
-        ForestState(
-            [TreeState(*(getattr(t, name).copy() for name in NODE_ARRAYS), t.depth) for t in state.trees]
-        )
-        for state in alone
-    ]
-    share_trees(copies)
-    largest = copies[-1].trees
-    assert len({id(state.shared) for state in copies}) == 1
-    assert all(state.trees[0] is largest[0] for state in copies)
-    Q = make_nonlinear_problem(seed=37, n=50)[0]
-    for state, expected in zip(copies, alone):
-        assert same_bits(state.predict(Q), expected.predict(Q))
+    assert same_bits(lone.predict(Q), lone.trees[0].predict(Q))
 
 
 def test_shared_forests_answer_concurrent_queries_separately():
     shared, alone = nested_forests(sizes=(2, 5))
-    share_trees(shared)
     queries = [make_nonlinear_problem(seed=38 + t, n=40)[0] for t in range(4)]
     expected = [[state.predict(Q) for state in alone] for Q in queries]
     wrong = []
@@ -572,11 +573,11 @@ def test_shared_forests_answer_concurrent_queries_separately():
 
 
 def test_a_dropped_memo_is_freed_without_the_cycle_collector():
-    shared, _ = nested_forests()
-    knn = fit_knn(*make_nonlinear_problem(seed=43, n=100), 3).state
     memo = QueryMemo()
-    share_index([knn], memo)
-    share_trees(shared, memo)
+    shared, _ = nested_forests(memo=memo)
+    index = NeighborIndex(*make_nonlinear_problem(seed=43, n=100), (3,))
+    index.memo = memo
+    knn = KnnState(index, 3)
     Q = make_nonlinear_problem(seed=44, n=50)[0]
     knn.predict(Q)
     shared[0].predict(Q)
@@ -584,7 +585,7 @@ def test_a_dropped_memo_is_freed_without_the_cycle_collector():
     gc.disable()
     try:
         # a memo in a reference cycle would keep its query until a collection
-        del memo, knn, shared
+        del memo, index, knn, shared
         assert ref() is None
     finally:
         gc.enable()
