@@ -10,9 +10,9 @@ line with the seconds per call, the sizes and the seed. It writes no file.
 - ``tree_build``: one bagged tree (a bootstrap sample, every feature a
   candidate) on the training rows of an n = 3,000 dataset (1,200 rows).
 - ``tree_predict``: that tree on 10,000 fresh rows.
-- ``nn_objective_and_grad``: one pinball-loss evaluation of a 6-unit
-  network, with its gradient, on the training rows of an n = 8,000
-  dataset (3,200 rows).
+- ``nn_objective_and_grad``: one evaluation of a 6-unit network under
+  the tau-quantile loss llc(tau, 1 - tau), tau = 1/3, with its gradient,
+  on the training rows of an n = 8,000 dataset (3,200 rows).
 - ``fit_quantile``: one quantile regression at tau = 1/3 on those rows.
 - ``knn_rank``: a ``NeighborIndex`` over the 1,200 training rows ranking
   the 10,000 fresh rows for the library's k values.
@@ -86,7 +86,7 @@ def run(sizes: dict, seed: int) -> dict:
     tree = build()
     tau = tau_from_weights(0.5, 1.0)
     config = NNConfig(hidden_nodes=6, seed=seed)
-    loss = CostSpec("pinball", tau=tau)
+    loss = CostSpec("llc", a=tau, b=1.0 - tau)
     theta = flatten_params(*init_params(X_lin.shape[1], y_lin, config))
     ks = tuple(k for k in LibraryConfig().knn_ks if k <= X_tree.shape[0])
 

@@ -3,18 +3,18 @@
 Families
 --------
 ``squared_error``   e^2
-``llc``             linear-linear:     a*|e| if e > 0 else b*|e|
+``llc``             linear-linear:     a*|e| if e > 0 else b*|e|; at
+                    a = tau, b = 1 - tau it is the tau-quantile (pinball) loss
 ``qqc``             quadratic-quadratic: a*e^2 if e > 0 else b*e^2
 ``lec``             linear-exponential:  b*(exp(a*e) - a*e - 1)
-``pinball``         quantile loss:     tau*e if e > 0 else (tau - 1)*e
 ``qqc_approx``      smooth quadratic-quadratic, a logistic blend of the
-                    two branch weights so the function is differentiable
-                    everywhere (used for gradient-based training); it
-                    is monotone in |e| only while max(a, b) / min(a, b)
-                    is at most ``QQC_APPROX_MAX_RATIO`` (about 48.47),
-                    whatever the steepness; network training rejects
-                    weights beyond that ratio, while a spec beyond it
-                    can still be built, described and evaluated
+                    two branch weights (slope ``QQC_STEEPNESS``) so the
+                    function is differentiable everywhere (used for
+                    gradient-based training); it is monotone in |e| only
+                    while max(a, b) / min(a, b) is at most
+                    ``QQC_APPROX_MAX_RATIO`` (about 48.47); network training
+                    rejects weights beyond that ratio, while a spec beyond
+                    it can still be built, described and evaluated
 
 Residuals follow the convention ``e = actual - forecast``: a positive
 residual means the forecast underestimated the actual (weight ``a``), a
@@ -33,20 +33,23 @@ import numpy as np
 
 from .errors import ConfigurationError, InvalidInputError
 
-FAMILIES = ("squared_error", "llc", "qqc", "lec", "pinball", "qqc_approx")
+FAMILIES = ("squared_error", "llc", "qqc", "lec", "qqc_approx")
+
+# logistic steepness of qqc_approx's blend, in 1 / residual units
+QQC_STEEPNESS = 99.0
 
 # exp() overflow guard: |argument| is clipped here before exponentiation,
 # which saturates the logistic blend at exactly 0/1 in the tails.
 _EXP_CLIP = 700.0
 
 # Largest max(a, b) / min(a, b) at which qqc_approx is monotone in |e|.
-# With u = steepness * e and p = 1 / (1 + exp(u)) the cost is
-# (u / steepness)^2 (a + (b - a) p). For u > 0 and b = r a > a it grows
+# With u = QQC_STEEPNESS * e and p = 1 / (1 + exp(u)) the cost is
+# (u / QQC_STEEPNESS)^2 (a + (b - a) p). For u > 0 and b = r a > a it grows
 # with u iff 2 (a + (b - a) p) >= u (b - a) p (1 - p), that is iff
 # 2 / (r - 1) >= u p (1 - p) - 2 p. The right side peaks at
 # M = 0.04213124031710531... (u = 3.2436...), so r <= 1 + 2 / M. For
-# u < 0 the same holds with a and b swapped, and the steepness cancels.
-# The value is rounded down.
+# u < 0 the same holds with a and b swapped. The bound does not depend on
+# QQC_STEEPNESS, which cancels. The value is rounded down.
 QQC_APPROX_MAX_RATIO = 48.4707125863559
 
 
@@ -55,37 +58,24 @@ class CostSpec:
     """Parameterized cost function: family plus asymmetry weights.
 
     ``a`` weighs positive residuals (underestimation), ``b`` non-positive
-    ones (overestimation). ``tau`` is only meaningful for ``pinball``,
-    ``steepness`` only for ``qqc_approx``.
+    ones (overestimation).
     """
 
     family: str
     a: float = 1.0
     b: float = 1.0
-    tau: float = 0.5
-    steepness: float = 99.0
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ConfigurationError(
                 f"unknown loss family {self.family!r}; expected one of {FAMILIES}"
             )
-        for name in ("a", "b", "tau", "steepness"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ConfigurationError(f"loss parameter {name} must be finite, got {value!r}")
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise ConfigurationError(f"weights must be finite, got a={self.a!r}, b={self.b!r}")
         if self.a <= 0 or self.b <= 0:
             raise ConfigurationError(f"weights must be positive, got a={self.a}, b={self.b}")
-        if self.family == "pinball" and not 0.0 < self.tau < 1.0:
-            raise ConfigurationError(f"tau must lie in (0, 1), got {self.tau}")
-        if self.steepness <= 0:
-            raise ConfigurationError(f"steepness must be positive, got {self.steepness}")
 
     def describe(self) -> str:
-        if self.family == "pinball":
-            return f"pinball(tau={self.tau:g})"
-        if self.family == "qqc_approx":
-            return f"qqc_approx(a={self.a:g}, b={self.b:g}, steepness={self.steepness:g})"
         if self.family == "squared_error":
             return "squared_error"
         return f"{self.family}(a={self.a:g}, b={self.b:g})"
@@ -99,11 +89,11 @@ def _as_residual_array(e) -> np.ndarray:
 
 
 def _logistic_blend(e: np.ndarray, spec: CostSpec):
-    """Branch weight a + (b - a) * sig and sig = 1 / (1 + exp(steepness * e)).
+    """Branch weight a + (b - a) * sig and sig = 1 / (1 + exp(QQC_STEEPNESS * e)).
 
     The weight tends to ``a`` as e -> +inf and to ``b`` as e -> -inf.
     """
-    z = np.clip(spec.steepness * e, -_EXP_CLIP, _EXP_CLIP)
+    z = np.clip(QQC_STEEPNESS * e, -_EXP_CLIP, _EXP_CLIP)
     sig = 1.0 / (1.0 + np.exp(z))
     return spec.a + (spec.b - spec.a) * sig, sig
 
@@ -124,8 +114,6 @@ def _eval_raw(spec: CostSpec, e: np.ndarray) -> np.ndarray:
     if family == "lec":
         ae = spec.a * e
         return spec.b * (np.exp(np.clip(ae, -_EXP_CLIP, _EXP_CLIP)) - ae - 1.0)
-    if family == "pinball":
-        return np.where(e > 0, spec.tau * e, (spec.tau - 1.0) * e)
     if family == "qqc_approx":
         return (e * e) * _logistic_blend(e, spec)[0]
     raise ConfigurationError(f"unknown loss family {family!r}")
@@ -142,22 +130,17 @@ def _grad_raw(spec: CostSpec, e: np.ndarray) -> np.ndarray:
     if family == "lec":
         z = np.clip(spec.a * e, -_EXP_CLIP, _EXP_CLIP)
         return spec.a * spec.b * (np.exp(z) - 1.0)
-    if family == "pinball":
-        return np.where(e < 0, spec.tau - 1.0, spec.tau)
     if family == "qqc_approx":
         weight, sig = _logistic_blend(e, spec)
-        dsig = -spec.steepness * sig * (1.0 - sig)
+        dsig = -QQC_STEEPNESS * sig * (1.0 - sig)
         return 2.0 * e * weight + (e * e) * (spec.b - spec.a) * dsig
     raise ConfigurationError(f"unknown loss family {family!r}")
 
 
 def eval_loss(spec: CostSpec, e):
     """Cost of a residual (scalar or array). Non-negative for valid specs."""
-    arr = _as_residual_array(e)
-    out = _eval_raw(spec, arr)
-    if np.isscalar(e) or np.ndim(e) == 0:
-        return float(out)
-    return out
+    out = _eval_raw(spec, _as_residual_array(e))
+    return float(out) if np.ndim(e) == 0 else out
 
 
 def eval_mean(spec: CostSpec, actuals, forecasts):
@@ -183,12 +166,9 @@ def eval_mean(spec: CostSpec, actuals, forecasts):
 
 
 def grad_loss(spec: CostSpec, e):
-    """dC/de. At the kinks of pinball/llc returns the right-derivative."""
-    arr = _as_residual_array(e)
-    out = _grad_raw(spec, arr)
-    if np.isscalar(e) or np.ndim(e) == 0:
-        return float(out)
-    return out
+    """dC/de. At the kink of llc returns the right-derivative."""
+    out = _grad_raw(spec, _as_residual_array(e))
+    return float(out) if np.ndim(e) == 0 else out
 
 
 def tau_from_weights(a: float, b: float = 1.0) -> float:
@@ -202,10 +182,7 @@ def tau_from_weights(a: float, b: float = 1.0) -> float:
 # round-trip is decimal-exact.
 
 def loss_to_text(spec: CostSpec) -> str:
-    lines = [f"family={spec.family}"]
-    for name in ("a", "b", "tau", "steepness"):
-        lines.append(f"{name}={getattr(spec, name)!r}")
-    return "\n".join(lines) + "\n"
+    return f"family={spec.family}\na={spec.a!r}\nb={spec.b!r}\n"
 
 
 def loss_from_text(text: str) -> CostSpec:
@@ -228,4 +205,11 @@ def loss_from_text(text: str) -> CostSpec:
             raise ConfigurationError(f"unknown loss config key {key!r}")
     if "family" not in fields:
         raise ConfigurationError("loss config is missing the family key")
+    # Transitional: older text has tau and steepness keys for every spec and
+    # may name the retired pinball family, pinball(tau) = llc(tau, 1 - tau).
+    tau = fields.pop("tau", 0.5)
+    if (steepness := fields.pop("steepness", QQC_STEEPNESS)) != QQC_STEEPNESS:
+        raise ConfigurationError(f"steepness is fixed at {QQC_STEEPNESS!r}, got {steepness!r}")
+    if fields["family"] == "pinball":
+        fields.update(family="llc", a=tau, b=1.0 - tau)
     return CostSpec(**fields)

@@ -57,7 +57,7 @@ class Model:
 
     def __post_init__(self):
         if not self.provenance:
-            asym = self.loss_mode.family != "squared_error" or self.family == FAMILY_QUANTILE
+            asym = self.loss_mode.family != "squared_error"
             object.__setattr__(self, "provenance", "asymmetric" if asym else "symmetric")
 
     def describe(self) -> str:
@@ -95,9 +95,14 @@ class QueryMemo:
         return values[key]
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is an integer, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def require_integer(name: str, value) -> None:
     """Raise ConfigurationError naming ``name`` unless ``value`` is an integer, not a bool."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    if not is_integer(value):
         raise ConfigurationError(f"{name} must be an integer, got {value!r}")
 
 

@@ -3,11 +3,12 @@
 ``build_library`` fits every (family, hyperparameter) combination of the
 configured grids on the ATS rows and caches each model's validation
 predictions. With ``augment=True`` the library additionally receives
-models trained against asymmetric losses: linear quantile regressions
-over a grid of quantile levels, quantile-loss networks, and networks
-trained on the smooth quadratic-quadratic loss; these carry provenance
-"asymmetric". Every network, symmetric or not, is trained by L-BFGS on
-the same full-batch objective, at most ``nn_epochs`` iterations.
+models trained against asymmetric losses, for each level a of the grid:
+a linear quantile regression and a network on llc(tau, 1 - tau), which
+is llc(a, 1) / (1 + a) at tau = a / (1 + a), and a network on
+qqc_approx(a, 1); these carry provenance "asymmetric". Every network,
+symmetric or not, is trained by L-BFGS on the same full-batch objective,
+at most ``nn_epochs`` iterations.
 
 Bagged trees, and random forests of one configured ``mtry``, each form
 a group whose sizes nest. A group grows one ensemble at its largest size
@@ -77,7 +78,9 @@ from .base import (
     FAMILY_TREE,
     Model,
     QueryMemo,
+    is_integer,
     predict,
+    require_integer,
 )
 from .linear import LinearState, fit_ols, fit_quantile, fit_ridge
 from .neighbors import KnnState, NeighborIndex, fit_knn
@@ -158,34 +161,41 @@ class ModelLibrary:
         return np.vstack([entry.val_pred for entry in self.entries])
 
     def entry(self, index: int) -> LibraryEntry:
-        return self.entries[index]
+        """The entry whose ``LibraryEntry.index`` is ``index``, as ``select_best`` returns it."""
+        for entry in self.entries:
+            if entry.index == index:
+                return entry
+        raise InvalidInputError(f"the library has no entry with index {index}")
 
 
 def _model_seed(master_seed: int, plan_index: int) -> int:
     return int(np.random.SeedSequence(entropy=(master_seed, plan_index)).generate_state(1)[0])
 
 
-def _nested_ensembles(fit, sizes, memo: QueryMemo):
+def _nested_ensembles(fit, name: str, sizes, memo: QueryMemo):
     """Per-size fitters for one group of tree ensembles that share one growth.
 
-    ``fit(X, y, size, seed)`` is a bagging or forest fitter. The first
-    fitter called grows ``fit`` once at the largest of ``sizes`` and gives
-    the growth one ``TreeSums`` over ``memo``. Each fitter returns the
-    first trees of that ensemble, as many as its own size, sharing that
-    ``TreeSums``; by the prefix property (see ``trees``) that is what
-    ``fit`` returns for the size. The growth is kept only as long as the
-    fitters are, one ``build_library`` call. A size below 1 calls ``fit``
-    itself, so it fails alone, with the fitter's own error.
+    ``fit(X, y, size, seed)`` is a bagging or forest fitter, and ``name``
+    its size parameter. The first fitter called grows ``fit`` once at the
+    largest valid size, an integer of at least 1, and gives the growth one
+    ``TreeSums`` over ``memo``. Each fitter returns the first trees of that
+    ensemble, as many as its own size, sharing that ``TreeSums``; by the
+    prefix property (see ``trees``) that is what ``fit`` returns for the
+    size. The growth is kept only as long as the fitters are, one
+    ``build_library`` call. An invalid size fails alone: one that is not
+    an integer names ``name``, and one below 1 calls ``fit`` itself.
     """
     grown = {}
+    valid = [size for size in sizes if is_integer(size) and size >= 1]
 
     def fitter(size):
         def fit_prefix(X, y, seed):
+            require_integer(name, size)
             if size < 1:
                 return fit(X, y, size, seed)
             if seed not in grown:
-                model = fit(X, y, max(sizes), seed)
-                grown[seed] = model, TreeSums(model.state.trees, sizes, memo)
+                model = fit(X, y, max(valid), seed)
+                grown[seed] = model, TreeSums(model.state.trees, valid, memo)
             model, sums = grown[seed]
             prefix = ensemble_prefix(model, size)
             return replace(prefix, state=ForestState(prefix.state.trees, sums))
@@ -236,7 +246,7 @@ def _build_plans(config: LibraryConfig, augment: bool, n_features: int, memo: Qu
             )
     if FAMILY_BAGGED_TREE in fams:
         first, grow = len(plans), _nested_ensembles(
-            lambda X, y, bags, seed: fit_bagged_tree(X, y, bags, seed), config.bag_counts, memo
+            fit_bagged_tree, "bags", config.bag_counts, memo
         )
         for bags in config.bag_counts:
             add(FAMILY_BAGGED_TREE, {"bags": bags}, grow(bags), first)
@@ -246,6 +256,7 @@ def _build_plans(config: LibraryConfig, augment: bool, n_features: int, memo: Qu
                 lambda X, y, trees, seed, mtry=mtry: fit_random_forest(
                     X, y, trees, min(mtry, n_features), seed
                 ),
+                "trees",
                 config.rf_trees,
                 memo,
             )
@@ -275,9 +286,9 @@ def _build_plans(config: LibraryConfig, augment: bool, n_features: int, memo: Qu
             for k in config.aug_nn_hidden:
                 add(
                     FAMILY_NN,
-                    {"hidden_nodes": k, "tau": tau, "a": a, "loss": "pinball"},
+                    {"hidden_nodes": k, "a": a, "loss": "llc"},
                     lambda X, y, seed, tau=tau, k=k: fit_nn(
-                        X, y, _nn_config(config, k, seed), CostSpec("pinball", tau=tau)
+                        X, y, _nn_config(config, k, seed), CostSpec("llc", a=tau, b=1.0 - tau)
                     ),
                 )
         for a in config.aug_a_levels:

@@ -3,7 +3,7 @@
 Quantile regression solves the weighted absolute-residual objective
 
     min_beta sum_i rho_tau(y_i - x_i' beta),
-    rho_tau(d) = tau*d if d > 0 else (tau - 1)*d
+    rho_tau(d) = tau*d if d > 0 else (tau - 1)*d,  the cost llc(tau, 1 - tau),
 
 through its rank-score dual (Koenker & Bassett, Econometrica 1978),
 
@@ -115,7 +115,7 @@ def fit_ridge(X, y, lam: float, feature_names=None) -> Model:
 
 
 def quantile_objective(beta, X, y, tau: float) -> float:
-    """Sum of pinball losses of the residuals y - (b0 + X b)."""
+    """Sum of pinball losses, llc(tau, 1 - tau), of the residuals y - (b0 + X b)."""
     beta = np.asarray(beta, dtype=float)
     d = y - (beta[0] + X @ beta[1:])
     return float(np.sum(np.where(d > 0, tau * d, (tau - 1.0) * d)))
@@ -127,7 +127,7 @@ def _band_start(n: int, size: int, tau: float) -> int:
 
 
 def fit_quantile(X, y, tau: float) -> Model:
-    """Linear quantile regression at level tau via the dual LP."""
+    """Linear quantile regression at level tau by the dual LP; loss mode llc(tau, 1 - tau)."""
     if not 0.0 < tau < 1.0:
         raise ConfigurationError(f"tau must lie in (0, 1), got {tau}")
     X, y, A = _design(X, y)
@@ -180,6 +180,5 @@ def fit_quantile(X, y, tau: float) -> Model:
         {"tau": tau},
         LinearState(beta),
         X.shape[1],
-        loss_mode=CostSpec("pinball", tau=tau),
-        provenance="asymmetric",
+        loss_mode=CostSpec("llc", a=tau, b=1.0 - tau),
     )

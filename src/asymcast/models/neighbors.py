@@ -22,7 +22,8 @@ chunk's distances are ``q @ (-2 X)ᵀ + |x|²`` (the |q|² term is constant
 per row and left out). Scaling by -2 is exact, and BLAS sees the same
 transposed layout as for ``q @ Xᵀ``, so these are the bits of
 ``|x|² - 2 (q @ Xᵀ)``. ``argpartition`` picks the nearest candidates,
-one more than the largest k, and the default ``argsort`` orders them.
+one more than the largest k (every row when that k is n), and the
+default ``argsort`` orders them.
 That sort is not stable, and the partition may leave out any of the rows
 tied with its last candidate, but both show as a sorted step that is not
 strictly increasing (as does NaN from a non-finite query). Such a row is
@@ -82,12 +83,9 @@ class NeighborIndex:
             d2 = q @ self._m2.T
             d2 += self._sq  # + |q|^2, constant per row
             rows = np.arange(q.shape[0])[:, None]
-            if top < n:
-                # one candidate past the largest k, so a tie at its boundary shows
-                cand = np.argpartition(d2, top, axis=1)[:, : top + 1]
-                dist = d2[rows, cand]
-            else:
-                cand, dist = np.broadcast_to(np.arange(n), d2.shape), d2
+            # one candidate past the largest k, if there is one, so a tie at its boundary shows
+            cand = np.argpartition(d2, min(top, n - 1), axis=1)[:, : top + 1]
+            dist = d2[rows, cand]
             order = np.argsort(dist, axis=1)
             ranked = cand[rows, order[:, :top]]
             dist = dist[rows, order]

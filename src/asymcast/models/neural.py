@@ -16,8 +16,9 @@ Training minimizes the full-batch objective
 of ``nn_objective_and_grad`` with scipy's L-BFGS-B quasi-Newton method,
 as R's ``nnet`` trains the same model; biases are unpenalized and
 ``epochs`` caps the L-BFGS iterations. Supported loss modes: squared
-error, pinball, and the smooth quadratic-quadratic approximation within
-its weight-ratio bound.
+error, lin-lin (``llc``, which at a = tau, b = 1 - tau is the quantile
+loss), and the smooth quadratic-quadratic approximation within its
+weight-ratio bound.
 Training is deterministic given the config seed.
 """
 
@@ -33,7 +34,7 @@ from ..errors import ConfigurationError, TrainingError
 from ..losses import QQC_APPROX_MAX_RATIO, CostSpec, _eval_raw, _grad_raw
 from .base import FAMILY_NN, Model, check_training_data
 
-_LOSSES = ("squared_error", "pinball", "qqc_approx")
+_LOSSES = ("squared_error", "llc", "qqc_approx")
 _DIVERGED = "network training diverged (non-finite objective); check the scale of the targets"
 
 

@@ -98,10 +98,10 @@ PREDICTION_DIGESTS = {
     "7:random_forest:mtry=15,trees=4": (
         "56f1c50c89fddfe69521d4e7a01b1aea69dcc8dc6822ee4f8e35fe1fcee6e2ad"
     ),
-    "10:nn:a=0.2,hidden_nodes=2,loss=pinball,tau=0.16666666666666669": (
+    "10:nn:a=0.2,hidden_nodes=2,loss=llc": (
         "698c461bbe9ff8806597f1cd2f59a669a55407c706e77ac4cf5eeff28bcd866f"
     ),
-    "11:nn:a=0.7,hidden_nodes=2,loss=pinball,tau=0.4117647058823529": (
+    "11:nn:a=0.7,hidden_nodes=2,loss=llc": (
         "05ccfca6ab73da95ac69c931059ccb538075c5f3a3377c777e07b7b98bdc3f2a"
     ),
     "12:nn:a=0.2,b=1.0,hidden_nodes=2,loss=qqc_approx": (

@@ -72,16 +72,16 @@ def test_symmetric_build_marks_everything_symmetric(symmetric_library):
 def test_augmented_build_adds_asymmetric_models(symmetric_library, augmented_library):
     assert len(augmented_library) > len(symmetric_library)
     quantiles = [e for e in augmented_library.entries if e.family == "quantile"]
-    pinball_nets = [
+    llc_nets = [
         e for e in augmented_library.entries
-        if e.family == "nn" and e.hyperparams.get("loss") == "pinball"
+        if e.family == "nn" and e.hyperparams.get("loss") == "llc"
     ]
     smooth_nets = [
         e for e in augmented_library.entries
         if e.family == "nn" and e.hyperparams.get("loss") == "qqc_approx"
     ]
-    assert len(quantiles) >= 1 and len(pinball_nets) >= 1 and len(smooth_nets) >= 1
-    for group in (quantiles, pinball_nets, smooth_nets):
+    assert len(quantiles) >= 1 and len(llc_nets) >= 1 and len(smooth_nets) >= 1
+    for group in (quantiles, llc_nets, smooth_nets):
         assert all(e.provenance == "asymmetric" for e in group)
 
 
@@ -229,6 +229,38 @@ def test_a_size_0_plan_fails_alone_and_the_rest_of_its_group_fits(small_splits, 
     assert [e.family for e in library.entries] == ["random_forest"] * 4
 
 
+@pytest.mark.parametrize(
+    "sizes,family,params,message",
+    [
+        ({"bag_counts": (2, 2.5)}, "bagged_tree", {"bags": 2.5}, "bags must be an integer, got 2.5"),
+        ({"bag_counts": (2.5, 5)}, "bagged_tree", {"bags": 2.5}, "bags must be an integer, got 2.5"),
+        (
+            {"rf_trees": (3, 4.5), "rf_mtrys": (4,)},
+            "random_forest",
+            {"trees": 4.5, "mtry": 4},
+            "trees must be an integer, got 4.5",
+        ),
+        (
+            {"rf_trees": (4.5, 6), "rf_mtrys": (4,)},
+            "random_forest",
+            {"trees": 4.5, "mtry": 4},
+            "trees must be an integer, got 4.5",
+        ),
+    ],
+    ids=["bags-largest", "bags-smallest", "trees-largest", "trees-smallest"],
+)
+def test_a_size_that_is_not_an_integer_fails_alone_naming_its_parameter(
+    small_splits, sizes, family, params, message
+):
+    config = replace(NESTED_CONFIG, families=("ols", family), **sizes)
+    library = build_library(small_splits, config, augment=False)
+    assert library.failures == [(family, params, message)]
+    (entry,) = [e for e in library.entries if e.family == family]
+    model = refit(entry, small_splits)
+    assert_same_trees(entry.model.state.trees, model.state.trees)
+    assert same_bits(predict(model, small_splits.validation.features), entry.val_pred)
+
+
 def test_build_wires_each_group_to_one_walk_and_one_index_over_one_memo(small_splits):
     config = replace(
         NESTED_CONFIG, families=("knn", "tree", "bagged_tree", "random_forest"), knn_ks=(25, 5)
@@ -328,6 +360,18 @@ def test_select_best_returns_entry_index_of_a_sub_library():
     assert select_best(full, CostSpec("squared_error"), families=("stub",)) == 3
     with pytest.raises(InvalidInputError, match="families"):
         select_best(full, CostSpec("squared_error"), families=("ols",))
+
+
+def test_entry_looks_up_the_index_select_best_returns():
+    full = stub_library([np.full(3, 0.5 + 0.1 * i) for i in range(8)], [0.75, 0.8, 0.7])
+    sub = ModelLibrary([full.entry(i) for i in (1, 2, 4, 6)], full.val_actuals, False, 0)
+    best = select_best(sub, CostSpec("llc", a=0.2, b=1.0))
+    assert best == 2
+    assert sub.entry(best) is full.entry(2)
+    assert [sub.entry(i).index for i in (1, 2, 4, 6)] == [1, 2, 4, 6]
+    for missing in (0, 3, 5, 7, 8, -1):
+        with pytest.raises(InvalidInputError, match=f"no entry with index {missing}"):
+            sub.entry(missing)
 
 
 def test_select_best_rejects_empty_library():

@@ -8,6 +8,7 @@ from asymcast.losses import (
     FAMILIES,
     _eval_raw,
     QQC_APPROX_MAX_RATIO,
+    QQC_STEEPNESS,
     CostSpec,
     eval_loss,
     eval_mean,
@@ -30,6 +31,15 @@ OFF_KINK = st.floats(1e-3, 5.0) | st.floats(-5.0, -1e-3)
 GRIDS = st.lists(st.integers(-500, 500), min_size=1, max_size=40).map(
     lambda points: np.array(points) / 100.0
 )
+# every family, and the tau-quantile (pinball) weighting of llc
+SHAPES = FAMILIES + ("pinball",)
+
+
+def cost(shape, a=1.0, b=1.0, tau=0.5):
+    """CostSpec of a family at weights a, b, or for "pinball" llc(tau, 1 - tau)."""
+    if shape == "pinball":
+        return CostSpec("llc", a=tau, b=1.0 - tau)
+    return CostSpec(shape, a=a, b=b)
 
 
 def central_diff(spec, e, h=1e-6):
@@ -43,7 +53,7 @@ def test_quadratic_asymmetry_reduces_to_squared_error():
 
 
 def test_pinball_symmetric_case_weights_both_sides_equally():
-    spec = CostSpec("pinball", tau=0.5)
+    spec = cost("pinball", tau=0.5)
     assert eval_loss(spec, 4.0) == 2.0
     assert eval_loss(spec, -4.0) == 2.0
 
@@ -77,11 +87,14 @@ def test_cost_spec_validation():
     with pytest.raises(ConfigurationError):
         CostSpec("qqc", a=-1.0)
     with pytest.raises(ConfigurationError):
-        CostSpec("pinball", tau=1.0)
-    with pytest.raises(ConfigurationError):
-        CostSpec("qqc_approx", steepness=0.0)
+        CostSpec("llc", a=0.5, b=0.0)
+    for weight in (float("inf"), float("nan")):
+        with pytest.raises(ConfigurationError, match="finite"):
+            CostSpec("qqc", b=weight)
     with pytest.raises(ConfigurationError):
         CostSpec("huber")
+    with pytest.raises(ConfigurationError):
+        CostSpec("pinball")
 
 
 def test_smooth_qqc_saturates_instead_of_overflowing():
@@ -108,8 +121,8 @@ def test_mean_squared_error_on_reference_forecasts():
 
 def test_mean_is_zero_for_perfect_forecasts():
     y = np.linspace(0.2, 0.9, 11)
-    for family in ("squared_error", "llc", "qqc", "lec", "pinball", "qqc_approx"):
-        spec = CostSpec(family, a=0.4, b=1.0, tau=0.3)
+    for shape in SHAPES:
+        spec = cost(shape, a=0.4, b=1.0, tau=0.3)
         assert eval_mean(spec, y, y) == 0.0
 
 
@@ -128,7 +141,7 @@ def test_mean_rejects_mismatched_or_empty_vectors():
 
 @settings(max_examples=60)
 @given(
-    family=st.sampled_from(FAMILIES),
+    family=st.sampled_from(SHAPES),
     a=WEIGHTS,
     tau=TAUS,
     n=st.integers(1, 300),
@@ -139,7 +152,7 @@ def test_mean_has_the_bits_of_np_mean(family, a, tau, n, rows, seed):
     rng = np.random.default_rng(seed)
     y = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 2, n)
     f = y + rng.normal(size=n if rows is None else (rows, n))
-    spec = CostSpec(family, a=a, b=1.0, tau=tau)
+    spec = cost(family, a=a, b=1.0, tau=tau)
     got = eval_mean(spec, y, f)
     expected = np.mean(_eval_raw(spec, y - f), axis=-1)
     if rows is None:
@@ -152,7 +165,7 @@ def test_mean_over_a_forecast_matrix_equals_each_row(family):
     rng = np.random.default_rng(9)
     y = rng.uniform(0.3, 1.0, size=257)
     F = y + rng.normal(0, 0.1, size=(6, 257))
-    spec = CostSpec(family, a=0.3, b=1.0, tau=0.3)
+    spec = cost(family, a=0.3, b=1.0, tau=0.3)
     means = eval_mean(spec, y, F)
     assert means.shape == (6,)
     for row, mean in zip(F, means):
@@ -205,7 +218,7 @@ def test_smooth_qqc_gradient_matches_finite_difference():
     ],
 )
 def test_gradients_match_central_differences_off_kinks(family, params):
-    spec = CostSpec(family, **params)
+    spec = cost(family, **params)
     grid = np.array([-3.0, -1.7, -0.9, -0.3, 0.4, 0.8, 1.6, 2.9])
     for e in grid:
         fd = central_diff(spec, float(e))
@@ -213,16 +226,16 @@ def test_gradients_match_central_differences_off_kinks(family, params):
         assert abs(an - fd) <= 1e-4 * max(1.0, abs(fd))
 
 
-@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("family", SHAPES)
 @given(a=WEIGHTS, b=WEIGHTS, tau=TAUS, e=OFF_KINK)
 def test_gradient_matches_central_differences_for_random_parameters(family, a, b, tau, e):
-    spec = CostSpec(family, a=a, b=b, tau=tau)
+    spec = cost(family, a=a, b=b, tau=tau)
     fd = central_diff(spec, e)
     assert abs(grad_loss(spec, e) - fd) <= 1e-4 * max(1.0, abs(fd))
 
 
 def test_kink_subgradients_use_right_derivative():
-    assert grad_loss(CostSpec("pinball", tau=0.25), 0.0) == 0.25
+    assert grad_loss(cost("pinball", tau=0.25), 0.0) == 0.25
     assert grad_loss(CostSpec("llc", a=0.5, b=1.0), 0.0) == 0.5
 
 
@@ -250,19 +263,19 @@ def test_all_families_are_generalized_cost_functions():
         CostSpec("llc", a=0.5, b=1.0),
         CostSpec("qqc", a=0.4, b=1.0),
         CostSpec("lec", a=0.22, b=17.0),
-        CostSpec("pinball", tau=0.3),
+        cost("pinball", tau=0.3),
         CostSpec("qqc_approx", a=0.4, b=1.0),
     ]
     for spec in specs:
         assert validate_generalized_cost(spec, STANDARD_GRID), spec.describe()
 
 
-@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("family", SHAPES)
 @given(a=WEIGHTS, b=WEIGHTS, tau=TAUS, grid=GRIDS)
 def test_every_family_is_a_generalized_cost_for_random_parameters(family, a, b, tau, grid):
     if family == "qqc_approx":
         assume(max(a, b) / min(a, b) <= QQC_APPROX_MAX_RATIO)
-    assert validate_generalized_cost(CostSpec(family, a=a, b=b, tau=tau), grid)
+    assert validate_generalized_cost(cost(family, a=a, b=b, tau=tau), grid)
 
 
 @pytest.mark.parametrize("a,b", [(1.0, 50.0), (50.0, 1.0), (0.02, 1.0)])
@@ -291,11 +304,12 @@ def test_equal_weights_collapse_to_symmetric_losses():
 
 
 def test_llc_is_scaled_pinball():
+    # llc(a, 1) = (1 + a) llc(tau, 1 - tau) at tau = a / (1 + a)
     es = np.linspace(-5, 5, 1000)
     for a in np.arange(0.1, 1.01, 0.1):
         tau = tau_from_weights(a, 1.0)
         llc = eval_loss(CostSpec("llc", a=a, b=1.0), es)
-        pin = (1.0 + a) * eval_loss(CostSpec("pinball", tau=tau), es)
+        pin = (1.0 + a) * eval_loss(CostSpec("llc", a=tau, b=1.0 - tau), es)
         assert np.max(np.abs(llc - pin)) < 1e-12
 
 
@@ -320,11 +334,12 @@ def test_smooth_qqc_limit_weights():
 def test_loss_config_round_trip_is_decimal_exact():
     specs = [
         CostSpec("qqc", a=0.1, b=1.0),
-        CostSpec("pinball", tau=1.0 / 3.0),
-        CostSpec("qqc_approx", a=0.22222222222221, b=1.7, steepness=99.0),
+        CostSpec("llc", a=1.0 / 3.0, b=2.0 / 3.0),
+        CostSpec("qqc_approx", a=0.22222222222221, b=1.7),
     ]
     for spec in specs:
         assert loss_from_text(loss_to_text(spec)) == spec
+    assert loss_to_text(CostSpec("qqc_approx", a=0.3, b=1.0)) == "family=qqc_approx\na=0.3\nb=1.0\n"
 
 
 def test_loss_config_rejects_garbage():
@@ -334,3 +349,33 @@ def test_loss_config_rejects_garbage():
         loss_from_text("a=1.0\n")
     with pytest.raises(ConfigurationError):
         loss_from_text("family=qqc\nwhatever=1\n")
+
+
+# Loss text as written before the two-weight form: every spec carried tau
+# and steepness, and the quantile networks named the pinball family.
+OLD_PINBALL_TEXT = "family=pinball\na=1.0\nb=1.0\ntau=0.16666666666666669\nsteepness=99.0\n"
+OLD_QQC_APPROX_TEXT = "family=qqc_approx\na=0.2\nb=1.0\ntau=0.5\nsteepness=99.0\n"
+
+
+def test_older_loss_text_loads_as_the_two_weight_spec():
+    tau = 0.16666666666666669
+    pinball = loss_from_text(OLD_PINBALL_TEXT)
+    assert pinball == CostSpec("llc", a=tau, b=1.0 - tau)
+    assert loss_from_text(OLD_QQC_APPROX_TEXT) == CostSpec("qqc_approx", a=0.2, b=1.0)
+    assert loss_from_text("family=squared_error\na=1.0\nb=1.0\ntau=0.5\nsteepness=99.0\n") == (
+        CostSpec("squared_error")
+    )
+    # the retired pinball formulas, tau e above zero and (tau - 1) e below it
+    es = np.linspace(-3.0, 3.0, 601)
+    old_eval = np.where(es > 0, tau * es, (tau - 1.0) * es)
+    old_grad = np.where(es < 0, tau - 1.0, tau)
+    assert np.array_equal(eval_loss(pinball, es), old_eval)
+    assert np.array_equal(grad_loss(pinball, es).view(np.int64), old_grad.view(np.int64))
+    with pytest.raises(ConfigurationError, match="weights must be positive"):
+        loss_from_text("family=pinball\ntau=1.0\n")
+
+
+def test_older_loss_text_with_another_steepness_is_rejected():
+    assert QQC_STEEPNESS == 99.0
+    with pytest.raises(ConfigurationError, match="steepness"):
+        loss_from_text(OLD_QQC_APPROX_TEXT.replace("steepness=99.0", "steepness=50.0"))

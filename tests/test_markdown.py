@@ -16,7 +16,10 @@ positive = st.floats(0.01, 2.0, allow_nan=False, allow_infinity=False)
 def criteria(draw):
     family = draw(st.sampled_from(["llc", "qqc", "lec", "pinball", "squared_error"]))
     a = draw(st.floats(0.05, 5.0))
-    return CostSpec(family, a=a, b=1.0, tau=a / (a + 1.0))
+    if family == "pinball":  # llc(tau, 1 - tau) at the quantile level of a : 1
+        tau = a / (a + 1.0)
+        return CostSpec("llc", a=tau, b=1.0 - tau)
+    return CostSpec(family, a=a, b=1.0)
 
 
 @st.composite

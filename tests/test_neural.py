@@ -36,7 +36,7 @@ def test_pinball_network_with_zeroed_inputs_finds_the_median():
     y = rng.lognormal(mean=-0.7, sigma=0.4, size=1000)
     X = np.zeros((1000, 2))
     config = NNConfig(hidden_nodes=2, epochs=800, seed=1)
-    net = fit_nn(X, y, config, CostSpec("pinball", tau=0.5))
+    net = fit_nn(X, y, config, CostSpec("llc", a=0.5, b=0.5))
     constant = predict(net, np.zeros((1, 2)))[0]
     assert abs(constant - np.median(y)) < 0.05
 
@@ -68,7 +68,7 @@ def test_zero_hidden_weights_give_constant_forward_pass():
 
 @pytest.mark.parametrize(
     "loss_mode",
-    [CostSpec("squared_error"), CostSpec("pinball", tau=0.3), CostSpec("qqc_approx", a=0.3, b=1.0)],
+    [CostSpec("squared_error"), CostSpec("llc", a=0.3, b=0.7), CostSpec("qqc_approx", a=0.3, b=1.0)],
     ids=["squared_error", "pinball", "qqc_approx"],
 )
 def test_training_is_deterministic_given_seed(loss_mode):
@@ -86,7 +86,7 @@ def test_training_is_deterministic_given_seed(loss_mode):
 
 @pytest.mark.parametrize(
     "loss_mode",
-    [CostSpec("squared_error"), CostSpec("qqc_approx", a=0.3, b=1.0), CostSpec("pinball", tau=0.3)],
+    [CostSpec("squared_error"), CostSpec("qqc_approx", a=0.3, b=1.0), CostSpec("llc", a=0.3, b=0.7)],
 )
 def test_objective_gradient_matches_finite_differences(loss_mode):
     rng = np.random.default_rng(8)
@@ -132,7 +132,7 @@ def composed_objective_and_grad(theta, X, y, config, loss_mode):
 
 TRAINABLE_LOSSES = st.one_of(
     st.just(CostSpec("squared_error")),
-    st.builds(lambda tau: CostSpec("pinball", tau=tau), st.floats(0.01, 0.99)),
+    st.builds(lambda tau: CostSpec("llc", a=tau, b=1.0 - tau), st.floats(0.01, 0.99)),
     st.builds(
         lambda a, ratio, a_is_larger: CostSpec(
             "qqc_approx", a=a * ratio if a_is_larger else a, b=a if a_is_larger else a * ratio
@@ -195,7 +195,7 @@ def test_nn_config_validation():
     with pytest.raises(ConfigurationError):
         NNConfig(lambda1=-1.0)
     with pytest.raises(ConfigurationError):
-        fit_nn(np.zeros((20, 1)), np.full(20, 0.5), NNConfig(), CostSpec("llc", a=0.5))
+        fit_nn(np.zeros((20, 1)), np.full(20, 0.5), NNConfig(), CostSpec("lec", a=0.5))
 
 
 @pytest.mark.parametrize("a,b", [(1.0, 50.0), (50.0, 1.0), (0.02, 1.0)])
