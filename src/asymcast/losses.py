@@ -196,7 +196,7 @@ def loss_from_text(text: str) -> CostSpec:
         key, value = (part.strip() for part in line.split("=", 1))
         if key == "family":
             fields[key] = value
-        elif key in ("a", "b", "tau", "steepness"):
+        elif key in ("a", "b"):
             try:
                 fields[key] = float(value)
             except ValueError as exc:
@@ -205,11 +205,4 @@ def loss_from_text(text: str) -> CostSpec:
             raise ConfigurationError(f"unknown loss config key {key!r}")
     if "family" not in fields:
         raise ConfigurationError("loss config is missing the family key")
-    # Transitional: older text has tau and steepness keys for every spec and
-    # may name the retired pinball family, pinball(tau) = llc(tau, 1 - tau).
-    tau = fields.pop("tau", 0.5)
-    if (steepness := fields.pop("steepness", QQC_STEEPNESS)) != QQC_STEEPNESS:
-        raise ConfigurationError(f"steepness is fixed at {QQC_STEEPNESS!r}, got {steepness!r}")
-    if fields["family"] == "pinball":
-        fields.update(family="llc", a=tau, b=1.0 - tau)
     return CostSpec(**fields)

@@ -7,8 +7,22 @@ models trained against asymmetric losses, for each level a of the grid:
 a linear quantile regression and a network on llc(tau, 1 - tau), which
 is llc(a, 1) / (1 + a) at tau = a / (1 + a), and a network on
 qqc_approx(a, 1); these carry provenance "asymmetric". Every network,
-symmetric or not, is trained by L-BFGS on the same full-batch objective,
-at most ``nn_epochs`` iterations.
+symmetric or not, is trained by L-BFGS on the same full-batch objective.
+A symmetric network runs at most ``nn_epochs`` iterations from its
+seeded start.
+
+The asymmetric networks of one loss family (llc or qqc_approx) and one
+``aug_nn_hidden`` width form a path over the a-grid, the warm start
+along a parameter path of glmnet (Friedman, Hastie & Tibshirani, JSS
+2010). The path is fitted from the largest a down, with the seed of that
+first level's plan: the first level starts cold and runs at most
+``nn_epochs`` iterations, as the plan would alone, and each later level
+starts from the network of the last level that fitted and runs at most
+``min(nn_epochs, PATH_EPOCHS)``. Each network's hyperparameters record
+the seed and the loss and cap of the levels it started from, so
+``fit_nn`` called along that record reproduces it. A level that fails
+is recorded alone, and the next level starts from the last one that
+fitted.
 
 Bagged trees, and random forests of one configured ``mtry``, each form
 a group whose sizes nest. A group grows one ensemble at its largest size
@@ -109,6 +123,10 @@ SUPPORTED_FAMILIES = (
 )
 
 DEFAULT_A_LEVELS = tuple(round(0.1 * i, 1) for i in range(1, 11))
+
+# L-BFGS iteration cap of every level of an asymmetric network path after
+# its first, which has ``LibraryConfig.nn_epochs``; see ``_loss_path``
+PATH_EPOCHS = 30
 
 
 @dataclass(frozen=True)
@@ -213,7 +231,9 @@ def _build_plans(config: LibraryConfig, augment: bool, n_features: int, memo: Qu
     bagged-tree plan, or every forest plan of one configured ``mtry``; it
     grows one ensemble at its largest size, and each of its plans takes
     the prefix of its own size (``_nested_ensembles``), whose tree sums
-    live in ``memo``.
+    live in ``memo``. The llc, or the qqc_approx, networks of one hidden
+    width are fitted as one path over the a-grid (``_loss_path``) with
+    the seed of the plan at the largest a.
     """
     plans = []
 
@@ -281,30 +301,71 @@ def _build_plans(config: LibraryConfig, augment: bool, n_features: int, memo: Qu
                 {"tau": tau, "a": a},
                 lambda X, y, seed, tau=tau: fit_quantile(X, y, tau),
             )
-        for a in config.aug_a_levels:
-            tau = tau_from_weights(a, 1.0)
-            for k in config.aug_nn_hidden:
-                add(
-                    FAMILY_NN,
-                    {"hidden_nodes": k, "a": a, "loss": "llc"},
-                    lambda X, y, seed, tau=tau, k=k: fit_nn(
-                        X, y, _nn_config(config, k, seed), CostSpec("llc", a=tau, b=1.0 - tau)
-                    ),
-                )
-        for a in config.aug_a_levels:
-            for k in config.aug_nn_hidden:
-                add(
-                    FAMILY_NN,
-                    {"hidden_nodes": k, "a": a, "b": 1.0, "loss": "qqc_approx"},
-                    lambda X, y, seed, a=a, k=k: fit_nn(
-                        X, y, _nn_config(config, k, seed), CostSpec("qqc_approx", a=a, b=1.0)
-                    ),
-                )
+        levels, widths = config.aug_a_levels, config.aug_nn_hidden
+        taus = [tau_from_weights(a, 1.0) for a in levels]
+        # each path runs from the largest a down, with the seed of that level's plan
+        order = sorted(range(len(levels)), key=levels.__getitem__, reverse=True)
+        for label, losses in (
+            ({"loss": "llc"}, [CostSpec("llc", a=tau, b=1.0 - tau) for tau in taus]),
+            ({"b": 1.0, "loss": "qqc_approx"}, [CostSpec("qqc_approx", a=a, b=1.0) for a in levels]),
+        ):
+            paths = {k: _loss_path(config, k, [losses[i] for i in order]) for k in widths}
+            cold = len(plans) + order[0] * len(widths)
+            for level, a in enumerate(levels):
+                for j, k in enumerate(widths):
+                    params = {"hidden_nodes": k, "a": a, **label}
+                    add(FAMILY_NN, params, paths[k](order.index(level)), cold + j)
     return plans
 
 
 def _nn_config(config: LibraryConfig, hidden: int, seed: int) -> NNConfig:
     return NNConfig(hidden_nodes=hidden, epochs=config.nn_epochs, seed=seed)
+
+
+def _loss_path(config: LibraryConfig, hidden: int, losses):
+    """Per-level fitters for one asymmetric network family, fitted as one path.
+
+    ``losses`` are the training losses of the path's levels in path order,
+    and ``level(i)`` is the fitter of level ``i``. The first fitter called
+    fits every level in that order, one ``fit_nn`` call each, with the
+    seed it is given. A level starts from the network of the last level
+    that fitted, with an iteration cap of ``min(config.nn_epochs,
+    PATH_EPOCHS)``; while none has, it starts cold from the seed with
+    ``config.nn_epochs``. Each model's ``hyperparams["path"]`` lists
+    the loss text and cap of the levels it started from, in order, so
+    ``fit_nn`` called along that list reproduces it. Each fitter returns
+    its own level's model, or raises what its level raised. The path is
+    kept only as long as the fitters are, one ``build_library`` call.
+    """
+    fitted = {}
+
+    def fit_path(X, y, seed):
+        results, path, start = [], [], None
+        for loss in losses:
+            epochs = config.nn_epochs if start is None else min(config.nn_epochs, PATH_EPOCHS)
+            nn_config = NNConfig(hidden_nodes=hidden, epochs=epochs, seed=seed)
+            try:
+                model = fit_nn(X, y, nn_config, loss, start=start)
+            except Exception as exc:  # noqa: BLE001 - raised again by this level's plan
+                results.append(exc)
+                continue
+            results.append(replace(model, hyperparams={**model.hyperparams, "path": list(path)}))
+            path.append({"loss": loss_to_text(loss), "epochs": epochs})
+            start = model.state
+        return results
+
+    def level(i):
+        def fit_level(X, y, seed):
+            if seed not in fitted:
+                fitted[seed] = fit_path(X, y, seed)
+            result = fitted[seed][i]
+            if isinstance(result, Exception):
+                raise result
+            return result
+
+        return fit_level
+
+    return level
 
 
 def build_library(

@@ -15,11 +15,15 @@ Training minimizes the full-batch objective
 
 of ``nn_objective_and_grad`` with scipy's L-BFGS-B quasi-Newton method,
 as R's ``nnet`` trains the same model; biases are unpenalized and
-``epochs`` caps the L-BFGS iterations. Supported loss modes: squared
-error, lin-lin (``llc``, which at a = tau, b = 1 - tau is the quantile
-loss), and the smooth quadratic-quadratic approximation within its
-weight-ratio bound.
-Training is deterministic given the config seed.
+``epochs`` caps the L-BFGS iterations, and ``hyperparams["iterations"]``
+records how many ran. Supported loss modes: squared error, lin-lin
+(``llc``, which at a = tau, b = 1 - tau is the quantile loss), and the
+smooth quadratic-quadratic approximation within its weight-ratio bound.
+
+Training starts from the seeded ``init_params``, or from a given
+``start`` state, such as a network fitted on a neighbouring loss, whose
+parameters then replace the seeded ones. Training is deterministic given
+the config seed and the start state.
 """
 
 from __future__ import annotations
@@ -99,11 +103,24 @@ def init_params(n_features: int, y: np.ndarray, config: NNConfig):
     return W1, b1, v, v0
 
 
-def fit_nn(X, y, config: NNConfig, loss_mode: CostSpec = CostSpec("squared_error")) -> Model:
-    """Train on standardized features; deterministic given config.seed."""
+def fit_nn(
+    X,
+    y,
+    config: NNConfig,
+    loss_mode: CostSpec = CostSpec("squared_error"),
+    start: NNState | None = None,
+) -> Model:
+    """Train on standardized features; deterministic given config.seed and ``start``.
+
+    ``start``, a network of ``X``'s width and ``config.hidden_nodes``
+    hidden units with finite parameters, replaces ``init_params``.
+    """
     X, y = check_training_data(X, y)
     k = config.hidden_nodes
-    theta0 = flatten_params(*init_params(X.shape[1], y, config))
+    if start is None:
+        theta0 = flatten_params(*init_params(X.shape[1], y, config))
+    else:
+        theta0 = _start_params(start, X.shape[1], k)
     args = (X, y, config, loss_mode)
     # huge targets overflow the loss; a line search backs off from an
     # infinite objective, and one at the start or the end is raised
@@ -129,8 +146,23 @@ def fit_nn(X, y, config: NNConfig, loss_mode: CostSpec = CostSpec("squared_error
         "epochs": config.epochs,
         "seed": config.seed,
         "loss": loss_mode.describe(),
+        "iterations": int(result.nit),
     }
     return Model(FAMILY_NN, params, state, X.shape[1], loss_mode=loss_mode)
+
+
+def _start_params(start: NNState, n_features: int, k: int) -> np.ndarray:
+    """``start``'s flat parameters; ConfigurationError unless they fit this network and are finite."""
+    expected = {"W1": (n_features, k), "b1": (k,), "v": (k,), "v0": (1,)}
+    given = {name: np.shape(getattr(start, name)) for name in expected}
+    if given != expected:
+        raise ConfigurationError(
+            f"start state shapes {given} do not fit this network, which needs {expected}"
+        )
+    theta = flatten_params(start.W1, start.b1, start.v, start.v0)
+    if not np.isfinite(theta).all():
+        raise ConfigurationError("start state has a non-finite parameter")
+    return theta
 
 
 # ------------------------------------------------------ training objective

@@ -3,7 +3,8 @@
 The pinned values were captured from the per-feature-loop tree builder,
 the per-row tree predict and the primal quantile LP; the network
 forecasts, and the selections that follow from them, with the L-BFGS
-network trainer; and the markdowns with the bounded Brent search. Any
+network trainer, each asymmetric family fitted as a warm-started path
+from its largest a down; and the markdowns with the bounded Brent search. Any
 rewrite of the numeric kernels must reproduce them: tree node arrays
 and every non-quantile validation forecast bit for bit, the selected
 entries exactly, and the fitted markdowns and quantile objectives to
@@ -99,23 +100,23 @@ PREDICTION_DIGESTS = {
         "56f1c50c89fddfe69521d4e7a01b1aea69dcc8dc6822ee4f8e35fe1fcee6e2ad"
     ),
     "10:nn:a=0.2,hidden_nodes=2,loss=llc": (
-        "698c461bbe9ff8806597f1cd2f59a669a55407c706e77ac4cf5eeff28bcd866f"
+        "a878cbefe624eab59bf3bc3e2c90d1b60e440dd11458ad67b5f2ea62b3a4e15e"
     ),
     "11:nn:a=0.7,hidden_nodes=2,loss=llc": (
         "05ccfca6ab73da95ac69c931059ccb538075c5f3a3377c777e07b7b98bdc3f2a"
     ),
     "12:nn:a=0.2,b=1.0,hidden_nodes=2,loss=qqc_approx": (
-        "58275e52028cd2856b41b6085416792dd2dabec392ea3c153439ea11329b98a5"
+        "66bd72570f6246dfc1315a3f0f0b67ad5d2ac937dbef5c38c63d562b16d710bf"
     ),
     "13:nn:a=0.7,b=1.0,hidden_nodes=2,loss=qqc_approx": (
         "2ac0d5edd22161c13b5d8eb42cd7a8ae363969f8dbe4b626a8142d796038775c"
     ),
 }
-SELECTED = [12, 13, 12, 13, 4, 4]
+SELECTED = [10, 13, 12, 13, 4, 4]
 MARKDOWNS = [
-    0.014185857147668587,
+    0.00036369883352347233,
     0.00569752661236825,
-    -0.0019768014150477603,
+    0.000899475945160902,
     -0.0008151455612388643,
     -0.001786402884594643,
     -0.0020825853814769963,

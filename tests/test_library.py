@@ -9,15 +9,17 @@ from hypothesis import strategies as st
 
 from asymcast import kernels
 from asymcast.data import SynthConfig, split, standardize, synth_generate
-from asymcast.errors import ConfigurationError, InvalidInputError
-from asymcast.losses import CostSpec, loss_to_text
+from asymcast.errors import ConfigurationError, InvalidInputError, TrainingError
+from asymcast.losses import CostSpec, loss_from_text, loss_to_text, tau_from_weights
 from asymcast.models import (
     LibraryConfig,
     LibraryEntry,
     ModelLibrary,
+    NNConfig,
     build_library,
     fit_bagged_tree,
     fit_knn,
+    fit_nn,
     fit_random_forest,
     load_library,
     predict,
@@ -25,7 +27,7 @@ from asymcast.models import (
     select_best,
 )
 from asymcast.models import library as library_module
-from asymcast.models.library import SUPPORTED_FAMILIES
+from asymcast.models.library import PATH_EPOCHS, SUPPORTED_FAMILIES
 from asymcast.models.neighbors import _CHUNK_DISTANCES
 from asymcast.models.trees import NODE_ARRAYS
 from reference_kernels import knn_rank_means
@@ -378,6 +380,172 @@ def test_select_best_rejects_empty_library():
     library = ModelLibrary([], np.array([1.0]), False, 0)
     with pytest.raises(InvalidInputError):
         select_best(library, CostSpec("squared_error"))
+
+
+# ------------------------------------------------ asymmetric network paths
+
+# the default a-grid and nn_epochs; one narrow width keeps the 20 fits quick
+PATH_CONFIG = LibraryConfig(families=("ols",), aug_nn_hidden=(2,), master_seed=5)
+DEFAULT_PATH = sorted(PATH_CONFIG.aug_a_levels, reverse=True)
+
+
+@pytest.fixture(scope="module")
+def path_library(small_splits):
+    return build_library(small_splits, PATH_CONFIG, augment=True)
+
+
+def networks(library) -> dict:
+    """The asymmetric networks by (loss, a)."""
+    return {
+        (e.hyperparams["loss"], e.hyperparams["a"]): e.model
+        for e in library.entries
+        if e.family == "nn" and "loss" in e.hyperparams
+    }
+
+
+def refit_along_path(splits, model):
+    """The state of ``fit_nn`` called along the path ``model``'s hyperparameters record."""
+    params = model.hyperparams
+    own = {"loss": loss_to_text(model.loss_mode), "epochs": params["epochs"]}
+    state = None
+    for level in params["path"] + [own]:
+        config = NNConfig(
+            hidden_nodes=params["hidden_nodes"],
+            lambda1=params["lambda1"],
+            lambda2=params["lambda2"],
+            epochs=level["epochs"],
+            seed=params["seed"],
+        )
+        loss_mode = loss_from_text(level["loss"])
+        state = fit_nn(splits.ats.features, splits.ats.target, config, loss_mode, start=state).state
+    return state
+
+
+def same_network(state, other) -> bool:
+    return all(
+        np.array_equal(getattr(state, name).view(np.int64), getattr(other, name).view(np.int64))
+        for name in ("W1", "b1", "v", "v0")
+    )
+
+
+def path_loss(family, a) -> CostSpec:
+    if family == "llc":
+        tau = tau_from_weights(a, 1.0)
+        return CostSpec("llc", a=tau, b=1.0 - tau)
+    return CostSpec("qqc_approx", a=a, b=1.0)
+
+
+def test_each_path_level_is_fit_nn_called_along_its_recorded_path(
+    tmp_path, small_splits, path_library
+):
+    path = tmp_path / "library.npz"
+    save_library(path_library, path)
+    loaded = networks(load_library(path))
+    built = networks(path_library)
+    assert len(built) == 20 and loaded.keys() == built.keys()
+    cold_plan = {
+        family: next(
+            e.index for e in path_library.entries
+            if e.hyperparams.get("loss") == family and e.hyperparams["a"] == 1.0
+        )
+        for family in ("llc", "qqc_approx")
+    }
+    for (family, a), model in built.items():
+        # from a = 1.0 down, every level records the levels before it
+        above = [level for level in DEFAULT_PATH if level > a]
+        assert model.hyperparams["path"] == [
+            {"loss": loss_to_text(path_loss(family, level)), "epochs": 100 if level == 1.0 else 30}
+            for level in above
+        ]
+        assert model.hyperparams["seed"] == library_module._model_seed(5, cold_plan[family])
+        rebuilt = loaded[family, a]
+        assert rebuilt.hyperparams == model.hyperparams
+        assert same_network(rebuilt.state, model.state)
+        # the record read back from the bundle reproduces the entry bit for bit
+        assert same_network(refit_along_path(small_splits, rebuilt), model.state)
+
+
+def test_later_path_levels_record_at_most_path_epochs_iterations(path_library):
+    for e in path_library.entries:
+        if e.family != "nn":
+            continue
+        params = e.model.hyperparams
+        later = bool(params.get("path"))
+        assert params["epochs"] == (min(PATH_CONFIG.nn_epochs, PATH_EPOCHS) if later else 100)
+        assert 1 <= params["iterations"] <= (PATH_EPOCHS if later else 100)
+
+
+def test_each_path_level_is_one_fit_nn_call_through_the_library_module(
+    small_splits, path_library, monkeypatch
+):
+    # a tracer rebinds fit_nn in the library module's namespace
+    calls = []
+
+    def counted(X, y, config, loss_mode, start=None):
+        model = fit_nn(X, y, config, loss_mode, start=start)
+        calls.append((loss_mode.family, model.hyperparams["epochs"]))
+        return model
+
+    monkeypatch.setattr(library_module, "fit_nn", counted)
+    library = build_library(small_splits, PATH_CONFIG, augment=True)
+    path = [100] + [PATH_EPOCHS] * 9
+    assert calls == [("llc", cap) for cap in path] + [("qqc_approx", cap) for cap in path]
+    np.testing.assert_array_equal(library.validation_matrix(), path_library.validation_matrix())
+
+
+def test_a_failed_path_level_fails_alone_and_the_next_starts_from_the_last_fitted(
+    small_splits, path_library, monkeypatch
+):
+    failing = {path_loss("llc", 0.5), path_loss("qqc_approx", 1.0)}
+
+    def stub(X, y, config, loss_mode, start=None):
+        if loss_mode in failing:
+            raise TrainingError(f"stubbed failure at {loss_mode.describe()}")
+        return fit_nn(X, y, config, loss_mode, start=start)
+
+    monkeypatch.setattr(library_module, "fit_nn", stub)
+    library = build_library(small_splits, PATH_CONFIG, augment=True)
+    monkeypatch.undo()
+    assert library.failures == [
+        ("nn", {"hidden_nodes": 2, "a": 0.5, "loss": "llc"},
+         f"stubbed failure at {path_loss('llc', 0.5).describe()}"),
+        ("nn", {"hidden_nodes": 2, "a": 1.0, "b": 1.0, "loss": "qqc_approx"},
+         "stubbed failure at qqc_approx(a=1, b=1)"),
+    ]
+    nets, whole = networks(library), networks(path_library)
+    assert len(nets) == 18
+    # the llc levels above the failure are the ones of a build without it
+    for a in (1.0, 0.9, 0.8, 0.7, 0.6):
+        assert same_network(nets["llc", a].state, whole["llc", a].state)
+    # a = 0.4 starts from a = 0.6, the last llc level that fitted
+    assert [loss_from_text(level["loss"]) for level in nets["llc", 0.4].hyperparams["path"]] == [
+        path_loss("llc", a) for a in (1.0, 0.9, 0.8, 0.7, 0.6)
+    ]
+    # no qqc_approx level fitted before a = 0.9, so it starts cold with nn_epochs
+    cold = nets["qqc_approx", 0.9].hyperparams
+    assert (cold["path"], cold["epochs"]) == ([], PATH_CONFIG.nn_epochs)
+    assert nets["qqc_approx", 0.8].hyperparams["path"] == [
+        {"loss": loss_to_text(path_loss("qqc_approx", 0.9)), "epochs": 100}
+    ]
+    for key in (("llc", 0.4), ("llc", 0.1), ("qqc_approx", 0.9), ("qqc_approx", 0.8)):
+        assert same_network(refit_along_path(small_splits, nets[key]), nets[key].state)
+
+
+def test_a_path_runs_in_a_order_and_caps_later_levels_at_nn_epochs_when_lower(small_splits):
+    config = replace(PATH_CONFIG, aug_a_levels=(0.3, 0.6, 0.45), nn_epochs=12)
+    library = build_library(small_splits, config, augment=True)
+    for family in ("llc", "qqc_approx"):
+        entries = [e for e in library.entries if e.hyperparams.get("loss") == family]
+        paths = {e.hyperparams["a"]: e.model.hyperparams["path"] for e in entries}
+        assert [loss_from_text(level["loss"]) for level in paths[0.3]] == [
+            path_loss(family, 0.6), path_loss(family, 0.45)
+        ]
+        assert paths[0.6] == [] and len(paths[0.45]) == 1
+        assert {e.model.hyperparams["epochs"] for e in entries} == {12}
+        # every level draws the seed of the path's first level, a = 0.6
+        assert {e.model.hyperparams["seed"] for e in entries} == {
+            library_module._model_seed(config.master_seed, entries[1].index)
+        }
 
 
 # ------------------------------------------------------------- persistence

@@ -8,7 +8,6 @@ from asymcast.losses import (
     FAMILIES,
     _eval_raw,
     QQC_APPROX_MAX_RATIO,
-    QQC_STEEPNESS,
     CostSpec,
     eval_loss,
     eval_mean,
@@ -353,29 +352,15 @@ def test_loss_config_rejects_garbage():
 
 # Loss text as written before the two-weight form: every spec carried tau
 # and steepness, and the quantile networks named the pinball family.
-OLD_PINBALL_TEXT = "family=pinball\na=1.0\nb=1.0\ntau=0.16666666666666669\nsteepness=99.0\n"
-OLD_QQC_APPROX_TEXT = "family=qqc_approx\na=0.2\nb=1.0\ntau=0.5\nsteepness=99.0\n"
-
-
-def test_older_loss_text_loads_as_the_two_weight_spec():
-    tau = 0.16666666666666669
-    pinball = loss_from_text(OLD_PINBALL_TEXT)
-    assert pinball == CostSpec("llc", a=tau, b=1.0 - tau)
-    assert loss_from_text(OLD_QQC_APPROX_TEXT) == CostSpec("qqc_approx", a=0.2, b=1.0)
-    assert loss_from_text("family=squared_error\na=1.0\nb=1.0\ntau=0.5\nsteepness=99.0\n") == (
-        CostSpec("squared_error")
-    )
-    # the retired pinball formulas, tau e above zero and (tau - 1) e below it
-    es = np.linspace(-3.0, 3.0, 601)
-    old_eval = np.where(es > 0, tau * es, (tau - 1.0) * es)
-    old_grad = np.where(es < 0, tau - 1.0, tau)
-    assert np.array_equal(eval_loss(pinball, es), old_eval)
-    assert np.array_equal(grad_loss(pinball, es).view(np.int64), old_grad.view(np.int64))
-    with pytest.raises(ConfigurationError, match="weights must be positive"):
-        loss_from_text("family=pinball\ntau=1.0\n")
-
-
-def test_older_loss_text_with_another_steepness_is_rejected():
-    assert QQC_STEEPNESS == 99.0
-    with pytest.raises(ConfigurationError, match="steepness"):
-        loss_from_text(OLD_QQC_APPROX_TEXT.replace("steepness=99.0", "steepness=50.0"))
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("family=llc\na=0.2\nb=0.8\ntau=0.2\n", "unknown loss config key 'tau'"),
+        ("family=qqc_approx\na=0.2\nb=1.0\nsteepness=99.0\n", "unknown loss config key 'steepness'"),
+        ("family=pinball\na=0.2\nb=0.8\n", "unknown loss family 'pinball'"),
+    ],
+    ids=["tau", "steepness", "pinball"],
+)
+def test_older_loss_text_is_rejected(text, message):
+    with pytest.raises(ConfigurationError, match=message):
+        loss_from_text(text)

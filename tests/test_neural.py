@@ -217,3 +217,54 @@ def test_unflatten_round_trip():
     back = unflatten_params(flatten_params(W1, b1, v, v0), 3, 2)
     for original, rebuilt in zip((W1, b1, v, v0), back):
         np.testing.assert_array_equal(original, rebuilt)
+
+
+def test_a_start_state_at_the_seeded_weights_trains_as_a_cold_start():
+    X, y = standardized_linear_problem(seed=14, n=200)
+    config = NNConfig(hidden_nodes=3, epochs=40, seed=9)
+    loss_mode = CostSpec("llc", a=0.3, b=0.7)
+    cold = fit_nn(X, y, config, loss_mode)
+    warm = fit_nn(X, y, config, loss_mode, start=NNState(*init_params(X.shape[1], y, config)))
+    for name in ("W1", "b1", "v", "v0"):
+        assert np.array_equal(getattr(cold.state, name), getattr(warm.state, name))
+    assert cold.hyperparams == warm.hyperparams
+    assert 1 <= cold.hyperparams["iterations"] <= config.epochs
+
+
+def test_a_start_state_continues_from_its_parameters():
+    X, y = standardized_linear_problem(seed=15, n=200)
+    loss_mode = CostSpec("qqc_approx", a=0.4, b=1.0)
+    first = fit_nn(X, y, NNConfig(hidden_nodes=2, epochs=30, seed=4), loss_mode)
+    objective = lambda state: nn_objective_and_grad(
+        flatten_params(state.W1, state.b1, state.v, state.v0), X, y, NNConfig(hidden_nodes=2),
+        loss_mode,
+    )[0]
+    # seeded differently: only the start state sets where training begins
+    more = fit_nn(X, y, NNConfig(hidden_nodes=2, epochs=30, seed=5), loss_mode, start=first.state)
+    assert objective(more.state) <= objective(first.state)
+    assert more.hyperparams["seed"] == 5 and more.hyperparams["iterations"] <= 30
+
+
+def start_state(m=3, k=2, **replaced):
+    arrays = {"W1": np.zeros((m, k)), "b1": np.zeros(k), "v": np.ones(k), "v0": np.zeros(1)}
+    arrays.update(replaced)
+    return NNState(**arrays)
+
+
+@pytest.mark.parametrize(
+    "start,message",
+    [
+        (start_state(m=4), r"'W1': \(4, 2\).*needs.*'W1': \(3, 2\)"),
+        (start_state(k=3), r"'W1': \(3, 3\).*needs.*'W1': \(3, 2\)"),
+        (start_state(b1=np.zeros(3)), r"'b1': \(3,\).*needs.*'b1': \(2,\)"),
+        (start_state(v=np.ones((2, 1))), r"'v': \(2, 1\).*needs.*'v': \(2,\)"),
+        (start_state(v0=np.zeros(2)), r"'v0': \(2,\).*needs.*'v0': \(1,\)"),
+        (start_state(W1=np.array([[0.0, np.nan], [0.0, 0.0], [0.0, 0.0]])), "non-finite"),
+        (start_state(v0=np.array([np.inf])), "non-finite"),
+    ],
+    ids=["W1-features", "W1-hidden", "b1", "v", "v0", "nan", "inf"],
+)
+def test_a_start_state_that_does_not_fit_the_network_is_rejected(start, message):
+    X, y = standardized_linear_problem(seed=16, n=40)
+    with pytest.raises(ConfigurationError, match=message):
+        fit_nn(X, y, NNConfig(hidden_nodes=2, epochs=5), start=start)
