@@ -4,7 +4,7 @@
     python benchmarks/bench_kernels.py --tiny      # small sizes, about a second
     python benchmarks/bench_kernels.py --seed 20170710
 
-Times five kernels, each the best of several calls, and prints one JSON
+Times six kernels, each the best of several calls, and prints one JSON
 line with the seconds per call, the sizes and the seed. It writes no file.
 
 - ``tree_build``: one bagged tree (a bootstrap sample, every feature a
@@ -13,6 +13,8 @@ line with the seconds per call, the sizes and the seed. It writes no file.
 - ``nn_objective_and_grad``: one evaluation of a 6-unit network under
   the tau-quantile loss llc(tau, 1 - tau), tau = 1/3, with its gradient,
   on the training rows of an n = 8,000 dataset (3,200 rows).
+- ``nn_fit``: one ``fit_nn`` of that network and loss from its seeded
+  start, with the library's L-BFGS iteration cap (``nn_epochs``).
 - ``fit_quantile``: one quantile regression at tau = 1/3 on those rows.
 - ``knn_rank``: a ``NeighborIndex`` over the 1,200 training rows ranking
   the 10,000 fresh rows for the library's k values.
@@ -39,7 +41,7 @@ import numpy as np  # noqa: E402
 from asymcast import kernels  # noqa: E402
 from asymcast.data import SynthConfig, split, standardize, synth_generate  # noqa: E402
 from asymcast.losses import CostSpec, tau_from_weights  # noqa: E402
-from asymcast.models import LibraryConfig, fit_quantile  # noqa: E402
+from asymcast.models import LibraryConfig, fit_nn, fit_quantile  # noqa: E402
 from asymcast.models.neighbors import NeighborIndex  # noqa: E402
 from asymcast.models.neural import (  # noqa: E402
     NNConfig,
@@ -85,7 +87,7 @@ def run(sizes: dict, seed: int) -> dict:
 
     tree = build()
     tau = tau_from_weights(0.5, 1.0)
-    config = NNConfig(hidden_nodes=6, seed=seed)
+    config = NNConfig(hidden_nodes=6, epochs=LibraryConfig().nn_epochs, seed=seed)
     loss = CostSpec("llc", a=tau, b=1.0 - tau)
     theta = flatten_params(*init_params(X_lin.shape[1], y_lin, config))
     ks = tuple(k for k in LibraryConfig().knn_ks if k <= X_tree.shape[0])
@@ -96,6 +98,7 @@ def run(sizes: dict, seed: int) -> dict:
         "nn_objective_and_grad": best_of(
             repeats, lambda: nn_objective_and_grad(theta, X_lin, y_lin, config, loss)
         ),
+        "nn_fit": best_of(repeats, lambda: fit_nn(X_lin, y_lin, config, loss)),
         "fit_quantile": best_of(repeats, lambda: fit_quantile(X_lin, y_lin, tau)),
         # a new index per call: an index answers a repeated query from its memo
         "knn_rank": best_of(repeats, lambda: NeighborIndex(X_tree, y_tree, ks).means(Q)),

@@ -1,4 +1,4 @@
-"""Hot numeric kernels: tree building and prediction, the network forward pass.
+"""Hot numeric kernels: tree building and prediction, the network's hidden layer.
 
 Each kernel has one path, written with whole-array numpy operations.
 Tree building vectorizes the split search across a node's candidate
@@ -6,7 +6,8 @@ features and returns the depth of the tree's deepest node, which the
 tree keeps, also in a saved bundle; tree prediction walks every row down
 that many levels.
 Networks are trained in ``models.neural`` by scipy's L-BFGS-B, so no
-training loop lives here.
+training loop lives here; the clipped logistic ``logistic_inplace`` is
+shared by the forward pass and the training objective.
 
 A random forest's ``mtry`` candidate features at each scanned node are
 the first ``mtry`` entries of a permutation drawn from one numpy
@@ -176,20 +177,26 @@ def tree_predict(node_feature, node_threshold, node_left, node_right, node_value
 _EXP_CLIP = 700.0
 
 
-def nn_hidden(X, W1, b1):
-    """Logistic hidden-layer activations of a one-hidden-layer network.
+def logistic_inplace(Z):
+    """Overwrite ``Z`` with its logistic 1 / (1 + exp(-Z)) and return it.
 
-    1 / (1 + exp(-(X W1 + b1))), with the exponent clipped to
-    [-_EXP_CLIP, _EXP_CLIP], computed in place in one buffer.
+    The exponent is clipped to [-_EXP_CLIP, _EXP_CLIP], so a saturated
+    unit reads 1 / (1 + e^700) or 1 / (1 + e^-700) without an overflow.
+    Both layouts of the hidden layer use this kernel: rows x units for
+    prediction, units x rows for training.
     """
-    Z = np.dot(X, W1)
-    Z += b1
     np.negative(Z, out=Z)
-    np.maximum(Z, -_EXP_CLIP, out=Z)
-    np.minimum(Z, _EXP_CLIP, out=Z)
+    np.clip(Z, -_EXP_CLIP, _EXP_CLIP, out=Z)
     np.exp(Z, out=Z)
     Z += 1.0
     return np.divide(1.0, Z, out=Z)
+
+
+def nn_hidden(X, W1, b1):
+    """Logistic activations of X W1 + b1, the hidden layer, one row per row of ``X``."""
+    Z = np.dot(X, W1)
+    Z += b1
+    return logistic_inplace(Z)
 
 
 def nn_forward(X, W1, b1, v, v0):

@@ -527,9 +527,17 @@ def save_library(library: ModelLibrary, path) -> None:
             }
         )
     arrays["manifest"] = np.frombuffer(
-        json.dumps(manifest, sort_keys=True).encode("utf-8"), dtype=np.uint8
+        json.dumps(manifest, sort_keys=True, default=_python_scalar).encode("utf-8"),
+        dtype=np.uint8,
     )
     np.savez_compressed(path, **arrays)
+
+
+def _python_scalar(value):
+    """A numpy scalar in a grid or a hyperparameter, as the Python number json writes."""
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _shared_parts(manifest: dict, arrays: dict, memo: QueryMemo):

@@ -20,6 +20,12 @@ records how many ran. Supported loss modes: squared error, lin-lin
 (``llc``, which at a = tau, b = 1 - tau is the quantile loss), and the
 smooth quadratic-quadratic approximation within its weight-ratio bound.
 
+The objective holds the hidden layer units x rows, H' = g1(W1' X' + b1),
+so its elementwise passes and its sums over rows run along all n rows;
+prediction holds it rows x units. Both layouts share the clipped logistic
+of ``kernels.logistic_inplace``, and a forecast is bit for bit the
+rows x units composition.
+
 Training starts from the seeded ``init_params``, or from a given
 ``start`` state, such as a network fitted on a neighbouring loss, whose
 parameters then replace the seeded ones. Training is deterministic given
@@ -36,7 +42,7 @@ from scipy.optimize import minimize
 from .. import kernels
 from ..errors import ConfigurationError, TrainingError
 from ..losses import QQC_APPROX_MAX_RATIO, CostSpec, _eval_raw, _grad_raw
-from .base import FAMILY_NN, Model, check_training_data
+from .base import FAMILY_NN, Model, check_training_data, require_integer
 
 _LOSSES = ("squared_error", "llc", "qqc_approx")
 _DIVERGED = "network training diverged (non-finite objective); check the scale of the targets"
@@ -51,6 +57,8 @@ class NNConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_integer("hidden_nodes", self.hidden_nodes)
+        require_integer("epochs", self.epochs)
         if self.hidden_nodes < 1:
             raise ConfigurationError(f"need at least one hidden node, got {self.hidden_nodes}")
         if self.lambda1 < 0 or self.lambda2 < 0:
@@ -189,15 +197,21 @@ def nn_objective_and_grad(theta, X, y, config: NNConfig, loss_mode: CostSpec):
 
     L-BFGS calls this thousands of times per fit, so the residuals are
     checked for finiteness once per evaluation and then go to the loss
-    formulas unchecked; the result equals, bit for bit, the mean of
-    ``eval_loss`` and the gradient from ``grad_loss``.
+    formulas unchecked, and the hidden layer is held units x rows
+    (``X.T`` is a view), so each elementwise pass and each sum over rows
+    runs along all n rows rather than along the k units. The result
+    equals, bit for bit, the same units x rows composition of
+    ``eval_loss`` and ``grad_loss``, and agrees with the rows x units one
+    to rounding.
     """
     _check_loss_mode(loss_mode)
     n, m = X.shape
     k = config.hidden_nodes
     W1, b1, v, v0 = unflatten_params(np.asarray(theta, dtype=float), m, k)
-    H = kernels.nn_hidden(X, W1, b1)
-    e = H @ v
+    HT = np.dot(W1.T, X.T)
+    HT += b1[:, None]
+    kernels.logistic_inplace(HT)
+    e = v @ HT
     e += v0[0]
     np.subtract(y, e, out=e)
     if not np.isfinite(e).all():
@@ -211,12 +225,12 @@ def nn_objective_and_grad(theta, X, y, config: NNConfig, loss_mode: CostSpec):
 
     dyhat = _grad_raw(loss_mode, e)
     dyhat /= -n
-    dv = H.T @ dyhat + 2.0 * config.lambda2 * v
+    dv = HT @ dyhat + 2.0 * config.lambda2 * v
     dv0 = np.array([dyhat.sum()])
-    # H becomes the activation derivative H (1 - H); dv has used H itself
-    H *= 1.0 - H
-    dZ = np.multiply.outer(dyhat, v)
-    dZ *= H
-    dW1 = X.T @ dZ + 2.0 * config.lambda1 * W1
-    db1 = dZ.sum(axis=0)
+    # HT becomes dZ', the pre-activation gradient; dv has used HT itself
+    HT *= 1.0 - HT
+    HT *= v[:, None]
+    HT *= dyhat
+    dW1 = np.dot(HT, X).T + 2.0 * config.lambda1 * W1
+    db1 = HT.sum(axis=1)
     return objective, flatten_params(dW1, db1, dv, dv0)

@@ -5,11 +5,14 @@ and the checks the tests share that the package itself does not need.
 ``tree_depth`` finds a tree's depth by a walk over its levels,
 ``tree_predict_loop`` walks each row down the tree on its own,
 ``quantile_primal`` solves quantile regression as the n x (p + 2n)
-primal LP, and ``knn_rank_means`` ranks neighbours by one stable sort of
-every query row's distances. They are deliberately the plain
-formulations: the tests require the vectorized tree kernels and the
-neighbour ranking to match them bit for bit and the dual quantile LP to
-reach the same objective.
+primal LP, ``knn_rank_means`` ranks neighbours by one stable sort of
+every query row's distances, and ``nn_forward_rows`` and
+``nn_objective_and_grad_rows`` compose a network's forecast and training
+objective rows x units from the public loss calls. They are deliberately
+the plain formulations: the tests require the vectorized tree kernels,
+the neighbour ranking and the network forecast to match them bit for
+bit, the dual quantile LP to reach the same objective, and the
+units x rows training objective to agree to rounding.
 
 ``decode_categories`` reads a categorical column back from its dummies,
 and ``validate_generalized_cost`` checks a cost function's shape on a
@@ -20,7 +23,8 @@ import numpy as np
 import scipy.optimize
 import scipy.sparse
 
-from asymcast.losses import _eval_raw
+from asymcast.losses import _eval_raw, eval_loss, grad_loss
+from asymcast.models.neural import flatten_params, unflatten_params
 
 
 def tree_build_loop(X, y, sample_idx, min_node, complexity, mtry, seed, max_depth):
@@ -225,3 +229,34 @@ def validate_generalized_cost(spec, grid) -> bool:
         if np.any(np.diff(v) < 0.0):
             return False
     return True
+
+
+def nn_hidden_rows(X, W1, b1):
+    """Logistic activations, one row per row of ``X``, exponent clipped to +-700."""
+    return 1.0 / (1.0 + np.exp(np.minimum(np.maximum(-(np.dot(X, W1) + b1), -700.0), 700.0)))
+
+
+def nn_forward_rows(X, W1, b1, v, v0):
+    return np.dot(nn_hidden_rows(X, W1, b1), v) + v0[0]
+
+
+def nn_objective_and_grad_rows(theta, X, y, config, loss_mode):
+    """The network's training objective and gradient, rows x units.
+
+    The mean of ``eval_loss`` plus the weight penalties, and the gradient
+    by backpropagation through the n x k hidden layer with ``grad_loss``.
+    """
+    n, m = X.shape
+    W1, b1, v, v0 = unflatten_params(theta, m, config.hidden_nodes)
+    H = nn_hidden_rows(X, W1, b1)
+    e = y - (H @ v + v0[0])
+    objective = float(np.mean(eval_loss(loss_mode, e))) + config.lambda1 * float(
+        np.sum(W1 * W1)
+    ) + config.lambda2 * float(np.sum(v * v))
+    dyhat = -grad_loss(loss_mode, e) / n
+    dv = H.T @ dyhat + 2.0 * config.lambda2 * v
+    dv0 = np.array([np.sum(dyhat)])
+    dZ = (dyhat[:, None] * v[None, :]) * (H * (1.0 - H))
+    dW1 = X.T @ dZ + 2.0 * config.lambda1 * W1
+    db1 = dZ.sum(axis=0)
+    return objective, flatten_params(dW1, db1, dv, dv0)

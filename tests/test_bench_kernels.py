@@ -8,7 +8,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "benchmarks" / "bench_kernels.py"
-KERNELS = {"tree_build", "tree_predict", "nn_objective_and_grad", "fit_quantile", "knn_rank"}
+KERNELS = {
+    "tree_build", "tree_predict", "nn_objective_and_grad", "nn_fit", "fit_quantile", "knn_rank"
+}
 
 
 def test_bench_kernels_tiny_prints_one_json_line(tmp_path):

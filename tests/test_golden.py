@@ -3,8 +3,9 @@
 The pinned values were captured from the per-feature-loop tree builder,
 the per-row tree predict and the primal quantile LP; the network
 forecasts, and the selections that follow from them, with the L-BFGS
-network trainer, each asymmetric family fitted as a warm-started path
-from its largest a down; and the markdowns with the bounded Brent search. Any
+network trainer on the units x rows training objective, each asymmetric
+family fitted as a warm-started path from its largest a down; and the
+markdowns with the bounded Brent search. Any
 rewrite of the numeric kernels must reproduce them: tree node arrays
 and every non-quantile validation forecast bit for bit, the selected
 entries exactly, and the fitted markdowns and quantile objectives to
@@ -88,7 +89,7 @@ PREDICTION_DIGESTS = {
         "5b1c45206a170abaf31a942f8e9afd87b9d3991f276cdc7f0956da9a20c585d5"
     ),
     "4:nn:hidden_nodes=2": (
-        "a2eb2de182bfdf28bf44c996fa70ecc29652adbfaf9ace843f424d354d2ef9f8"
+        "494e381b5d1c9bb4bd0f3026231dadbdb1b162ce9e30e8aabb0656c8dbbba80f"
     ),
     "5:bagged_tree:bags=3": (
         "8cf6942dfdc99b4de3954120e8aa2b60d11705ba07179ec02fffd82f5b13e01b"
@@ -100,26 +101,26 @@ PREDICTION_DIGESTS = {
         "56f1c50c89fddfe69521d4e7a01b1aea69dcc8dc6822ee4f8e35fe1fcee6e2ad"
     ),
     "10:nn:a=0.2,hidden_nodes=2,loss=llc": (
-        "a878cbefe624eab59bf3bc3e2c90d1b60e440dd11458ad67b5f2ea62b3a4e15e"
+        "076a3e0a172817f04c8dfbc44b2ea232ad127edd1e0fb32163bbe0a0d8a03ad2"
     ),
     "11:nn:a=0.7,hidden_nodes=2,loss=llc": (
-        "05ccfca6ab73da95ac69c931059ccb538075c5f3a3377c777e07b7b98bdc3f2a"
+        "30d28bf629ee7d6855a23a7e95ae15063be6ee3779d6736ec9d033cff1f22fcf"
     ),
     "12:nn:a=0.2,b=1.0,hidden_nodes=2,loss=qqc_approx": (
-        "66bd72570f6246dfc1315a3f0f0b67ad5d2ac937dbef5c38c63d562b16d710bf"
+        "871fc00814249e7780806c70036518ddebe6036086cd1b5ce8239c8948ec41d4"
     ),
     "13:nn:a=0.7,b=1.0,hidden_nodes=2,loss=qqc_approx": (
-        "2ac0d5edd22161c13b5d8eb42cd7a8ae363969f8dbe4b626a8142d796038775c"
+        "85e504fad67d65edeb09e8cdc478638f91b9458149f013bbe2f81756106ada5d"
     ),
 }
 SELECTED = [10, 13, 12, 13, 4, 4]
 MARKDOWNS = [
-    0.00036369883352347233,
-    0.00569752661236825,
-    0.000899475945160902,
-    -0.0008151455612388643,
-    -0.001786402884594643,
-    -0.0020825853814769963,
+    0.0003636988298950463,
+    0.005697526607676524,
+    0.0008986176297351272,
+    -0.0008151457484139653,
+    -0.001786469924996483,
+    -0.0020825856920046112,
 ]
 QUANTILE_OBJECTIVES = [2.108398408564601, 3.583737714219767]
 CAPTURE_PLATFORM = "6b72fcbc5621f648193e75d109c33b5226d152395e2e0b11bc526e0594a2eb7c"

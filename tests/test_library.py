@@ -577,6 +577,33 @@ def test_save_load_round_trip(tmp_path, small_splits, augmented_library):
     assert load_library(path).failures == failing.failures
 
 
+def test_grids_of_numpy_integers_save_and_load(tmp_path, tiny_splits):
+    config = replace(
+        TINY_CONFIG,
+        families=("knn", "nn", "bagged_tree", "random_forest"),
+        knn_ks=(np.int64(5),),
+        nn_hidden=(np.int64(2),),
+        nn_epochs=np.int64(10),
+        bag_counts=(np.int32(2),),
+        rf_trees=(np.int64(2),),
+        rf_mtrys=(np.int64(4),),
+        aug_nn_hidden=(np.int64(2),),
+        master_seed=np.int64(7),
+    )
+    library = build_library(tiny_splits, config, augment=True)
+    assert library.failures == []
+    path = tmp_path / "library.npz"
+    save_library(library, path)
+    loaded = load_library(path)
+    assert loaded.master_seed == 7 and len(loaded) == len(library)
+    X_val = tiny_splits.validation.features
+    for original, rebuilt in zip(library.entries, loaded.entries):
+        assert rebuilt.hyperparams == original.hyperparams
+        assert rebuilt.model.hyperparams == original.model.hyperparams
+        assert np.array_equal(rebuilt.val_pred.view(np.int64), original.val_pred.view(np.int64))
+        assert np.array_equal(predict(rebuilt.model, X_val), original.val_pred)
+
+
 def test_smooth_qqc_beyond_its_weight_ratio_is_skipped_in_builds_and_loads_from_bundles(
     tmp_path, small_splits, augmented_library
 ):

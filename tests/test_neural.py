@@ -9,6 +9,7 @@ from asymcast.errors import ConfigurationError, TrainingError
 from asymcast.losses import QQC_APPROX_MAX_RATIO, CostSpec, eval_loss, grad_loss
 from asymcast.models import NNConfig, fit_nn, fit_ols, nn_objective_and_grad, predict
 from asymcast.models.neural import NNState, flatten_params, init_params, unflatten_params
+from reference_kernels import nn_forward_rows, nn_objective_and_grad_rows
 
 
 def standardized_linear_problem(seed, n=500, m=3, noise=0.05, slope=1.0):
@@ -110,23 +111,26 @@ def test_objective_gradient_matches_finite_differences(loss_mode):
 
 
 def composed_objective_and_grad(theta, X, y, config, loss_mode):
-    """The network objective composed from the public, input-checking loss calls."""
+    """The network objective composed from the public, input-checking loss calls.
+
+    The hidden layer is units x rows, in the order of operations of
+    ``nn_objective_and_grad``.
+    """
     n, m = X.shape
     W1, b1, v, v0 = unflatten_params(theta, m, config.hidden_nodes)
-    H = 1.0 / (1.0 + np.exp(np.minimum(np.maximum(-(np.dot(X, W1) + b1), -700.0), 700.0)))
-    Hder = H * (1.0 - H)
-    e = y - (H @ v + v0[0])
+    HT = 1.0 / (1.0 + np.exp(np.clip(-(np.dot(W1.T, X.T) + b1[:, None]), -700.0, 700.0)))
+    e = y - (v @ HT + v0[0])
     mean_loss = float(np.mean(eval_loss(loss_mode, e)))
     g = grad_loss(loss_mode, e)
     objective = mean_loss + config.lambda1 * float(np.sum(W1 * W1)) + config.lambda2 * float(
         np.sum(v * v)
     )
     dyhat = -g / n
-    dv = H.T @ dyhat + 2.0 * config.lambda2 * v
+    dv = HT @ dyhat + 2.0 * config.lambda2 * v
     dv0 = np.array([np.sum(dyhat)])
-    dZ = (dyhat[:, None] * v[None, :]) * Hder
-    dW1 = X.T @ dZ + 2.0 * config.lambda1 * W1
-    db1 = dZ.sum(axis=0)
+    dZT = HT * (1.0 - HT) * v[:, None] * dyhat[None, :]
+    dW1 = np.dot(dZT, X).T + 2.0 * config.lambda1 * W1
+    db1 = dZT.sum(axis=1)
     return objective, flatten_params(dW1, db1, dv, dv0)
 
 
@@ -145,7 +149,24 @@ TRAINABLE_LOSSES = st.one_of(
 )
 
 
-@given(
+def objective_case(seed, n, m, k, scale, lambdas):
+    """Flat parameters, data and config of one drawn objective case."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, m))
+    y = rng.uniform(-1.0, 2.0, size=n)
+    config = NNConfig(hidden_nodes=k, lambda1=lambdas[0], lambda2=lambdas[1])
+    theta = rng.normal(0.0, scale, size=m * k + 2 * k + 1)
+    return theta, X, y, config
+
+
+def assert_agrees_to_rounding(got, want):
+    """Objective to 1e-12 relative, gradient to 1e-12 of its largest entry."""
+    (objective, grad), (want_objective, want_grad) = got, want
+    assert abs(objective - want_objective) <= 1e-12 * abs(want_objective)
+    np.testing.assert_allclose(grad, want_grad, rtol=1e-12, atol=1e-12 * np.abs(want_grad).max())
+
+
+objective_cases = given(
     loss_mode=TRAINABLE_LOSSES,
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(2, 80),
@@ -154,18 +175,60 @@ TRAINABLE_LOSSES = st.one_of(
     scale=st.sampled_from([0.1, 1.0, 5.0]),
     lambdas=st.sampled_from([(0.0, 0.0), (1e-6, 1e-6), (0.01, 0.02)]),
 )
+
+
+@objective_cases
 def test_objective_equals_the_composition_of_public_loss_calls(
     loss_mode, seed, n, m, k, scale, lambdas
 ):
-    rng = np.random.default_rng(seed)
-    X = rng.normal(size=(n, m))
-    y = rng.uniform(-1.0, 2.0, size=n)
-    config = NNConfig(hidden_nodes=k, lambda1=lambdas[0], lambda2=lambdas[1])
-    theta = rng.normal(0.0, scale, size=m * k + 2 * k + 1)
-    objective, grad = nn_objective_and_grad(theta, X, y, config, loss_mode)
-    want_objective, want_grad = composed_objective_and_grad(theta, X, y, config, loss_mode)
+    args = (*objective_case(seed, n, m, k, scale, lambdas), loss_mode)
+    objective, grad = nn_objective_and_grad(*args)
+    want_objective, want_grad = composed_objective_and_grad(*args)
     assert objective == want_objective
     assert np.array_equal(grad.view(np.int64), want_grad.view(np.int64))
+
+
+@objective_cases
+def test_objective_agrees_with_the_row_major_reference(loss_mode, seed, n, m, k, scale, lambdas):
+    args = (*objective_case(seed, n, m, k, scale, lambdas), loss_mode)
+    assert_agrees_to_rounding(nn_objective_and_grad(*args), nn_objective_and_grad_rows(*args))
+
+
+def test_saturated_hidden_units_raise_no_warning():
+    rng = np.random.default_rng(17)
+    X = rng.normal(size=(50, 3))
+    y = rng.uniform(0.3, 0.9, size=50)
+    config = NNConfig(hidden_nodes=4, lambda1=0.01, lambda2=0.02)
+    # every pre-activation beyond the clip at |z| = 700
+    state = NNState(np.zeros((3, 4)), np.array([800.0, -800.0, 701.0, -5000.0]),
+                    rng.normal(size=4), np.array([0.5]))
+    theta = flatten_params(state.W1, state.b1, state.v, state.v0)
+    for loss_mode in (CostSpec("squared_error"), CostSpec("llc", a=0.3, b=0.7)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = nn_objective_and_grad(theta, X, y, config, loss_mode)
+            want = nn_objective_and_grad_rows(theta, X, y, config, loss_mode)
+            forecast = state.predict(X)
+        assert np.isfinite(got[0]) and np.isfinite(got[1]).all() and np.isfinite(forecast).all()
+        assert_agrees_to_rounding(got, want)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 80),
+    m=st.integers(1, 5),
+    k=st.integers(1, 6),
+    scale=st.sampled_from([0.1, 1.0, 5.0, 500.0]),
+)
+def test_forecast_equals_the_row_major_reference_bit_for_bit(seed, n, m, k, scale):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, m))
+    state = NNState(
+        rng.normal(0.0, scale, size=(m, k)), rng.normal(0.0, scale, size=k),
+        rng.normal(size=k), rng.normal(size=1),
+    )
+    want = nn_forward_rows(X, state.W1, state.b1, state.v, state.v0)
+    assert np.array_equal(state.predict(X).view(np.int64), want.view(np.int64))
 
 
 def test_stronger_penalties_shrink_weight_norms():
@@ -185,6 +248,13 @@ def test_overflowing_objective_raises_training_error():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(TrainingError, match="non-finite objective"):
             fit_nn(X, 1e200 * y, config)  # finite targets whose squared error overflows
+
+
+@pytest.mark.parametrize("field", ["hidden_nodes", "epochs"])
+@pytest.mark.parametrize("value", [2.5, 10.0, True, False])
+def test_nn_config_rejects_a_non_integer_count(field, value):
+    with pytest.raises(ConfigurationError, match=f"{field} must be an integer"):
+        NNConfig(**{field: value})
 
 
 def test_nn_config_validation():
