@@ -8,13 +8,11 @@ Families
 ``qqc``             quadratic-quadratic: a*e^2 if e > 0 else b*e^2
 ``lec``             linear-exponential:  b*(exp(a*e) - a*e - 1)
 ``qqc_approx``      smooth quadratic-quadratic, a logistic blend of the
-                    two branch weights (slope ``QQC_STEEPNESS``) so the
-                    function is differentiable everywhere (used for
-                    gradient-based training); it is monotone in |e| only
-                    while max(a, b) / min(a, b) is at most
-                    ``QQC_APPROX_MAX_RATIO`` (about 48.47); network training
-                    rejects weights beyond that ratio, while a spec beyond
-                    it can still be built, described and evaluated
+                    two branch weights (slope ``QQC_STEEPNESS``); it is
+                    evaluation-only and has no gradient: networks train on
+                    ``qqc`` itself, and the family is kept so that bundles
+                    whose networks were trained on it still load, until it
+                    is deleted
 
 Residuals follow the convention ``e = actual - forecast``: a positive
 residual means the forecast underestimated the actual (weight ``a``), a
@@ -41,16 +39,6 @@ QQC_STEEPNESS = 99.0
 # exp() overflow guard: |argument| is clipped here before exponentiation,
 # which saturates the logistic blend at exactly 0/1 in the tails.
 _EXP_CLIP = 700.0
-
-# Largest max(a, b) / min(a, b) at which qqc_approx is monotone in |e|.
-# With u = QQC_STEEPNESS * e and p = 1 / (1 + exp(u)) the cost is
-# (u / QQC_STEEPNESS)^2 (a + (b - a) p). For u > 0 and b = r a > a it grows
-# with u iff 2 (a + (b - a) p) >= u (b - a) p (1 - p), that is iff
-# 2 / (r - 1) >= u p (1 - p) - 2 p. The right side peaks at
-# M = 0.04213124031710531... (u = 3.2436...), so r <= 1 + 2 / M. For
-# u < 0 the same holds with a and b swapped. The bound does not depend on
-# QQC_STEEPNESS, which cancels. The value is rounded down.
-QQC_APPROX_MAX_RATIO = 48.4707125863559
 
 
 @dataclass(frozen=True)
@@ -81,6 +69,18 @@ class CostSpec:
         return f"{self.family}(a={self.a:g}, b={self.b:g})"
 
 
+def is_symmetric(spec: CostSpec) -> bool:
+    """Whether ``spec`` costs every residual e the same as -e.
+
+    ``squared_error`` ignores its weights; ``llc``, ``qqc`` and
+    ``qqc_approx`` are symmetric exactly when a == b; ``lec`` is
+    asymmetric at every a.
+    """
+    if spec.family == "squared_error":
+        return True
+    return spec.family != "lec" and spec.a == spec.b
+
+
 def _as_residual_array(e) -> np.ndarray:
     arr = np.asarray(e, dtype=float)
     if not np.all(np.isfinite(arr)):
@@ -88,14 +88,14 @@ def _as_residual_array(e) -> np.ndarray:
     return arr
 
 
-def _logistic_blend(e: np.ndarray, spec: CostSpec):
-    """Branch weight a + (b - a) * sig and sig = 1 / (1 + exp(QQC_STEEPNESS * e)).
+def _logistic_blend(e: np.ndarray, spec: CostSpec) -> np.ndarray:
+    """Branch weight a + (b - a) * sig, with sig = 1 / (1 + exp(QQC_STEEPNESS * e)).
 
     The weight tends to ``a`` as e -> +inf and to ``b`` as e -> -inf.
     """
     z = np.clip(QQC_STEEPNESS * e, -_EXP_CLIP, _EXP_CLIP)
     sig = 1.0 / (1.0 + np.exp(z))
-    return spec.a + (spec.b - spec.a) * sig, sig
+    return spec.a + (spec.b - spec.a) * sig
 
 
 # _eval_raw and _grad_raw take a finite float residual array and check
@@ -115,7 +115,7 @@ def _eval_raw(spec: CostSpec, e: np.ndarray) -> np.ndarray:
         ae = spec.a * e
         return spec.b * (np.exp(np.clip(ae, -_EXP_CLIP, _EXP_CLIP)) - ae - 1.0)
     if family == "qqc_approx":
-        return (e * e) * _logistic_blend(e, spec)[0]
+        return (e * e) * _logistic_blend(e, spec)
     raise ConfigurationError(f"unknown loss family {family!r}")
 
 
@@ -130,11 +130,7 @@ def _grad_raw(spec: CostSpec, e: np.ndarray) -> np.ndarray:
     if family == "lec":
         z = np.clip(spec.a * e, -_EXP_CLIP, _EXP_CLIP)
         return spec.a * spec.b * (np.exp(z) - 1.0)
-    if family == "qqc_approx":
-        weight, sig = _logistic_blend(e, spec)
-        dsig = -QQC_STEEPNESS * sig * (1.0 - sig)
-        return 2.0 * e * weight + (e * e) * (spec.b - spec.a) * dsig
-    raise ConfigurationError(f"unknown loss family {family!r}")
+    raise ConfigurationError(f"loss family {family!r} has no gradient")
 
 
 def eval_loss(spec: CostSpec, e):
@@ -166,7 +162,10 @@ def eval_mean(spec: CostSpec, actuals, forecasts):
 
 
 def grad_loss(spec: CostSpec, e):
-    """dC/de. At the kink of llc returns the right-derivative."""
+    """dC/de. At the kink of llc returns the right-derivative.
+
+    ``qqc_approx`` is evaluation-only: its gradient raises ConfigurationError.
+    """
     out = _grad_raw(spec, _as_residual_array(e))
     return float(out) if np.ndim(e) == 0 else out
 

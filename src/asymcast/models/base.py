@@ -2,7 +2,8 @@
 
 A fitted model is its family tag, the hyperparameters it was fitted
 with, a state object, the loss mode used for training, and a
-symmetric/asymmetric provenance flag. A library wires the states that
+symmetric/asymmetric provenance flag, which by default follows the loss
+(``losses.is_symmetric``). A library wires the states that
 share prediction work where it creates them: the forests of a nested
 group get one tree walk as the group grows, and ``load_library`` builds
 each group and neighbour index from the bundle. States do not change
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ConfigurationError, InvalidInputError, SchemaError
-from ..losses import CostSpec
+from ..losses import CostSpec, is_symmetric
 
 FAMILY_OLS = "ols"
 FAMILY_RIDGE = "ridge"
@@ -57,8 +58,8 @@ class Model:
 
     def __post_init__(self):
         if not self.provenance:
-            asym = self.loss_mode.family != "squared_error"
-            object.__setattr__(self, "provenance", "asymmetric" if asym else "symmetric")
+            symmetric = is_symmetric(self.loss_mode)
+            object.__setattr__(self, "provenance", "symmetric" if symmetric else "asymmetric")
 
     def describe(self) -> str:
         params = ", ".join(f"{k}={v}" for k, v in sorted(self.hyperparams.items()))

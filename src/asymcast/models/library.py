@@ -5,13 +5,17 @@ configured grids on the ATS rows and caches each model's validation
 predictions. With ``augment=True`` the library additionally receives
 models trained against asymmetric losses, for each level a of the grid:
 a linear quantile regression and a network on llc(tau, 1 - tau), which
-is llc(a, 1) / (1 + a) at tau = a / (1 + a), and a network on
-qqc_approx(a, 1); these carry provenance "asymmetric". Every network,
-symmetric or not, is trained by L-BFGS on the same full-batch objective.
+is llc(a, 1) / (1 + a) at tau = a / (1 + a), and a network on qqc(a, 1).
+A model's provenance follows its loss (``losses.is_symmetric``), so these
+carry provenance "asymmetric" except at a = 1: there the median
+regression and the network both train llc(0.5, 0.5), and the other
+network trains qqc(1, 1), which is squared error, so all three are
+"symmetric". Every network, symmetric or not, is trained by L-BFGS on
+the same full-batch objective.
 A symmetric network runs at most ``nn_epochs`` iterations from its
 seeded start.
 
-The asymmetric networks of one loss family (llc or qqc_approx) and one
+The asymmetric networks of one loss family (llc or qqc) and one
 ``aug_nn_hidden`` width form a path over the a-grid, the warm start
 along a parameter path of glmnet (Friedman, Hastie & Tibshirani, JSS
 2010). The path is fitted from the largest a down, with the seed of that
@@ -231,7 +235,7 @@ def _build_plans(config: LibraryConfig, augment: bool, n_features: int, memo: Qu
     bagged-tree plan, or every forest plan of one configured ``mtry``; it
     grows one ensemble at its largest size, and each of its plans takes
     the prefix of its own size (``_nested_ensembles``), whose tree sums
-    live in ``memo``. The llc, or the qqc_approx, networks of one hidden
+    live in ``memo``. The llc, or the qqc, networks of one hidden
     width are fitted as one path over the a-grid (``_loss_path``) with
     the seed of the plan at the largest a.
     """
@@ -307,7 +311,7 @@ def _build_plans(config: LibraryConfig, augment: bool, n_features: int, memo: Qu
         order = sorted(range(len(levels)), key=levels.__getitem__, reverse=True)
         for label, losses in (
             ({"loss": "llc"}, [CostSpec("llc", a=tau, b=1.0 - tau) for tau in taus]),
-            ({"b": 1.0, "loss": "qqc_approx"}, [CostSpec("qqc_approx", a=a, b=1.0) for a in levels]),
+            ({"b": 1.0, "loss": "qqc"}, [CostSpec("qqc", a=a, b=1.0) for a in levels]),
         ):
             paths = {k: _loss_path(config, k, [losses[i] for i in order]) for k in widths}
             cold = len(plans) + order[0] * len(widths)
@@ -415,19 +419,17 @@ def build_library(
     return ModelLibrary(entries, splits.validation.target.copy(), augment, config.master_seed, failures)
 
 
-def select_best(library: ModelLibrary, criterion: CostSpec, families=None) -> int:
+def select_best(library: ModelLibrary, criterion: CostSpec) -> int:
     """Index of the validation-best entry under the criterion; ties break low.
 
-    ``families`` optionally restricts the candidate set (e.g. linear-only).
+    To choose among some entries only, pass a ``ModelLibrary`` of those
+    entries: the index returned is still the entry's own.
     """
     if len(library.entries) == 0:
         raise InvalidInputError("cannot select from an empty library")
-    candidates = [e for e in library.entries if families is None or e.family in families]
-    if not candidates:
-        raise InvalidInputError(f"no library entry matches families {families}")
-    scores = eval_mean(criterion, library.val_actuals, np.vstack([e.val_pred for e in candidates]))
+    scores = eval_mean(criterion, library.val_actuals, library.validation_matrix())
     # argmin takes the first of equal scores; entry indices need not be contiguous
-    return candidates[int(np.argmin(scores))].index
+    return library.entries[int(np.argmin(scores))].index
 
 
 # ------------------------------------------------------------- persistence

@@ -17,8 +17,10 @@ of ``nn_objective_and_grad`` with scipy's L-BFGS-B quasi-Newton method,
 as R's ``nnet`` trains the same model; biases are unpenalized and
 ``epochs`` caps the L-BFGS iterations, and ``hyperparams["iterations"]``
 records how many ran. Supported loss modes: squared error, lin-lin
-(``llc``, which at a = tau, b = 1 - tau is the quantile loss), and the
-smooth quadratic-quadratic approximation within its weight-ratio bound.
+(``llc``, which at a = tau, b = 1 - tau is the quantile loss) and
+quadratic-quadratic (``qqc``), at any weights. L-BFGS trains ``llc``
+through the jump of its gradient at e = 0; the gradient 2 w e of ``qqc``
+is continuous.
 
 The objective holds the hidden layer units x rows, H' = g1(W1' X' + b1),
 so its elementwise passes and its sums over rows run along all n rows;
@@ -41,10 +43,10 @@ from scipy.optimize import minimize
 
 from .. import kernels
 from ..errors import ConfigurationError, TrainingError
-from ..losses import QQC_APPROX_MAX_RATIO, CostSpec, _eval_raw, _grad_raw
+from ..losses import CostSpec, _eval_raw, _grad_raw
 from .base import FAMILY_NN, Model, check_training_data, require_integer
 
-_LOSSES = ("squared_error", "llc", "qqc_approx")
+_LOSSES = ("squared_error", "llc", "qqc")
 _DIVERGED = "network training diverged (non-finite objective); check the scale of the targets"
 
 
@@ -81,22 +83,10 @@ class NNState:
 
 
 def _check_loss_mode(loss_mode: CostSpec):
-    """Reject losses a network cannot be trained on.
-
-    ``qqc_approx`` beyond ``QQC_APPROX_MAX_RATIO`` is not monotone in |e|,
-    so minimizing it would reward some larger errors over smaller ones.
-    Such a spec is still valid to describe or to evaluate, so only
-    training checks the ratio.
-    """
+    """Reject losses a network cannot be trained on."""
     if loss_mode.family not in _LOSSES:
         raise ConfigurationError(
             f"{loss_mode.family!r} is not a trainable network loss; use one of {_LOSSES}"
-        )
-    a, b = loss_mode.a, loss_mode.b
-    if loss_mode.family == "qqc_approx" and max(a, b) / min(a, b) > QQC_APPROX_MAX_RATIO:
-        raise ConfigurationError(
-            f"qqc_approx is not monotone in |e| once max(a, b)/min(a, b) exceeds "
-            f"{QQC_APPROX_MAX_RATIO:.4f}; got a={a}, b={b}"
         )
 
 

@@ -4,8 +4,9 @@ The pinned values were captured from the per-feature-loop tree builder,
 the per-row tree predict and the primal quantile LP; the network
 forecasts, and the selections that follow from them, with the L-BFGS
 network trainer on the units x rows training objective, each asymmetric
-family fitted as a warm-started path from its largest a down; and the
-markdowns with the bounded Brent search. Any
+family fitted as a warm-started path from its largest a down and the
+quadratic-quadratic path trained on qqc itself; and the markdowns with
+the bounded Brent search. Any
 rewrite of the numeric kernels must reproduce them: tree node arrays
 and every non-quantile validation forecast bit for bit, the selected
 entries exactly, and the fitted markdowns and quantile objectives to
@@ -13,10 +14,10 @@ entries exactly, and the fitted markdowns and quantile objectives to
 two LP formulations reach the same optimum through different
 floating-point paths, and where the optimal face is degenerate the
 working-set dual can end at another optimal vertex than the full dual
-would. The markdowns are fitted to the best non-quantile
-entry of each criterion: a markdown's objective is piecewise linear
-under ``llc``, and the Brent search turns last-digit changes of a
-forecast into changes of up to its 1e-7 tolerance.
+would. The markdowns are fitted to the best entry of each criterion in
+a library of the non-quantile entries: a markdown's objective is
+piecewise linear under ``llc``, and the Brent search turns last-digit
+changes of a forecast into changes of up to its 1e-7 tolerance.
 
 A forest's per-split feature draws are ``rng.permutation(m)[:mtry]``
 from a numpy Generator that each tree seeds from its ensemble's
@@ -42,7 +43,13 @@ import pytest
 from asymcast.data import SynthConfig, split, standardize, synth_export, synth_generate
 from asymcast.losses import CostSpec
 from asymcast.markdown import fit_markdown
-from asymcast.models import LibraryConfig, build_library, quantile_objective, select_best
+from asymcast.models import (
+    LibraryConfig,
+    ModelLibrary,
+    build_library,
+    quantile_objective,
+    select_best,
+)
 
 GOLDEN_CONFIG = LibraryConfig(
     ridge_lambdas=(0.1,),
@@ -58,7 +65,6 @@ GOLDEN_CONFIG = LibraryConfig(
     aug_nn_hidden=(2,),
     master_seed=2017,
 )
-NON_QUANTILE = ("ols", "ridge", "knn", "tree", "nn", "bagged_tree", "random_forest")
 CRITERIA = [CostSpec(family, a=a, b=1.0) for family in ("llc", "qqc", "lec") for a in (0.2, 0.7)]
 
 TREE_DIGESTS = {
@@ -106,19 +112,19 @@ PREDICTION_DIGESTS = {
     "11:nn:a=0.7,hidden_nodes=2,loss=llc": (
         "30d28bf629ee7d6855a23a7e95ae15063be6ee3779d6736ec9d033cff1f22fcf"
     ),
-    "12:nn:a=0.2,b=1.0,hidden_nodes=2,loss=qqc_approx": (
-        "871fc00814249e7780806c70036518ddebe6036086cd1b5ce8239c8948ec41d4"
+    "12:nn:a=0.2,b=1.0,hidden_nodes=2,loss=qqc": (
+        "aa6fdf65e219df1fc7c8425f85f21510152532c4666a205cf833ccfb9c9576ac"
     ),
-    "13:nn:a=0.7,b=1.0,hidden_nodes=2,loss=qqc_approx": (
-        "85e504fad67d65edeb09e8cdc478638f91b9458149f013bbe2f81756106ada5d"
+    "13:nn:a=0.7,b=1.0,hidden_nodes=2,loss=qqc": (
+        "6d3211a2f9d538c168ba45f0cc0b7dfcfec241752aa4edf4efe9008f655a0b59"
     ),
 }
 SELECTED = [10, 13, 12, 13, 4, 4]
 MARKDOWNS = [
     0.0003636988298950463,
-    0.005697526607676524,
-    0.0008986176297351272,
-    -0.0008151457484139653,
+    0.005136870883304784,
+    -0.0005331363546904151,
+    -0.0007590784724483301,
     -0.001786469924996483,
     -0.0020825856920046112,
 ]
@@ -184,9 +190,15 @@ def observed(library, splits):
         if entry.family != "quantile":
             predictions[entry_key(entry)] = digest([entry.val_pred])
     selected = [select_best(library, criterion) for criterion in CRITERIA]
+    non_quantile = ModelLibrary(
+        [entry for entry in library.entries if entry.family != "quantile"],
+        library.val_actuals,
+        library.augmented,
+        library.master_seed,
+    )
     markdowns = [
         fit_markdown(
-            library.entry(select_best(library, criterion, NON_QUANTILE)).val_pred,
+            library.entry(select_best(non_quantile, criterion)).val_pred,
             library.val_actuals,
             criterion,
         )

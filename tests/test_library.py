@@ -71,20 +71,25 @@ def test_symmetric_build_marks_everything_symmetric(symmetric_library):
     assert symmetric_library.failures == []
 
 
-def test_augmented_build_adds_asymmetric_models(symmetric_library, augmented_library):
+def test_augmented_build_adds_asymmetric_models(symmetric_library, augmented_library, path_library):
     assert len(augmented_library) > len(symmetric_library)
     quantiles = [e for e in augmented_library.entries if e.family == "quantile"]
     llc_nets = [
         e for e in augmented_library.entries
         if e.family == "nn" and e.hyperparams.get("loss") == "llc"
     ]
-    smooth_nets = [
+    qqc_nets = [
         e for e in augmented_library.entries
-        if e.family == "nn" and e.hyperparams.get("loss") == "qqc_approx"
+        if e.family == "nn" and e.hyperparams.get("loss") == "qqc"
     ]
-    assert len(quantiles) >= 1 and len(llc_nets) >= 1 and len(smooth_nets) >= 1
-    for group in (quantiles, llc_nets, smooth_nets):
+    assert len(quantiles) >= 1 and len(llc_nets) >= 1 and len(qqc_nets) >= 1
+    for group in (quantiles, llc_nets, qqc_nets):
         assert all(e.provenance == "asymmetric" for e in group)
+    # at a = 1 the median regression, llc(0.5, 0.5) and qqc(1, 1) are symmetric
+    graded = [e for e in path_library.entries if "a" in e.hyperparams]
+    assert sum(e.hyperparams["a"] == 1.0 for e in graded) == 3
+    for e in graded:
+        assert e.provenance == ("symmetric" if e.hyperparams["a"] == 1.0 else "asymmetric")
 
 
 def test_cached_validation_predictions_match_fresh_predict(small_splits, augmented_library):
@@ -359,9 +364,6 @@ def test_select_best_returns_entry_index_of_a_sub_library():
     full = stub_library(REFERENCE_FORECASTS + [REFERENCE_ACTUALS], REFERENCE_ACTUALS)
     sub = ModelLibrary([full.entry(0), full.entry(2)], full.val_actuals, False, 0)
     assert select_best(sub, CostSpec("squared_error")) == 2
-    assert select_best(full, CostSpec("squared_error"), families=("stub",)) == 3
-    with pytest.raises(InvalidInputError, match="families"):
-        select_best(full, CostSpec("squared_error"), families=("ols",))
 
 
 def test_entry_looks_up_the_index_select_best_returns():
@@ -432,7 +434,7 @@ def path_loss(family, a) -> CostSpec:
     if family == "llc":
         tau = tau_from_weights(a, 1.0)
         return CostSpec("llc", a=tau, b=1.0 - tau)
-    return CostSpec("qqc_approx", a=a, b=1.0)
+    return CostSpec("qqc", a=a, b=1.0)
 
 
 def test_each_path_level_is_fit_nn_called_along_its_recorded_path(
@@ -448,7 +450,7 @@ def test_each_path_level_is_fit_nn_called_along_its_recorded_path(
             e.index for e in path_library.entries
             if e.hyperparams.get("loss") == family and e.hyperparams["a"] == 1.0
         )
-        for family in ("llc", "qqc_approx")
+        for family in ("llc", "qqc")
     }
     for (family, a), model in built.items():
         # from a = 1.0 down, every level records the levels before it
@@ -489,14 +491,14 @@ def test_each_path_level_is_one_fit_nn_call_through_the_library_module(
     monkeypatch.setattr(library_module, "fit_nn", counted)
     library = build_library(small_splits, PATH_CONFIG, augment=True)
     path = [100] + [PATH_EPOCHS] * 9
-    assert calls == [("llc", cap) for cap in path] + [("qqc_approx", cap) for cap in path]
+    assert calls == [("llc", cap) for cap in path] + [("qqc", cap) for cap in path]
     np.testing.assert_array_equal(library.validation_matrix(), path_library.validation_matrix())
 
 
 def test_a_failed_path_level_fails_alone_and_the_next_starts_from_the_last_fitted(
     small_splits, path_library, monkeypatch
 ):
-    failing = {path_loss("llc", 0.5), path_loss("qqc_approx", 1.0)}
+    failing = {path_loss("llc", 0.5), path_loss("qqc", 1.0)}
 
     def stub(X, y, config, loss_mode, start=None):
         if loss_mode in failing:
@@ -509,8 +511,8 @@ def test_a_failed_path_level_fails_alone_and_the_next_starts_from_the_last_fitte
     assert library.failures == [
         ("nn", {"hidden_nodes": 2, "a": 0.5, "loss": "llc"},
          f"stubbed failure at {path_loss('llc', 0.5).describe()}"),
-        ("nn", {"hidden_nodes": 2, "a": 1.0, "b": 1.0, "loss": "qqc_approx"},
-         "stubbed failure at qqc_approx(a=1, b=1)"),
+        ("nn", {"hidden_nodes": 2, "a": 1.0, "b": 1.0, "loss": "qqc"},
+         "stubbed failure at qqc(a=1, b=1)"),
     ]
     nets, whole = networks(library), networks(path_library)
     assert len(nets) == 18
@@ -521,20 +523,20 @@ def test_a_failed_path_level_fails_alone_and_the_next_starts_from_the_last_fitte
     assert [loss_from_text(level["loss"]) for level in nets["llc", 0.4].hyperparams["path"]] == [
         path_loss("llc", a) for a in (1.0, 0.9, 0.8, 0.7, 0.6)
     ]
-    # no qqc_approx level fitted before a = 0.9, so it starts cold with nn_epochs
-    cold = nets["qqc_approx", 0.9].hyperparams
+    # no qqc level fitted before a = 0.9, so it starts cold with nn_epochs
+    cold = nets["qqc", 0.9].hyperparams
     assert (cold["path"], cold["epochs"]) == ([], PATH_CONFIG.nn_epochs)
-    assert nets["qqc_approx", 0.8].hyperparams["path"] == [
-        {"loss": loss_to_text(path_loss("qqc_approx", 0.9)), "epochs": 100}
+    assert nets["qqc", 0.8].hyperparams["path"] == [
+        {"loss": loss_to_text(path_loss("qqc", 0.9)), "epochs": 100}
     ]
-    for key in (("llc", 0.4), ("llc", 0.1), ("qqc_approx", 0.9), ("qqc_approx", 0.8)):
+    for key in (("llc", 0.4), ("llc", 0.1), ("qqc", 0.9), ("qqc", 0.8)):
         assert same_network(refit_along_path(small_splits, nets[key]), nets[key].state)
 
 
 def test_a_path_runs_in_a_order_and_caps_later_levels_at_nn_epochs_when_lower(small_splits):
     config = replace(PATH_CONFIG, aug_a_levels=(0.3, 0.6, 0.45), nn_epochs=12)
     library = build_library(small_splits, config, augment=True)
-    for family in ("llc", "qqc_approx"):
+    for family in ("llc", "qqc"):
         entries = [e for e in library.entries if e.hyperparams.get("loss") == family]
         paths = {e.hyperparams["a"]: e.model.hyperparams["path"] for e in entries}
         assert [loss_from_text(level["loss"]) for level in paths[0.3]] == [
@@ -604,26 +606,24 @@ def test_grids_of_numpy_integers_save_and_load(tmp_path, tiny_splits):
         assert np.array_equal(predict(rebuilt.model, X_val), original.val_pred)
 
 
-def test_smooth_qqc_beyond_its_weight_ratio_is_skipped_in_builds_and_loads_from_bundles(
+def test_qqc_networks_fit_at_a_weight_ratio_of_50_and_smooth_qqc_bundles_load(
     tmp_path, small_splits, augmented_library
 ):
-    # a=0.02, b=1 is a weight ratio of 50: the network is not trained
     config = replace(SMALL_CONFIG, families=("ols",), aug_a_levels=(0.02,))
     library = build_library(small_splits, config, augment=True)
-    assert [params.get("loss") for family, params, _ in library.failures] == ["qqc_approx"]
-    assert "not monotone" in library.failures[0][2]
-    assert sorted(e.family for e in library.entries) == ["nn", "ols", "quantile"]
+    assert library.failures == []
+    assert sorted(e.family for e in library.entries) == ["nn", "nn", "ols", "quantile"]
+    qqc_net = next(e for e in library.entries if e.hyperparams.get("loss") == "qqc")
+    assert qqc_net.model.loss_mode == CostSpec("qqc", a=0.02, b=1.0)
 
-    # a bundle whose network was trained on such a spec still loads and predicts
+    # a bundle that names a network trained on qqc_approx still loads and predicts
     path = tmp_path / "library.npz"
     save_library(augmented_library, path)
-    index = next(
-        e.index for e in augmented_library.entries if e.hyperparams.get("loss") == "qqc_approx"
-    )
-    beyond = loss_to_text(CostSpec("qqc_approx", a=0.02, b=1.0))
+    index = next(e.index for e in augmented_library.entries if e.hyperparams.get("loss") == "qqc")
+    smooth = loss_to_text(CostSpec("qqc_approx", a=0.02, b=1.0))
 
     def set_loss(manifest):
-        manifest["entries"][index]["loss_mode"] = beyond
+        manifest["entries"][index]["loss_mode"] = smooth
 
     rewrite_bundle(path, set_loss)
     loaded = load_library(path).entry(index).model

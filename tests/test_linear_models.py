@@ -189,7 +189,9 @@ def test_quantile_marks_asymmetric_provenance():
     rng = np.random.default_rng(13)
     X = rng.normal(size=(40, 1))
     y = 0.5 + X[:, 0] * 0.1 + rng.normal(0, 0.05, 40)
-    assert fit_quantile(X, y, 0.5).provenance == "asymmetric"
+    assert fit_quantile(X, y, 0.3).provenance == "asymmetric"
+    # the median regression's loss, llc(0.5, 0.5), is symmetric
+    assert fit_quantile(X, y, 0.5).provenance == "symmetric"
 
 
 def test_quantile_rejects_bad_tau():

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from asymcast.errors import ConfigurationError, TrainingError
-from asymcast.losses import QQC_APPROX_MAX_RATIO, CostSpec, eval_loss, grad_loss
+from asymcast.losses import CostSpec, eval_loss, grad_loss
 from asymcast.models import NNConfig, fit_nn, fit_ols, nn_objective_and_grad, predict
 from asymcast.models.neural import NNState, flatten_params, init_params, unflatten_params
 from reference_kernels import nn_forward_rows, nn_objective_and_grad_rows
@@ -48,10 +48,20 @@ def test_asymmetric_training_shifts_predictions_down():
     y = 0.5 + 0.2 * X[:, 0] + rng.normal(0, 0.1, 600)
     config = NNConfig(hidden_nodes=4, epochs=700, seed=5)
     symmetric = fit_nn(X, y, config)
-    asymmetric = fit_nn(X, y, config, CostSpec("qqc_approx", a=0.2, b=1.0))
+    asymmetric = fit_nn(X, y, config, CostSpec("qqc", a=0.2, b=1.0))
     bias_sym = np.mean(y - predict(symmetric, X))
     bias_asym = np.mean(y - predict(asymmetric, X))
     assert bias_asym >= bias_sym  # cheap underestimation gets preferred
+
+
+def test_qqc_at_unit_weights_trains_the_squared_error_network_bit_for_bit():
+    X, y = standardized_linear_problem(seed=18, n=200)
+    config = NNConfig(hidden_nodes=3, epochs=50, seed=2)
+    squared = fit_nn(X, y, config)
+    qqc = fit_nn(X, y, config, CostSpec("qqc", a=1.0, b=1.0))
+    for name in ("W1", "b1", "v", "v0"):
+        assert np.array_equal(getattr(squared.state, name), getattr(qqc.state, name))
+    assert squared.provenance == qqc.provenance == "symmetric"
 
 
 def test_zero_hidden_weights_give_constant_forward_pass():
@@ -69,8 +79,8 @@ def test_zero_hidden_weights_give_constant_forward_pass():
 
 @pytest.mark.parametrize(
     "loss_mode",
-    [CostSpec("squared_error"), CostSpec("llc", a=0.3, b=0.7), CostSpec("qqc_approx", a=0.3, b=1.0)],
-    ids=["squared_error", "pinball", "qqc_approx"],
+    [CostSpec("squared_error"), CostSpec("llc", a=0.3, b=0.7), CostSpec("qqc", a=0.3, b=1.0)],
+    ids=["squared_error", "pinball", "qqc"],
 )
 def test_training_is_deterministic_given_seed(loss_mode):
     X, y = standardized_linear_problem(seed=6)
@@ -87,7 +97,7 @@ def test_training_is_deterministic_given_seed(loss_mode):
 
 @pytest.mark.parametrize(
     "loss_mode",
-    [CostSpec("squared_error"), CostSpec("qqc_approx", a=0.3, b=1.0), CostSpec("llc", a=0.3, b=0.7)],
+    [CostSpec("squared_error"), CostSpec("qqc", a=0.3, b=1.0), CostSpec("llc", a=0.3, b=0.7)],
 )
 def test_objective_gradient_matches_finite_differences(loss_mode):
     rng = np.random.default_rng(8)
@@ -139,11 +149,10 @@ TRAINABLE_LOSSES = st.one_of(
     st.builds(lambda tau: CostSpec("llc", a=tau, b=1.0 - tau), st.floats(0.01, 0.99)),
     st.builds(
         lambda a, ratio, a_is_larger: CostSpec(
-            "qqc_approx", a=a * ratio if a_is_larger else a, b=a if a_is_larger else a * ratio
+            "qqc", a=a * ratio if a_is_larger else a, b=a if a_is_larger else a * ratio
         ),
         st.floats(0.05, 5.0),
-        # below the bound by more than the rounding of a * ratio
-        st.floats(1.0, 0.999 * QQC_APPROX_MAX_RATIO),
+        st.floats(1.0, 1e3),
         st.booleans(),
     ),
 )
@@ -264,18 +273,9 @@ def test_nn_config_validation():
         NNConfig(epochs=0)
     with pytest.raises(ConfigurationError):
         NNConfig(lambda1=-1.0)
-    with pytest.raises(ConfigurationError):
-        fit_nn(np.zeros((20, 1)), np.full(20, 0.5), NNConfig(), CostSpec("lec", a=0.5))
-
-
-@pytest.mark.parametrize("a,b", [(1.0, 50.0), (50.0, 1.0), (0.02, 1.0)])
-def test_training_rejects_smooth_qqc_beyond_its_weight_ratio(a, b):
-    X, y = standardized_linear_problem(seed=13, n=40)
-    with pytest.raises(ConfigurationError, match="not monotone"):
-        fit_nn(X, y, NNConfig(hidden_nodes=2, epochs=5), CostSpec("qqc_approx", a=a, b=b))
-    # at the bound, in either direction, training runs
-    for low, high in ((1.0, QQC_APPROX_MAX_RATIO), (QQC_APPROX_MAX_RATIO, 1.0)):
-        fit_nn(X, y, NNConfig(hidden_nodes=2, epochs=5), CostSpec("qqc_approx", a=low, b=high))
+    for untrainable in (CostSpec("lec", a=0.5), CostSpec("qqc_approx", a=0.5)):
+        with pytest.raises(ConfigurationError, match="not a trainable network loss"):
+            fit_nn(np.zeros((20, 1)), np.full(20, 0.5), NNConfig(), untrainable)
 
 
 def test_unflatten_round_trip():
@@ -303,7 +303,7 @@ def test_a_start_state_at_the_seeded_weights_trains_as_a_cold_start():
 
 def test_a_start_state_continues_from_its_parameters():
     X, y = standardized_linear_problem(seed=15, n=200)
-    loss_mode = CostSpec("qqc_approx", a=0.4, b=1.0)
+    loss_mode = CostSpec("qqc", a=0.3, b=1.0)
     first = fit_nn(X, y, NNConfig(hidden_nodes=2, epochs=30, seed=4), loss_mode)
     objective = lambda state: nn_objective_and_grad(
         flatten_params(state.W1, state.b1, state.v, state.v0), X, y, NNConfig(hidden_nodes=2),
