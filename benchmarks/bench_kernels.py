@@ -4,8 +4,10 @@
     python benchmarks/bench_kernels.py --tiny      # small sizes, about a second
     python benchmarks/bench_kernels.py --seed 20170710
 
-Times six kernels, each the best of several calls, and prints one JSON
-line with the seconds per call, the sizes and the seed. It writes no file.
+Times seven kernels, each the best of several calls, and prints one JSON
+line with the seconds per call, the sizes and the seed, plus the
+``tracemalloc`` peak of one ``csv_export`` call in bytes. It writes no
+file.
 
 - ``tree_build``: one bagged tree (a bootstrap sample, every feature a
   candidate) on the training rows of an n = 3,000 dataset (1,200 rows).
@@ -18,6 +20,8 @@ line with the seconds per call, the sizes and the seed. It writes no file.
 - ``fit_quantile``: one quantile regression at tau = 1/3 on those rows.
 - ``knn_rank``: a ``NeighborIndex`` over the 1,200 training rows ranking
   the 10,000 fresh rows for the library's k values.
+- ``csv_export``: one ``export_csv`` of the raw n = 8,000 synthetic table
+  to ``os.devnull``, so it times formatting and quoting, not the disk.
 
 The package is imported from ``src/`` of this checkout, with one
 BLAS/OpenMP thread.
@@ -30,6 +34,7 @@ import json
 import os
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -39,7 +44,15 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 from asymcast import kernels  # noqa: E402
-from asymcast.data import SynthConfig, split, standardize, synth_generate  # noqa: E402
+from asymcast.data import (  # noqa: E402
+    SYNTH_SCHEMA,
+    SynthConfig,
+    export_csv,
+    split,
+    standardize,
+    synth_generate,
+    synth_raw_columns,
+)
 from asymcast.losses import CostSpec, tau_from_weights  # noqa: E402
 from asymcast.models import LibraryConfig, fit_nn, fit_quantile  # noqa: E402
 from asymcast.models.neighbors import NeighborIndex  # noqa: E402
@@ -69,6 +82,16 @@ def best_of(repeats: int, call) -> float:
     return best
 
 
+def peak_bytes(call) -> int:
+    """``tracemalloc``'s peak over one call, in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def run(sizes: dict, seed: int) -> dict:
     repeats = sizes["repeats"]
     X_tree, y_tree, scaler = training_rows(sizes["tree_n"], seed)
@@ -91,6 +114,12 @@ def run(sizes: dict, seed: int) -> dict:
     loss = CostSpec("llc", a=tau, b=1.0 - tau)
     theta = flatten_params(*init_params(X_lin.shape[1], y_lin, config))
     ks = tuple(k for k in LibraryConfig().knn_ks if k <= X_tree.shape[0])
+    table_config = SynthConfig(n=sizes["linear_n"], seed=seed)
+    table, _ = synth_raw_columns(table_config)
+    table["resale_ratio"] = synth_generate(table_config).target
+
+    def export():
+        export_csv(os.devnull, table, SYNTH_SCHEMA)
 
     seconds = {
         "tree_build": best_of(repeats, build),
@@ -102,6 +131,7 @@ def run(sizes: dict, seed: int) -> dict:
         "fit_quantile": best_of(repeats, lambda: fit_quantile(X_lin, y_lin, tau)),
         # a new index per call: an index answers a repeated query from its memo
         "knn_rank": best_of(repeats, lambda: NeighborIndex(X_tree, y_tree, ks).means(Q)),
+        "csv_export": best_of(repeats, export),
     }
     return {
         "seed": seed,
@@ -110,11 +140,13 @@ def run(sizes: dict, seed: int) -> dict:
             "tree_rows": X_tree.shape[0],
             "tree_nodes": int(tree[0].shape[0]),
             "linear_rows": X_lin.shape[0],
+            "table_rows": table_config.n,
             "features": m,
             "query_rows": Q.shape[0],
             "knn_ks": list(ks),
         },
         "seconds": seconds,
+        "peak_bytes": {"csv_export": peak_bytes(export)},
     }
 
 

@@ -168,7 +168,8 @@ def encode_with_map(raw_columns, schema, categorical_map=None):
     return names, matrix_cols, cat_map
 
 
-# data rows parsed at a time: a column converts in one pass per chunk, and
+# data rows read or written at a time: load_csv converts a column in one
+# pass per chunk and export_csv formats one chunk's cells, so either way
 # only one chunk's cell strings are held at once
 _CHUNK_ROWS = 1024
 
@@ -260,18 +261,37 @@ def load_csv(path, schema, categorical_map=None) -> Dataset:
 
 
 def export_csv(path, raw_columns, schema) -> None:
-    """Write raw (pre-encoding) columns to CSV; floats via repr (round-trip exact)."""
+    """Write raw (pre-encoding) columns to CSV; floats via repr (round-trip exact).
+
+    Every schema column must be in ``raw_columns`` and as long as the
+    first one; otherwise InvalidInputError names the column and no file
+    is written. Each numeric column becomes one float array, and the rows
+    go out in ``_CHUNK_ROWS`` slices, so only one slice's cells are held
+    as text at a time.
+    """
     expected = [name for name, _ in schema]
-    cols = [
-        raw_columns[name]
-        if kind == "categorical"
-        else [repr(v) for v in np.asarray(raw_columns[name], dtype=float).tolist()]
-        for name, kind in schema
-    ]
+    cols = []
+    for name, kind in schema:
+        if name not in raw_columns:
+            raise InvalidInputError(f"column {name!r} is missing from the columns to export")
+        values = raw_columns[name]
+        cols.append(values if kind == "categorical" else np.asarray(values, dtype=float))
+    n = len(cols[0])
+    for name, col in zip(expected, cols):
+        if len(col) != n:
+            raise InvalidInputError(
+                f"column {name!r} has {len(col)} rows, but column {expected[0]!r} has {n}"
+            )
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(expected)
-        writer.writerows(zip(*cols))
+        for lo in range(0, n, _CHUNK_ROWS):
+            hi = lo + _CHUNK_ROWS
+            cells = [
+                col[lo:hi] if kind == "categorical" else list(map(repr, col[lo:hi].tolist()))
+                for (_, kind), col in zip(schema, cols)
+            ]
+            writer.writerows(zip(*cells))
 
 
 # ----------------------------------------------------------------- splits
@@ -447,7 +467,7 @@ def synth_export(path_csv, path_schema, config: SynthConfig) -> None:
     encoded matrix exactly.
     """
     raw, dataset = _synth_draw(config)
-    raw["resale_ratio"] = list(dataset.target)
+    raw["resale_ratio"] = dataset.target
     export_csv(path_csv, raw, SYNTH_SCHEMA)
     with open(path_schema, "w", encoding="utf-8") as handle:
         handle.write(schema_to_text(SYNTH_SCHEMA))

@@ -7,12 +7,6 @@ Families
                     a = tau, b = 1 - tau it is the tau-quantile (pinball) loss
 ``qqc``             quadratic-quadratic: a*e^2 if e > 0 else b*e^2
 ``lec``             linear-exponential:  b*(exp(a*e) - a*e - 1)
-``qqc_approx``      smooth quadratic-quadratic, a logistic blend of the
-                    two branch weights (slope ``QQC_STEEPNESS``); it is
-                    evaluation-only and has no gradient: networks train on
-                    ``qqc`` itself, and the family is kept so that bundles
-                    whose networks were trained on it still load, until it
-                    is deleted
 
 Residuals follow the convention ``e = actual - forecast``: a positive
 residual means the forecast underestimated the actual (weight ``a``), a
@@ -31,13 +25,9 @@ import numpy as np
 
 from .errors import ConfigurationError, InvalidInputError
 
-FAMILIES = ("squared_error", "llc", "qqc", "lec", "qqc_approx")
+FAMILIES = ("squared_error", "llc", "qqc", "lec")
 
-# logistic steepness of qqc_approx's blend, in 1 / residual units
-QQC_STEEPNESS = 99.0
-
-# exp() overflow guard: |argument| is clipped here before exponentiation,
-# which saturates the logistic blend at exactly 0/1 in the tails.
+# exp() overflow guard: lec clips |a*e| here before exponentiation.
 _EXP_CLIP = 700.0
 
 
@@ -72,9 +62,8 @@ class CostSpec:
 def is_symmetric(spec: CostSpec) -> bool:
     """Whether ``spec`` costs every residual e the same as -e.
 
-    ``squared_error`` ignores its weights; ``llc``, ``qqc`` and
-    ``qqc_approx`` are symmetric exactly when a == b; ``lec`` is
-    asymmetric at every a.
+    ``squared_error`` ignores its weights; ``llc`` and ``qqc`` are
+    symmetric exactly when a == b; ``lec`` is asymmetric at every a.
     """
     if spec.family == "squared_error":
         return True
@@ -86,16 +75,6 @@ def _as_residual_array(e) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise InvalidInputError("residuals must be finite (no NaN/inf)")
     return arr
-
-
-def _logistic_blend(e: np.ndarray, spec: CostSpec) -> np.ndarray:
-    """Branch weight a + (b - a) * sig, with sig = 1 / (1 + exp(QQC_STEEPNESS * e)).
-
-    The weight tends to ``a`` as e -> +inf and to ``b`` as e -> -inf.
-    """
-    z = np.clip(QQC_STEEPNESS * e, -_EXP_CLIP, _EXP_CLIP)
-    sig = 1.0 / (1.0 + np.exp(z))
-    return spec.a + (spec.b - spec.a) * sig
 
 
 # _eval_raw and _grad_raw take a finite float residual array and check
@@ -114,8 +93,6 @@ def _eval_raw(spec: CostSpec, e: np.ndarray) -> np.ndarray:
     if family == "lec":
         ae = spec.a * e
         return spec.b * (np.exp(np.clip(ae, -_EXP_CLIP, _EXP_CLIP)) - ae - 1.0)
-    if family == "qqc_approx":
-        return (e * e) * _logistic_blend(e, spec)
     raise ConfigurationError(f"unknown loss family {family!r}")
 
 
@@ -130,7 +107,7 @@ def _grad_raw(spec: CostSpec, e: np.ndarray) -> np.ndarray:
     if family == "lec":
         z = np.clip(spec.a * e, -_EXP_CLIP, _EXP_CLIP)
         return spec.a * spec.b * (np.exp(z) - 1.0)
-    raise ConfigurationError(f"loss family {family!r} has no gradient")
+    raise ConfigurationError(f"unknown loss family {family!r}")
 
 
 def eval_loss(spec: CostSpec, e):
@@ -162,10 +139,7 @@ def eval_mean(spec: CostSpec, actuals, forecasts):
 
 
 def grad_loss(spec: CostSpec, e):
-    """dC/de. At the kink of llc returns the right-derivative.
-
-    ``qqc_approx`` is evaluation-only: its gradient raises ConfigurationError.
-    """
+    """dC/de. At the kink of llc returns the right-derivative."""
     out = _grad_raw(spec, _as_residual_array(e))
     return float(out) if np.ndim(e) == 0 else out
 

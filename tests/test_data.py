@@ -1,3 +1,6 @@
+import csv
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -125,6 +128,85 @@ def test_load_csv_rejects_header_mismatch(tmp_path):
     p.write_text("age,color,price\n1.0,red,0.5\n", encoding="utf-8")
     with pytest.raises(IngestionError, match="header"):
         load_csv(p, TOY_SCHEMA)
+
+
+# ---------------------------------------------------------------- exporting
+
+EXPORT_SCHEMA = [("size", "numeric"), ("label", "categorical"), ("price", "target")]
+# labels the csv module must quote: a comma, a double quote, a newline
+LABELS = ["plain", "a,b", 'say "hi"', "two\nlines"]
+
+
+def whole_table_csv(path, raw_columns, schema):
+    """The CSV as written with every cell of the table turned into text at once."""
+    cols = [
+        raw_columns[name]
+        if kind == "categorical"
+        else [repr(v) for v in np.asarray(raw_columns[name], dtype=float).tolist()]
+        for name, kind in schema
+    ]
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow([name for name, _ in schema])
+        writer.writerows(zip(*cols))
+
+
+@pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 2500])
+def test_export_csv_writes_the_whole_table_bytes_across_chunks(tmp_path, n):
+    rng = np.random.default_rng(n)
+    raw = {
+        "size": rng.normal(size=n) * 10.0 ** rng.integers(-8, 9, n),
+        "label": [LABELS[i] for i in rng.integers(0, len(LABELS), n)],
+        "price": rng.uniform(0.05, 1.0, n),
+    }
+    chunked, whole = tmp_path / "chunked.csv", tmp_path / "whole.csv"
+    export_csv(chunked, raw, EXPORT_SCHEMA)
+    whole_table_csv(whole, raw, EXPORT_SCHEMA)
+    assert chunked.read_bytes() == whole.read_bytes()
+    ds = load_csv(chunked, EXPORT_SCHEMA)
+    np.testing.assert_array_equal(ds.features[:, 0], raw["size"])
+    np.testing.assert_array_equal(ds.target, raw["price"])
+    assert decode_categories(ds, "label") == raw["label"]
+
+
+def test_export_csv_of_no_rows_writes_the_header_alone(tmp_path):
+    p = tmp_path / "empty.csv"
+    export_csv(p, {"size": np.empty(0), "label": [], "price": []}, EXPORT_SCHEMA)
+    assert p.read_bytes() == b"size,label,price\r\n"
+    with pytest.raises(IngestionError, match="no data rows"):
+        load_csv(p, EXPORT_SCHEMA)
+
+def test_export_csv_names_a_missing_column_and_writes_nothing(tmp_path):
+    p = tmp_path / "out.csv"
+    with pytest.raises(InvalidInputError, match="column 'b' is missing"):
+        export_csv(p, {"a": [1.0, 2.0]}, [("a", "numeric"), ("b", "target")])
+    assert not p.exists()
+
+
+def test_export_csv_names_a_column_of_another_length_and_writes_nothing(tmp_path):
+    p = tmp_path / "out.csv"
+    schema = [("a", "numeric"), ("c", "categorical"), ("b", "target")]
+    with pytest.raises(InvalidInputError, match="column 'b' has 1 rows, but column 'a' has 3"):
+        export_csv(p, {"a": [1.0, 2.0, 3.0], "c": ["x", "y", "z"], "b": [1.0]}, schema)
+    with pytest.raises(InvalidInputError, match="column 'c' has 4 rows, but column 'a' has 3"):
+        export_csv(p, {"a": [1.0, 2.0, 3.0], "c": ["x", "y", "z", "w"], "b": [1.0] * 3}, schema)
+    assert not p.exists()
+
+
+def test_export_csv_memory_does_not_grow_with_the_rows(tmp_path):
+    schema = [(f"x{j}", "numeric") for j in range(8)] + [("y", "target")]
+
+    def peak_bytes(n):
+        rng = np.random.default_rng(n)
+        raw = {name: rng.normal(size=n) for name, _ in schema}
+        tracemalloc.start()
+        try:
+            export_csv(tmp_path / f"{n}.csv", raw, schema)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak_bytes(32768) < 2 * peak_bytes(4096)
 
 
 def test_schema_validation():

@@ -606,7 +606,7 @@ def test_grids_of_numpy_integers_save_and_load(tmp_path, tiny_splits):
         assert np.array_equal(predict(rebuilt.model, X_val), original.val_pred)
 
 
-def test_qqc_networks_fit_at_a_weight_ratio_of_50_and_smooth_qqc_bundles_load(
+def test_qqc_networks_fit_at_a_weight_ratio_of_50_and_smooth_qqc_bundles_do_not_load(
     tmp_path, small_splits, augmented_library
 ):
     config = replace(SMALL_CONFIG, families=("ols",), aug_a_levels=(0.02,))
@@ -616,22 +616,17 @@ def test_qqc_networks_fit_at_a_weight_ratio_of_50_and_smooth_qqc_bundles_load(
     qqc_net = next(e for e in library.entries if e.hyperparams.get("loss") == "qqc")
     assert qqc_net.model.loss_mode == CostSpec("qqc", a=0.02, b=1.0)
 
-    # a bundle that names a network trained on qqc_approx still loads and predicts
+    # the qqc_approx family is gone, so a bundle naming a network trained on it fails
     path = tmp_path / "library.npz"
     save_library(augmented_library, path)
     index = next(e.index for e in augmented_library.entries if e.hyperparams.get("loss") == "qqc")
-    smooth = loss_to_text(CostSpec("qqc_approx", a=0.02, b=1.0))
 
     def set_loss(manifest):
-        manifest["entries"][index]["loss_mode"] = smooth
+        manifest["entries"][index]["loss_mode"] = "family=qqc_approx\na=0.02\nb=1.0\n"
 
     rewrite_bundle(path, set_loss)
-    loaded = load_library(path).entry(index).model
-    assert loaded.loss_mode == CostSpec("qqc_approx", a=0.02, b=1.0)
-    X = small_splits.test.features
-    np.testing.assert_array_equal(
-        predict(loaded, X), predict(augmented_library.entry(index).model, X)
-    )
+    with pytest.raises(ConfigurationError, match="unknown loss family 'qqc_approx'"):
+        load_library(path)
 
 
 def rewrite_bundle(path, edit, **extra_arrays):

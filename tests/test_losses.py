@@ -32,8 +32,6 @@ GRIDS = st.lists(st.integers(-500, 500), min_size=1, max_size=40).map(
 )
 # every family, and the tau-quantile (pinball) weighting of llc
 SHAPES = FAMILIES + ("pinball",)
-# the shapes with a gradient: qqc_approx is evaluation-only
-GRADIENT_SHAPES = tuple(shape for shape in SHAPES if shape != "qqc_approx")
 
 
 def cost(shape, a=1.0, b=1.0, tau=0.5):
@@ -94,18 +92,9 @@ def test_cost_spec_validation():
             CostSpec("qqc", b=weight)
     with pytest.raises(ConfigurationError):
         CostSpec("huber")
-    with pytest.raises(ConfigurationError):
-        CostSpec("pinball")
-
-
-def test_smooth_qqc_saturates_instead_of_overflowing():
-    spec = CostSpec("qqc_approx", a=0.3, b=1.0)
-    for e in (-50.0, 50.0, -1e6, 1e6):
-        value = eval_loss(spec, e)
-        assert np.isfinite(value)
-    # tail weights: a on the far positive side, b on the far negative side
-    assert eval_loss(spec, 100.0) == pytest.approx(0.3 * 100.0**2)
-    assert eval_loss(spec, -100.0) == pytest.approx(1.0 * 100.0**2)
+    for gone in ("pinball", "qqc_approx"):
+        with pytest.raises(ConfigurationError, match=f"unknown loss family '{gone}'"):
+            CostSpec(gone)
 
 
 # ---------------------------------------------------------------- eval_mean
@@ -161,7 +150,7 @@ def test_mean_has_the_bits_of_np_mean(family, a, tau, n, rows, seed):
     assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(expected).view(np.int64))
 
 
-@pytest.mark.parametrize("family", ["squared_error", "llc", "qqc", "lec", "pinball", "qqc_approx"])
+@pytest.mark.parametrize("family", SHAPES)
 def test_mean_over_a_forecast_matrix_equals_each_row(family):
     rng = np.random.default_rng(9)
     y = rng.uniform(0.3, 1.0, size=257)
@@ -196,11 +185,6 @@ def test_squared_error_gradient():
     assert grad_loss(CostSpec("squared_error"), 3.0) == 6.0
 
 
-def test_smooth_qqc_has_no_gradient():
-    with pytest.raises(ConfigurationError, match="'qqc_approx' has no gradient"):
-        grad_loss(CostSpec("qqc_approx", a=0.4, b=1.0), np.array([0.0, 0.5]))
-
-
 @pytest.mark.parametrize(
     "family,params",
     [
@@ -221,7 +205,7 @@ def test_gradients_match_central_differences_off_kinks(family, params):
         assert abs(an - fd) <= 1e-4 * max(1.0, abs(fd))
 
 
-@pytest.mark.parametrize("family", GRADIENT_SHAPES)
+@pytest.mark.parametrize("family", SHAPES)
 @given(a=WEIGHTS, b=WEIGHTS, tau=TAUS, e=OFF_KINK)
 def test_gradient_matches_central_differences_for_random_parameters(family, a, b, tau, e):
     spec = cost(family, a=a, b=b, tau=tau)
@@ -259,26 +243,15 @@ def test_all_families_are_generalized_cost_functions():
         CostSpec("qqc", a=0.4, b=1.0),
         CostSpec("lec", a=0.22, b=17.0),
         cost("pinball", tau=0.3),
-        CostSpec("qqc_approx", a=0.4, b=1.0),
     ]
     for spec in specs:
         assert validate_generalized_cost(spec, STANDARD_GRID), spec.describe()
 
 
-@pytest.mark.parametrize("family", GRADIENT_SHAPES)
+@pytest.mark.parametrize("family", SHAPES)
 @given(a=WEIGHTS, b=WEIGHTS, tau=TAUS, grid=GRIDS)
 def test_every_family_is_a_generalized_cost_for_random_parameters(family, a, b, tau, grid):
     assert validate_generalized_cost(cost(family, a=a, b=b, tau=tau), grid)
-
-
-# qqc_approx, kept to evaluate the networks of older bundles, is monotone in
-# |e| only while max(a, b) / min(a, b) is at most about 48.47
-@pytest.mark.parametrize("a,b", [(1.0, 50.0), (50.0, 1.0), (0.02, 1.0)])
-def test_smooth_qqc_is_not_monotone_beyond_its_weight_ratio(a, b):
-    grid = np.linspace(-1.0, 1.0, 20001)
-    assert not validate_generalized_cost(CostSpec("qqc_approx", a=a, b=b), grid)
-    for low, high in ((1.0, 48.47), (48.47, 1.0)):
-        assert validate_generalized_cost(CostSpec("qqc_approx", a=low, b=high), grid)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -316,33 +289,17 @@ def test_llc_is_scaled_pinball():
         assert np.max(np.abs(llc - pin)) < 1e-12
 
 
-def test_smooth_qqc_tracks_qqc_away_from_origin():
-    for a in np.arange(0.1, 1.01, 0.1):
-        qqc = CostSpec("qqc", a=a, b=1.0)
-        appr = CostSpec("qqc_approx", a=a, b=1.0)
-        es = np.concatenate([np.linspace(0.1, 8, 200), -np.linspace(0.1, 8, 200)])
-        gap = np.abs(eval_loss(appr, es) - eval_loss(qqc, es)) / eval_loss(qqc, es)
-        assert np.max(gap) < 1e-3
-
-
-def test_smooth_qqc_limit_weights():
-    spec = CostSpec("qqc_approx", a=0.25, b=1.5)
-    assert eval_loss(spec, 0.0) == 0.0
-    assert eval_loss(spec, 1e4) / 1e8 == pytest.approx(0.25, rel=1e-12)
-    assert eval_loss(spec, -1e4) / 1e8 == pytest.approx(1.5, rel=1e-12)
-
-
 # ------------------------------------------------------------ serialization
 
 def test_loss_config_round_trip_is_decimal_exact():
     specs = [
         CostSpec("qqc", a=0.1, b=1.0),
         CostSpec("llc", a=1.0 / 3.0, b=2.0 / 3.0),
-        CostSpec("qqc_approx", a=0.22222222222221, b=1.7),
+        CostSpec("lec", a=0.22222222222221, b=1.7),
     ]
     for spec in specs:
         assert loss_from_text(loss_to_text(spec)) == spec
-    assert loss_to_text(CostSpec("qqc_approx", a=0.3, b=1.0)) == "family=qqc_approx\na=0.3\nb=1.0\n"
+    assert loss_to_text(CostSpec("qqc", a=0.3, b=1.0)) == "family=qqc\na=0.3\nb=1.0\n"
 
 
 def test_loss_config_rejects_garbage():
