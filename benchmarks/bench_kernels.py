@@ -4,10 +4,10 @@
     python benchmarks/bench_kernels.py --tiny      # small sizes, about a second
     python benchmarks/bench_kernels.py --seed 20170710
 
-Times seven kernels, each the best of several calls, and prints one JSON
+Times eight kernels, each the best of several calls, and prints one JSON
 line with the seconds per call, the sizes and the seed, plus the
-``tracemalloc`` peak of one ``csv_export`` call in bytes. It writes no
-file.
+``tracemalloc`` peaks of one ``csv_export`` and one ``select_best`` call
+in bytes. It writes no file.
 
 - ``tree_build``: one bagged tree (a bootstrap sample, every feature a
   candidate) on the training rows of an n = 3,000 dataset (1,200 rows).
@@ -22,6 +22,10 @@ file.
   the 10,000 fresh rows for the library's k values.
 - ``csv_export``: one ``export_csv`` of the raw n = 8,000 synthetic table
   to ``os.devnull``, so it times formatting and quoting, not the disk.
+- ``select_best``: the validation-best entry under that llc loss, in a
+  42-entry library (ridge fits over a grid of penalties, the size of the
+  pipeline benchmark's OLS/ridge/network library) scored on the 2,400
+  validation rows of the n = 8,000 dataset.
 
 The package is imported from ``src/`` of this checkout, with one
 BLAS/OpenMP thread.
@@ -54,7 +58,16 @@ from asymcast.data import (  # noqa: E402
     synth_raw_columns,
 )
 from asymcast.losses import CostSpec, tau_from_weights  # noqa: E402
-from asymcast.models import LibraryConfig, fit_nn, fit_quantile  # noqa: E402
+from asymcast.models import (  # noqa: E402
+    LibraryConfig,
+    LibraryEntry,
+    ModelLibrary,
+    fit_nn,
+    fit_quantile,
+    fit_ridge,
+    predict,
+    select_best,
+)
 from asymcast.models.neighbors import NeighborIndex  # noqa: E402
 from asymcast.models.neural import (  # noqa: E402
     NNConfig,
@@ -66,11 +79,23 @@ from asymcast.models.trees import ENSEMBLE_COMPLEXITY, ENSEMBLE_MIN_NODE, MAX_DE
 
 FULL = {"tree_n": 3000, "linear_n": 8000, "query_rows": 10000, "repeats": 5}
 TINY = {"tree_n": 200, "linear_n": 200, "query_rows": 300, "repeats": 3}
+LIBRARY_ENTRIES = 42
 
 
-def training_rows(n: int, seed: int):
-    splits, scaler = standardize(split(synth_generate(SynthConfig(n=n, seed=seed)), seed))
-    return splits.ats.features, splits.ats.target, scaler
+def standardized_splits(n: int, seed: int):
+    return standardize(split(synth_generate(SynthConfig(n=n, seed=seed)), seed))
+
+
+def ridge_library(splits) -> ModelLibrary:
+    """``LIBRARY_ENTRIES`` ridge fits on the ATS rows and their validation forecasts."""
+    X, y = splits.ats.features, splits.ats.target
+    entries = []
+    for i, lam in enumerate(np.geomspace(1e-4, 1e3, LIBRARY_ENTRIES)):
+        model = fit_ridge(X, y, float(lam))
+        val_pred = predict(model, splits.validation.features)
+        params = {"lam": float(lam)}
+        entries.append(LibraryEntry(i, "ridge", params, model.provenance, model, val_pred))
+    return ModelLibrary(entries, splits.validation.target, False, 0)
 
 
 def best_of(repeats: int, call) -> float:
@@ -94,8 +119,10 @@ def peak_bytes(call) -> int:
 
 def run(sizes: dict, seed: int) -> dict:
     repeats = sizes["repeats"]
-    X_tree, y_tree, scaler = training_rows(sizes["tree_n"], seed)
-    X_lin, y_lin, _ = training_rows(sizes["linear_n"], seed)
+    tree_splits, scaler = standardized_splits(sizes["tree_n"], seed)
+    X_tree, y_tree = tree_splits.ats.features, tree_splits.ats.target
+    lin_splits, _ = standardized_splits(sizes["linear_n"], seed)
+    X_lin, y_lin = lin_splits.ats.features, lin_splits.ats.target
     fresh = synth_generate(SynthConfig(n=sizes["query_rows"], seed=seed + 1))
     Q = scaler.transform(fresh.features)
 
@@ -118,8 +145,13 @@ def run(sizes: dict, seed: int) -> dict:
     table, _ = synth_raw_columns(table_config)
     table["resale_ratio"] = synth_generate(table_config).target
 
+    library = ridge_library(lin_splits)
+
     def export():
         export_csv(os.devnull, table, SYNTH_SCHEMA)
+
+    def select():
+        return select_best(library, loss)
 
     seconds = {
         "tree_build": best_of(repeats, build),
@@ -132,6 +164,7 @@ def run(sizes: dict, seed: int) -> dict:
         # a new index per call: an index answers a repeated query from its memo
         "knn_rank": best_of(repeats, lambda: NeighborIndex(X_tree, y_tree, ks).means(Q)),
         "csv_export": best_of(repeats, export),
+        "select_best": best_of(repeats, select),
     }
     return {
         "seed": seed,
@@ -144,9 +177,11 @@ def run(sizes: dict, seed: int) -> dict:
             "features": m,
             "query_rows": Q.shape[0],
             "knn_ks": list(ks),
+            "library_entries": len(library),
+            "validation_rows": library.val_actuals.shape[0],
         },
         "seconds": seconds,
-        "peak_bytes": {"csv_export": peak_bytes(export)},
+        "peak_bytes": {"csv_export": peak_bytes(export), "select_best": peak_bytes(select)},
     }
 
 

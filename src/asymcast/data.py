@@ -330,7 +330,10 @@ class Standardizer:
     feature_names: tuple
 
     def transform(self, X: np.ndarray) -> np.ndarray:
-        return (np.asarray(X, dtype=float) - self.means) / self.sds
+        # one temporary: the centred copy is scaled in place, never the input
+        Z = np.asarray(X, dtype=float) - self.means
+        Z /= self.sds
+        return Z
 
 
 def standardize(splits: DataSplits) -> tuple[DataSplits, Standardizer]:
@@ -406,8 +409,10 @@ def synth_raw_columns(config: SynthConfig):
     navigation = (rng.random(n) < 0.5).astype(float)
     leather = (rng.random(n) < 0.3).astype(float)
     tow = (rng.random(n) < 0.1).astype(float)
-    fuel = rng.choice(_FUEL_LEVELS, size=n, p=[0.35, 0.08, 0.12, 0.45])
-    gear = rng.choice(_GEAR_LEVELS, size=n, p=[0.55, 0.45])
+    # level indices, not the level strings: the labels then share the
+    # level list's str objects instead of holding one numpy.str_ per row
+    fuel = rng.choice(len(_FUEL_LEVELS), size=n, p=[0.35, 0.08, 0.12, 0.45])
+    gear = rng.choice(len(_GEAR_LEVELS), size=n, p=[0.55, 0.45])
     noise = rng.normal(0, config.noise_sd, n)
     return {
         "age_years": age,
@@ -421,8 +426,8 @@ def synth_raw_columns(config: SynthConfig):
         "navigation": navigation,
         "leather_seats": leather,
         "tow_hitch": tow,
-        "fuel_type": list(fuel),
-        "gear_shift": list(gear),
+        "fuel_type": [_FUEL_LEVELS[i] for i in fuel.tolist()],
+        "gear_shift": [_GEAR_LEVELS[i] for i in gear.tolist()],
     }, noise
 
 

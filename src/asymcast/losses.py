@@ -30,6 +30,9 @@ FAMILIES = ("squared_error", "llc", "qqc", "lec")
 # exp() overflow guard: lec clips |a*e| here before exponentiation.
 _EXP_CLIP = 700.0
 
+# eval_mean scores at most this many forecasts (64 KB of float64) at once
+_BLOCK_FORECASTS = 8192
+
 
 @dataclass(frozen=True)
 class CostSpec:
@@ -83,13 +86,22 @@ def _as_residual_array(e) -> np.ndarray:
 # generalized-cost check probes deliberately corrupted specs here.
 
 def _eval_raw(spec: CostSpec, e: np.ndarray) -> np.ndarray:
+    """Cost of each residual, without branches on the residuals' signs.
+
+    llc is ``max(a*e, -b*e)`` and qqc is ``max(a*s, -b*s)`` with
+    ``s = e*|e|``: the term of the residual's own sign is the non-negative
+    one, and it has the bits of ``a*|e|`` or ``b*|e|`` (``a*e*e`` or
+    ``b*e*e``), since rounding is symmetric in sign. A zero residual may
+    cost -0.0.
+    """
     family = spec.family
     if family == "squared_error":
         return e * e
     if family == "llc":
-        return np.where(e > 0, spec.a, spec.b) * np.abs(e)
+        return np.maximum(spec.a * e, -spec.b * e)
     if family == "qqc":
-        return np.where(e > 0, spec.a, spec.b) * (e * e)
+        s = e * np.abs(e)
+        return np.maximum(spec.a * s, -spec.b * s)
     if family == "lec":
         ae = spec.a * e
         return spec.b * (np.exp(np.clip(ae, -_EXP_CLIP, _EXP_CLIP)) - ae - 1.0)
@@ -116,26 +128,62 @@ def eval_loss(spec: CostSpec, e):
     return float(out) if np.ndim(e) == 0 else out
 
 
+def _check_forecasts(y: np.ndarray, f: np.ndarray, first_row: int = 0) -> None:
+    """Raise unless ``f`` is a finite vector, or block of rows, of ``y``'s length.
+
+    ``first_row`` is a block's first row in the whole input, for the message.
+    """
+    if f.shape[-1:] != y.shape or f.ndim > 2:
+        where = f" in the rows from {first_row}" if f.ndim == 2 else ""
+        raise InvalidInputError(
+            f"forecasts must be vectors of the {y.shape[0]} values of actuals, "
+            f"got shape {f.shape}{where}"
+        )
+    if not np.isfinite(f).all():
+        raise InvalidInputError("actuals and forecasts must be finite")
+
+
 def eval_mean(spec: CostSpec, actuals, forecasts):
     """Arithmetic mean of the cost over residuals ``actuals - forecasts``.
 
     ``forecasts`` is one forecast vector, which gives a float, or a matrix
-    with one forecast vector per row, which gives the mean of each row.
+    or a list or tuple of equal-length vectors (such as library entries'
+    ``val_pred``), one forecast vector per row, which gives the mean of
+    each row. Rows are scored in blocks of at most ``_BLOCK_FORECASTS``
+    forecasts (one row if a row is longer), each checked for shape and
+    finiteness as it comes, so no rows x length array is built and the
+    memory used does not grow with the number of rows. Each row's mean
+    is a pairwise sum and one division, the bits of ``np.mean`` of its
+    costs.
     """
     y = np.asarray(actuals, dtype=float)
-    f = np.asarray(forecasts, dtype=float)
-    if y.ndim != 1 or f.ndim not in (1, 2) or f.shape[-1:] != y.shape:
-        raise InvalidInputError(
-            f"actuals must be a vector and forecasts a vector or matrix of its length, "
-            f"got {y.shape} vs {f.shape}"
-        )
+    if y.ndim != 1:
+        raise InvalidInputError(f"actuals must be a vector, got shape {y.shape}")
     if y.size == 0:
         raise InvalidInputError("cannot average a loss over empty vectors")
-    if not (np.isfinite(y).all() and np.isfinite(f).all()):
+    if not np.isfinite(y).all():
         raise InvalidInputError("actuals and forecasts must be finite")
-    # np.mean's arithmetic, a pairwise sum and one division, without its wrappers
-    means = _eval_raw(spec, y - f).sum(axis=-1) / y.size
-    return float(means) if f.ndim == 1 else means
+    if isinstance(forecasts, (list, tuple)) and forecasts and np.ndim(forecasts[0]) == 1:
+        rows = forecasts
+    else:
+        rows = np.asarray(forecasts, dtype=float)
+        if rows.ndim < 2:
+            _check_forecasts(y, rows)
+            return float(_eval_raw(spec, y - rows).sum() / y.size)
+    step = max(1, _BLOCK_FORECASTS // y.size)
+    means = np.empty(len(rows))
+    for lo in range(0, len(rows), step):
+        try:
+            # a C-ordered copy of the block, overwritten by its residuals
+            e = np.array(rows[lo:lo + step], dtype=float, order="C")
+        except ValueError as exc:  # vectors of different lengths
+            raise InvalidInputError(f"forecast rows from {lo}: {exc}") from exc
+        _check_forecasts(y, e, lo)
+        np.subtract(y, e, out=e)
+        # each C-ordered row reduces by np.mean's pairwise sum, without its wrappers
+        means[lo:lo + step] = _eval_raw(spec, e).sum(axis=-1)
+    means /= y.size
+    return means
 
 
 def grad_loss(spec: CostSpec, e):

@@ -423,11 +423,14 @@ def select_best(library: ModelLibrary, criterion: CostSpec) -> int:
     """Index of the validation-best entry under the criterion; ties break low.
 
     To choose among some entries only, pass a ``ModelLibrary`` of those
-    entries: the index returned is still the entry's own.
+    entries: the index returned is still the entry's own. The entries'
+    forecasts go to one ``eval_mean`` call as they are, which scores them
+    in blocks of rows, so no entries x rows matrix is built.
     """
     if len(library.entries) == 0:
         raise InvalidInputError("cannot select from an empty library")
-    scores = eval_mean(criterion, library.val_actuals, library.validation_matrix())
+    forecasts = [entry.val_pred for entry in library.entries]
+    scores = eval_mean(criterion, library.val_actuals, forecasts)
     # argmin takes the first of equal scores; entry indices need not be contiguous
     return library.entries[int(np.argmin(scores))].index
 

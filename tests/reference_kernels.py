@@ -14,6 +14,10 @@ the neighbour ranking and the network forecast to match them bit for
 bit, the dual quantile LP to reach the same objective, and the
 units x rows training objective to agree to rounding.
 
+``eval_raw_where`` is the cost of each residual with the weight chosen
+by ``np.where`` on its sign, the plain form of the branch-free llc and
+qqc kernels of ``losses._eval_raw``, which must match it exactly.
+
 ``decode_categories`` reads a categorical column back from its dummies,
 and ``validate_generalized_cost`` checks a cost function's shape on a
 grid of residuals.
@@ -189,6 +193,16 @@ def knn_rank_means(X, y, ks, Q, chunk_distances):
         csum = y[ranked].cumsum(axis=1)
         out[:, lo : lo + q.shape[0]] = csum[:, cols].T / divisors[:, None]
     return dict(zip(ks, out))
+
+
+def eval_raw_where(spec, e):
+    """llc and qqc costs of residuals ``e``: a for e > 0, else b, times |e| or e^2."""
+    weight = np.where(e > 0, spec.a, spec.b)
+    if spec.family == "llc":
+        return weight * np.abs(e)
+    if spec.family == "qqc":
+        return weight * (e * e)
+    raise ValueError(f"no np.where form of family {spec.family!r}")
 
 
 def decode_categories(dataset, column: str) -> list:

@@ -10,7 +10,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "benchmarks" / "bench_kernels.py"
 KERNELS = {
     "tree_build", "tree_predict", "nn_objective_and_grad", "nn_fit", "fit_quantile", "knn_rank",
-    "csv_export",
+    "csv_export", "select_best",
 }
 
 
@@ -29,8 +29,9 @@ def test_bench_kernels_tiny_prints_one_json_line(tmp_path):
     report = json.loads(lines[0])
     assert set(report["seconds"]) == KERNELS
     assert all(math.isfinite(s) and s > 0 for s in report["seconds"].values())
-    peak = report["peak_bytes"]["csv_export"]
-    assert isinstance(peak, int) and peak > 0
+    assert set(report["peak_bytes"]) == {"csv_export", "select_best"}
+    for peak in report["peak_bytes"].values():
+        assert isinstance(peak, int) and peak > 0
     assert report["seed"] == 1 and report["sizes"]["query_rows"] == 300
     # -X importtime lists every imported module on stderr
     assert "pipebench" not in run.stderr

@@ -306,6 +306,18 @@ def test_standardize_flags_constant_columns():
     np.testing.assert_array_equal(std.ats.features[:, j], sp.ats.features[:, j])
 
 
+def test_standardizer_transform_has_the_bits_of_one_expression_and_keeps_its_input():
+    rng = np.random.default_rng(12)
+    X = rng.normal(3.0, 2.0, size=(50, 4))
+    scaler = Standardizer(rng.normal(size=4), rng.uniform(0.5, 2.0, size=4), (), tuple("abcd"))
+    before = X.copy()
+    Z = scaler.transform(X)
+    expected = (X - scaler.means) / scaler.sds
+    assert np.array_equal(Z.view(np.int64), expected.view(np.int64))
+    assert np.array_equal(X.view(np.int64), before.view(np.int64))
+    assert not np.shares_memory(Z, X)
+
+
 # ---------------------------------------------------------- synthetic data
 
 def test_synth_is_deterministic():
@@ -313,6 +325,17 @@ def test_synth_is_deterministic():
     b = synth_generate(SynthConfig(n=100, seed=77))
     assert dataset_hash(a) == dataset_hash(b)
     assert a.features.shape == (100, 15)
+
+
+def test_synth_labels_are_str_objects_that_share_the_level_strings():
+    raw, _ = synth_raw_columns(SynthConfig(n=500, seed=77))
+    for column, levels in (
+        ("fuel_type", data_module._FUEL_LEVELS),
+        ("gear_shift", data_module._GEAR_LEVELS),
+    ):
+        labels = raw[column]
+        assert all(type(label) is str for label in labels)
+        assert {id(label) for label in labels} == {id(level) for level in levels}
 
 
 def test_synth_near_zero_noise_recovers_exact_function():

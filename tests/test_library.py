@@ -1,5 +1,6 @@
 import io
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from asymcast import kernels
 from asymcast.data import SynthConfig, split, standardize, synth_generate
 from asymcast.errors import ConfigurationError, InvalidInputError, TrainingError
-from asymcast.losses import CostSpec, loss_from_text, loss_to_text, tau_from_weights
+from asymcast.losses import CostSpec, eval_mean, loss_from_text, loss_to_text, tau_from_weights
 from asymcast.models import (
     LibraryConfig,
     LibraryEntry,
@@ -376,6 +377,40 @@ def test_entry_looks_up_the_index_select_best_returns():
     for missing in (0, 3, 5, 7, 8, -1):
         with pytest.raises(InvalidInputError, match=f"no entry with index {missing}"):
             sub.entry(missing)
+
+
+def noisy_forecasts(entries: int, rows: int, seed: int):
+    rng = np.random.default_rng(seed)
+    actuals = rng.uniform(0.3, 1.0, size=rows)
+    return [actuals + rng.normal(0, 0.05, size=rows) for _ in range(entries)], actuals
+
+
+@pytest.mark.parametrize("family", ["squared_error", "llc", "qqc", "lec"])
+def test_select_best_is_the_first_argmin_of_each_entry_cost(family):
+    distinct, actuals = noisy_forecasts(20, 2400, seed=3)
+    # every forecast twice, in blocks far apart, so the best cost is tied
+    predictions = distinct + distinct[::-1] + distinct[:2]
+    spec = CostSpec(family, a=0.3, b=1.0)
+    costs = [eval_mean(spec, actuals, p) for p in predictions]
+    assert costs.count(min(costs)) >= 2
+    library = stub_library(predictions, actuals)
+    assert select_best(library, spec) == costs.index(min(costs))
+
+
+def test_select_best_memory_stays_below_half_an_entries_by_rows_array():
+    predictions, actuals = noisy_forecasts(42, 2400, seed=8)
+    library = stub_library(predictions, actuals)
+    half_matrix = 42 * 2400 * 8 // 2
+    for family in ("llc", "qqc", "lec"):
+        spec = CostSpec(family, a=0.3, b=1.0)
+        select_best(library, spec)
+        tracemalloc.start()
+        try:
+            select_best(library, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < half_matrix, (family, peak)
 
 
 def test_select_best_rejects_empty_library():

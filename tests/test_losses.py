@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from asymcast.errors import ConfigurationError, InvalidInputError
 from asymcast.losses import (
+    _BLOCK_FORECASTS,
     FAMILIES,
     _eval_raw,
     CostSpec,
@@ -16,7 +17,7 @@ from asymcast.losses import (
     loss_to_text,
     tau_from_weights,
 )
-from reference_kernels import validate_generalized_cost
+from reference_kernels import eval_raw_where, validate_generalized_cost
 
 STANDARD_GRID = np.array([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
 
@@ -166,6 +167,66 @@ def test_mean_over_a_forecast_matrix_equals_each_row(family):
         eval_mean(spec, y, F)
     with pytest.raises(InvalidInputError):
         eval_mean(spec, y, F[:, :-1])
+
+
+# rows of 1,000 forecasts make blocks of B rows; rows longer than a block
+# are scored one per block
+B = _BLOCK_FORECASTS // 1000
+ROW_COUNTS = [(1000, rows) for rows in (1, B - 1, B, B + 1, 2 * B + 1)] + [
+    (_BLOCK_FORECASTS + 1, 3)
+]
+
+
+@pytest.mark.parametrize("as_list", [False, True], ids=["array", "list"])
+@pytest.mark.parametrize("n,rows", ROW_COUNTS)
+def test_blocked_mean_has_the_bits_of_each_row_alone(n, rows, as_list):
+    rng = np.random.default_rng(rows)
+    y = rng.uniform(0.3, 1.0, size=n)
+    F = y + rng.normal(0, 0.1, size=(rows, n))
+    for shape in SHAPES:
+        spec = cost(shape, a=0.3, b=1.0, tau=0.3)
+        means = eval_mean(spec, y, list(F) if as_list else F)
+        alone = np.array([eval_mean(spec, y, row) for row in F])
+        assert means.shape == (rows,)
+        assert np.array_equal(means.view(np.int64), alone.view(np.int64)), shape
+
+
+@pytest.mark.parametrize("bad_row", [0, B + 1, 2 * B])
+def test_blocked_mean_rejects_a_bad_row_in_any_block(bad_row):
+    rng = np.random.default_rng(4)
+    y = rng.uniform(0.3, 1.0, size=1000)
+    F = y + rng.normal(0, 0.1, size=(2 * B + 1, 1000))
+    spec = CostSpec("llc", a=0.3, b=1.0)
+    F[bad_row, 500] = np.nan
+    for forecasts in (F, list(F)):
+        with pytest.raises(InvalidInputError, match="finite"):
+            eval_mean(spec, y, forecasts)
+    F[bad_row, 500] = 0.5
+    short = list(F)
+    short[bad_row] = short[bad_row][:-1]
+    with pytest.raises(InvalidInputError, match=f"rows from {bad_row // B * B}"):
+        eval_mean(spec, y, short)
+
+
+# residuals of both zeros, subnormals and magnitudes up to 1e154, whose
+# squares stay finite; weights in [1e-3, 1] give ratios up to 1e3 either
+# way and keep every weighted square finite
+KERNEL_RESIDUALS = st.lists(
+    st.floats(-1e154, 1e154)
+    | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, -(2.0**-1030), 1e154, -1e154]),
+    min_size=1,
+    max_size=40,
+).map(np.array)
+KERNEL_WEIGHTS = st.floats(1e-3, 1.0)
+
+
+@settings(max_examples=300)
+@given(
+    family=st.sampled_from(["llc", "qqc"]), a=KERNEL_WEIGHTS, b=KERNEL_WEIGHTS, e=KERNEL_RESIDUALS
+)
+def test_branch_free_kernels_equal_the_np_where_forms(family, a, b, e):
+    spec = CostSpec(family, a=a, b=b)
+    assert np.array_equal(_eval_raw(spec, e), eval_raw_where(spec, e))
 
 
 @pytest.mark.parametrize("family", ["qqc", "llc"])
