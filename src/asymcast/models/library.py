@@ -13,13 +13,15 @@ network trains qqc(1, 1), which is squared error, so all three are
 "symmetric". Every network, symmetric or not, is trained by L-BFGS on
 the same full-batch objective.
 A symmetric network runs at most ``nn_epochs`` iterations from its
-seeded start.
+seeded start. A plan that draws random numbers is seeded from what it is,
+not from where it sits in the plan order (``_build_plans``), so adding or
+removing a plan moves no other plan's forecasts.
 
 The asymmetric networks of one loss family (llc or qqc) and one
 ``aug_nn_hidden`` width form a path over the a-grid, the warm start
 along a parameter path of glmnet (Friedman, Hastie & Tibshirani, JSS
-2010). The path is fitted from the largest a down, with the seed of that
-first level's plan: the first level starts cold and runs at most
+2010). The path is fitted from the largest a down, with the path's
+seed: the first level starts cold and runs at most
 ``nn_epochs`` iterations, as the plan would alone, and each later level
 starts from the network of the last level that fitted and runs at most
 ``min(nn_epochs, PATH_EPOCHS)``. Each network's hyperparameters record
@@ -30,13 +32,10 @@ fitted.
 
 Bagged trees, and random forests of one configured ``mtry``, each form
 a group whose sizes nest. A group grows one ensemble at its largest size
-with the seed of its first plan, and every plan of the group keeps the
+with the group's seed, and every plan of the group keeps the
 prefix of its own size, which is what the public fitter returns for that
 size and seed (``trees.ensemble_prefix``). Each model's hyperparameters
 record the group seed, so the fitter called with them reproduces it.
-Against a seed per plan, only the forecasts of a group's later plans
-change; on the default grid those are ``bags=25`` and the two 60-tree
-forests, and the library grows 151 trees instead of 221.
 
 Prediction work is shared where the library creates it, and no
 content comparison decides it. The forests of a nested group hold one
@@ -98,7 +97,6 @@ from .base import (
     QueryMemo,
     is_integer,
     predict,
-    require_integer,
 )
 from .linear import LinearState, fit_ols, fit_quantile, fit_ridge
 from .neighbors import KnnState, NeighborIndex, fit_knn
@@ -190,112 +188,133 @@ class ModelLibrary:
         raise InvalidInputError(f"the library has no entry with index {index}")
 
 
-def _model_seed(master_seed: int, plan_index: int) -> int:
-    return int(np.random.SeedSequence(entropy=(master_seed, plan_index)).generate_state(1)[0])
+def _model_seed(master_seed: int, identity: dict) -> int:
+    """The seed of what ``identity`` names, hashed from its json text as the manifest writes it."""
+    text = json.dumps(identity, sort_keys=True, default=_python_scalar)
+    key = int.from_bytes(text.encode("utf-8"), "little")
+    return int(np.random.SeedSequence(entropy=(master_seed, key)).generate_state(1)[0])
 
 
-def _nested_ensembles(fit, name: str, sizes, memo: QueryMemo):
-    """Per-size fitters for one group of tree ensembles that share one growth.
+def _group_fitters(fit_group):
+    """Per-member fitters of a group fitted as a whole, on the first member's call.
 
-    ``fit(X, y, size, seed)`` is a bagging or forest fitter, and ``name``
-    its size parameter. The first fitter called grows ``fit`` once at the
-    largest valid size, an integer of at least 1, and gives the growth one
-    ``TreeSums`` over ``memo``. Each fitter returns the first trees of that
-    ensemble, as many as its own size, sharing that ``TreeSums``; by the
-    prefix property (see ``trees``) that is what ``fit`` returns for the
-    size. The growth is kept only as long as the fitters are, one
-    ``build_library`` call. An invalid size fails alone: one that is not
-    an integer names ``name``, and one below 1 calls ``fit`` itself.
+    ``fit_group(X, y)`` returns each member's model, or the exception it
+    fails with, in member order; ``member(i)`` returns or raises member ``i``'s.
     """
-    grown = {}
-    valid = [size for size in sizes if is_integer(size) and size >= 1]
+    results = []
 
-    def fitter(size):
-        def fit_prefix(X, y, seed):
-            require_integer(name, size)
-            if size < 1:
-                return fit(X, y, size, seed)
-            if seed not in grown:
-                model = fit(X, y, max(valid), seed)
-                grown[seed] = model, TreeSums(model.state.trees, valid, memo)
-            model, sums = grown[seed]
-            prefix = ensemble_prefix(model, size)
-            return replace(prefix, state=ForestState(prefix.state.trees, sums))
+    def member(i):
+        def fit_member(X, y):
+            if not results:
+                results.extend(fit_group(X, y))
+            if isinstance(results[i], Exception):
+                raise results[i]
+            return results[i]
 
-        return fit_prefix
+        return fit_member
 
-    return fitter
+    return member
+
+
+def _nested_ensembles(fit, sizes, memo: QueryMemo):
+    """``_group_fitters`` of one group of tree ensembles that share one growth.
+
+    ``fit(X, y, size)`` is a bagging or forest fitter with the group's seed
+    bound. The group grows it once at the largest valid size, an integer of
+    at least 1, with one ``TreeSums`` over ``memo``, and member ``i`` gets
+    the first ``sizes[i]`` trees, sharing that ``TreeSums``: by the prefix
+    property (see ``trees``), what ``fit`` returns for that size. A member
+    of invalid size fails alone, with what ``fit`` raises for it.
+    """
+
+    def grow(X, y):
+        valid = [size for size in sizes if is_integer(size) and size >= 1]
+        if valid:
+            grown = fit(X, y, max(valid))
+            sums = TreeSums(grown.state.trees, valid, memo)
+
+        def prefix(size):
+            if not (is_integer(size) and size >= 1):
+                return fit(X, y, size)
+            model = ensemble_prefix(grown, size)
+            return replace(model, state=ForestState(model.state.trees, sums))
+
+        results = []
+        for size in sizes:
+            try:
+                results.append(prefix(size))
+            except Exception as exc:  # noqa: BLE001 - raised again by this size's plan
+                results.append(exc)
+        return results
+
+    return _group_fitters(grow)
 
 
 def _build_plans(config: LibraryConfig, augment: bool, n_features: int, memo: QueryMemo):
-    """Enumerate (family, hyperparams, fitter, seed_index) plans in a stable order.
+    """Enumerate (family, hyperparams, fitter) plans in a stable order.
 
-    A plan's fit draws the seed of plan ``seed_index``: its own index, or
-    for bagging and forests the first plan of its group. A group is every
-    bagged-tree plan, or every forest plan of one configured ``mtry``; it
-    grows one ensemble at its largest size, and each of its plans takes
-    the prefix of its own size (``_nested_ensembles``), whose tree sums
-    live in ``memo``. The llc, or the qqc, networks of one hidden
-    width are fitted as one path over the a-grid (``_loss_path``) with
-    the seed of the plan at the largest a.
+    A fitter takes the ATS rows only. Each seed is bound here from what it
+    seeds (``_model_seed``): a symmetric network's family and width, the
+    bagging family, a forest group's family and ``mtry``, or a network
+    path's loss label and width. OLS, ridge, kNN, single trees and quantile
+    regressions take none. Every bagged-tree plan, or every forest plan of
+    one ``mtry``, is a group (``_nested_ensembles``) whose tree sums live
+    in ``memo``; the llc, or the qqc, networks of one width are a path
+    (``_loss_path``).
     """
     plans = []
 
-    def add(family, params, fitter, seed_index=None):
-        plans.append((family, params, fitter, len(plans) if seed_index is None else seed_index))
+    def add(family, params, fitter):
+        plans.append((family, params, fitter))
+
+    def seed(family, **identity):
+        return _model_seed(config.master_seed, {"family": family, **identity})
 
     fams = config.families
     if FAMILY_OLS in fams:
-        add(FAMILY_OLS, {}, lambda X, y, seed: fit_ols(X, y))
+        add(FAMILY_OLS, {}, lambda X, y: fit_ols(X, y))
     if FAMILY_RIDGE in fams:
         for lam in config.ridge_lambdas:
-            add(FAMILY_RIDGE, {"lambda": lam}, lambda X, y, seed, lam=lam: fit_ridge(X, y, lam))
+            add(FAMILY_RIDGE, {"lambda": lam}, lambda X, y, lam=lam: fit_ridge(X, y, lam))
     if FAMILY_KNN in fams:
         for k in config.knn_ks:
-            add(FAMILY_KNN, {"k": k}, lambda X, y, seed, k=k: fit_knn(X, y, k))
+            add(FAMILY_KNN, {"k": k}, lambda X, y, k=k: fit_knn(X, y, k))
     if FAMILY_TREE in fams:
         for cp in config.tree_complexities:
             for mn in config.tree_min_nodes:
                 add(
                     FAMILY_TREE,
                     {"complexity": cp, "min_node": mn},
-                    lambda X, y, seed, cp=cp, mn=mn: fit_tree(X, y, cp, mn),
+                    lambda X, y, cp=cp, mn=mn: fit_tree(X, y, cp, mn),
                 )
     if FAMILY_NN in fams:
         for k in config.nn_hidden:
             add(
                 FAMILY_NN,
                 {"hidden_nodes": k},
-                lambda X, y, seed, k=k: fit_nn(X, y, _nn_config(config, k, seed)),
+                lambda X, y, k=k, s=seed(FAMILY_NN, hidden_nodes=k): fit_nn(
+                    X, y, NNConfig(hidden_nodes=k, epochs=config.nn_epochs, seed=s)
+                ),
             )
     if FAMILY_BAGGED_TREE in fams:
-        first, grow = len(plans), _nested_ensembles(
-            fit_bagged_tree, "bags", config.bag_counts, memo
+        grow = _nested_ensembles(
+            lambda X, y, bags, s=seed(FAMILY_BAGGED_TREE): fit_bagged_tree(X, y, bags, s),
+            config.bag_counts,
+            memo,
         )
-        for bags in config.bag_counts:
-            add(FAMILY_BAGGED_TREE, {"bags": bags}, grow(bags), first)
+        for i, bags in enumerate(config.bag_counts):
+            add(FAMILY_BAGGED_TREE, {"bags": bags}, grow(i))
     if FAMILY_RANDOM_FOREST in fams:
-        groups = {
-            mtry: _nested_ensembles(
-                lambda X, y, trees, seed, mtry=mtry: fit_random_forest(
-                    X, y, trees, min(mtry, n_features), seed
-                ),
-                "trees",
-                config.rf_trees,
-                memo,
-            )
-            for mtry in config.rf_mtrys
-        }
-        first = {}
-        for trees in config.rf_trees:
+        groups = {}
+        for mtry in config.rf_mtrys:
+
+            def forest(X, y, trees, mtry=mtry, s=seed(FAMILY_RANDOM_FOREST, mtry=mtry)):
+                return fit_random_forest(X, y, trees, min(mtry, n_features), s)
+
+            groups[mtry] = _nested_ensembles(forest, config.rf_trees, memo)
+        for i, trees in enumerate(config.rf_trees):
             for mtry in config.rf_mtrys:
-                first.setdefault(mtry, len(plans))
-                add(
-                    FAMILY_RANDOM_FOREST,
-                    {"trees": trees, "mtry": mtry},
-                    groups[mtry](trees),
-                    first[mtry],
-                )
+                add(FAMILY_RANDOM_FOREST, {"trees": trees, "mtry": mtry}, groups[mtry](i))
 
     if augment:
         for a in config.aug_a_levels:
@@ -303,47 +322,39 @@ def _build_plans(config: LibraryConfig, augment: bool, n_features: int, memo: Qu
             add(
                 FAMILY_QUANTILE,
                 {"tau": tau, "a": a},
-                lambda X, y, seed, tau=tau: fit_quantile(X, y, tau),
+                lambda X, y, tau=tau: fit_quantile(X, y, tau),
             )
         levels, widths = config.aug_a_levels, config.aug_nn_hidden
         taus = [tau_from_weights(a, 1.0) for a in levels]
-        # each path runs from the largest a down, with the seed of that level's plan
+        # each path runs from the largest a down
         order = sorted(range(len(levels)), key=levels.__getitem__, reverse=True)
         for label, losses in (
             ({"loss": "llc"}, [CostSpec("llc", a=tau, b=1.0 - tau) for tau in taus]),
             ({"b": 1.0, "loss": "qqc"}, [CostSpec("qqc", a=a, b=1.0) for a in levels]),
         ):
-            paths = {k: _loss_path(config, k, [losses[i] for i in order]) for k in widths}
-            cold = len(plans) + order[0] * len(widths)
+            seeds = {k: seed(FAMILY_NN, hidden_nodes=k, **label) for k in widths}
+            paths = {k: _loss_path(config, k, [losses[i] for i in order], seeds[k]) for k in widths}
             for level, a in enumerate(levels):
-                for j, k in enumerate(widths):
+                for k in widths:
                     params = {"hidden_nodes": k, "a": a, **label}
-                    add(FAMILY_NN, params, paths[k](order.index(level)), cold + j)
+                    add(FAMILY_NN, params, paths[k](order.index(level)))
     return plans
 
 
-def _nn_config(config: LibraryConfig, hidden: int, seed: int) -> NNConfig:
-    return NNConfig(hidden_nodes=hidden, epochs=config.nn_epochs, seed=seed)
+def _loss_path(config: LibraryConfig, hidden: int, losses, seed: int):
+    """``_group_fitters`` of one asymmetric network family, fitted as one path.
 
-
-def _loss_path(config: LibraryConfig, hidden: int, losses):
-    """Per-level fitters for one asymmetric network family, fitted as one path.
-
-    ``losses`` are the training losses of the path's levels in path order,
-    and ``level(i)`` is the fitter of level ``i``. The first fitter called
-    fits every level in that order, one ``fit_nn`` call each, with the
-    seed it is given. A level starts from the network of the last level
+    Member ``i`` is level ``i`` of ``losses``, the training losses in path
+    order, and the path fits the levels in that order, one ``fit_nn`` call
+    each, with ``seed``. A level starts from the network of the last level
     that fitted, with an iteration cap of ``min(config.nn_epochs,
-    PATH_EPOCHS)``; while none has, it starts cold from the seed with
-    ``config.nn_epochs``. Each model's ``hyperparams["path"]`` lists
-    the loss text and cap of the levels it started from, in order, so
-    ``fit_nn`` called along that list reproduces it. Each fitter returns
-    its own level's model, or raises what its level raised. The path is
-    kept only as long as the fitters are, one ``build_library`` call.
+    PATH_EPOCHS)``; while none has, it starts cold with
+    ``config.nn_epochs``. Each model's ``hyperparams["path"]`` lists the
+    loss text and cap of the levels it started from, in order, so
+    ``fit_nn`` called along that list reproduces it.
     """
-    fitted = {}
 
-    def fit_path(X, y, seed):
+    def fit_path(X, y):
         results, path, start = [], [], None
         for loss in losses:
             epochs = config.nn_epochs if start is None else min(config.nn_epochs, PATH_EPOCHS)
@@ -358,18 +369,7 @@ def _loss_path(config: LibraryConfig, hidden: int, losses):
             start = model.state
         return results
 
-    def level(i):
-        def fit_level(X, y, seed):
-            if seed not in fitted:
-                fitted[seed] = fit_path(X, y, seed)
-            result = fitted[seed][i]
-            if isinstance(result, Exception):
-                raise result
-            return result
-
-        return fit_level
-
-    return level
+    return _group_fitters(fit_path)
 
 
 def build_library(
@@ -377,9 +377,9 @@ def build_library(
 ) -> ModelLibrary:
     """Fit the configured grids on ATS rows in plan order, then cache validation forecasts.
 
+    No entry's forecasts depend on the other plans (``_build_plans``).
     Individual fit or forecast failures are logged and skipped; only a
-    fully failed build raises. ``jobs`` must be 1: fits run one after
-    another.
+    fully failed build raises. ``jobs`` must be 1: fits run one after another.
     """
     if jobs != 1:
         raise ConfigurationError(f"build_library fits sequentially; jobs must be 1, got {jobs}")
@@ -389,9 +389,9 @@ def build_library(
     memo = QueryMemo()
     plans = _build_plans(config, augment, X.shape[1], memo)
     fitted, entries, failures = [], [], []
-    for family, params, fitter, seed_index in plans:
+    for family, params, fitter in plans:
         try:
-            model = fitter(X, y, _model_seed(config.master_seed, seed_index))
+            model = fitter(X, y)
         except Exception as exc:  # noqa: BLE001 - skip-and-log is the contract
             log.warning("skipping %s %s: %s", family, params, exc)
             failures.append((family, params, str(exc)))

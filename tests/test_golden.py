@@ -1,7 +1,9 @@
 """Golden outputs of a fixed-seed augmented library.
 
 The pinned values were captured from the per-feature-loop tree builder,
-the per-row tree predict and the primal quantile LP; the network
+the per-row tree predict and the primal quantile LP, with each network,
+network path, bagging group and forest group seeded from what it is, not
+from its place in the plan order (``library._build_plans``); the network
 forecasts, and the selections that follow from them, with the L-BFGS
 network trainer on the units x rows training objective, each asymmetric
 family fitted as a warm-started path from its largest a down and the
@@ -72,13 +74,13 @@ TREE_DIGESTS = {
         "f9dbe4c3f33f961cb494829bd6128304d859f6207897a76230965f60e7a71508"
     ),
     "5:bagged_tree:bags=3": (
-        "f301cf9fe76bfe4dec0d78ae48adbf170fe61823e26356490f805e1be3aa16d7"
+        "3d9366bec2f62975bf1d35c1297dedf5d14736b20fccc7f9bda2a4c6e1c31a4b"
     ),
     "6:random_forest:mtry=4,trees=4": (
-        "6c51831e04a3ce88d72462d3c46a707bd827fae36f47ef568d889f4d2b3ed67b"
+        "bc35fa1cf6c6955c7f8b28bb0b0b1edb767c57ecd71f8bb8972cee898212eae9"
     ),
     "7:random_forest:mtry=15,trees=4": (
-        "c6ee015a363165febdfa854d110834c66cb04076a0eb02949d67f109d76279cd"
+        "b595c41f0e237134334bbb664fa8cfdfcfc3aef094a713b790f6808ca4a1cce8"
     ),
 }
 PREDICTION_DIGESTS = {
@@ -95,38 +97,38 @@ PREDICTION_DIGESTS = {
         "5b1c45206a170abaf31a942f8e9afd87b9d3991f276cdc7f0956da9a20c585d5"
     ),
     "4:nn:hidden_nodes=2": (
-        "494e381b5d1c9bb4bd0f3026231dadbdb1b162ce9e30e8aabb0656c8dbbba80f"
+        "4f07fa15aa63559cdfde76711b628bd6642fa048a759f875e0881ae26f6e812a"
     ),
     "5:bagged_tree:bags=3": (
-        "8cf6942dfdc99b4de3954120e8aa2b60d11705ba07179ec02fffd82f5b13e01b"
+        "ce700de7295c4a94c7c71486ce66f72efc885fd2d363d4be123299d5620047cf"
     ),
     "6:random_forest:mtry=4,trees=4": (
-        "3ffa13ca8e30ba99b22660bd2f0f064c33ef0badfacf33551c2dee2204debc52"
+        "23527974b280a17497b725798d85e048ebf5f45e14f6c0b01cd6698f7e6ea3dc"
     ),
     "7:random_forest:mtry=15,trees=4": (
-        "56f1c50c89fddfe69521d4e7a01b1aea69dcc8dc6822ee4f8e35fe1fcee6e2ad"
+        "f84f5b4f2675a9903e05771ca9c25a94d7051e9cf8b4cc4d74f44196ea23411c"
     ),
     "10:nn:a=0.2,hidden_nodes=2,loss=llc": (
-        "076a3e0a172817f04c8dfbc44b2ea232ad127edd1e0fb32163bbe0a0d8a03ad2"
+        "b57fb8062fe3cd7a74f009ce923076e2ccb79a008f6cdd9ef9a0f8d3420c91c7"
     ),
     "11:nn:a=0.7,hidden_nodes=2,loss=llc": (
-        "30d28bf629ee7d6855a23a7e95ae15063be6ee3779d6736ec9d033cff1f22fcf"
+        "5cafd1130ecb999abb6b9abfb493cc4429c0f0bbe8ca9fca3dd2ed5c8229533d"
     ),
     "12:nn:a=0.2,b=1.0,hidden_nodes=2,loss=qqc": (
-        "aa6fdf65e219df1fc7c8425f85f21510152532c4666a205cf833ccfb9c9576ac"
+        "9e3963746a7a9e448d22b9ee05a0fab163a4dff1c53ca12ebbc9e5ed68aa6b6a"
     ),
     "13:nn:a=0.7,b=1.0,hidden_nodes=2,loss=qqc": (
-        "6d3211a2f9d538c168ba45f0cc0b7dfcfec241752aa4edf4efe9008f655a0b59"
+        "de585ae84fc71afff1e7e7a34f1535da428021587fe9b01ba980e0257c38c33f"
     ),
 }
-SELECTED = [10, 13, 12, 13, 4, 4]
+SELECTED = [12, 4, 12, 4, 4, 4]
 MARKDOWNS = [
-    0.0003636988298950463,
-    0.005136870883304784,
-    -0.0005331363546904151,
-    -0.0007590784724483301,
-    -0.001786469924996483,
-    -0.0020825856920046112,
+    0.01134510231372324,
+    0.008520117794821392,
+    -0.002348733499047241,
+    0.004992593239523453,
+    -0.001326290193224558,
+    -0.0016052582743455726,
 ]
 QUANTILE_OBJECTIVES = [2.108398408564601, 3.583737714219767]
 CAPTURE_PLATFORM = "6b72fcbc5621f648193e75d109c33b5226d152395e2e0b11bc526e0594a2eb7c"

@@ -472,6 +472,13 @@ def path_loss(family, a) -> CostSpec:
     return CostSpec("qqc", a=a, b=1.0)
 
 
+def path_seed(master_seed, family, hidden_nodes) -> int:
+    """The seed of a network path, which is named by its loss label and width."""
+    label = {"loss": "llc"} if family == "llc" else {"b": 1.0, "loss": "qqc"}
+    identity = {"family": "nn", "hidden_nodes": hidden_nodes, **label}
+    return library_module._model_seed(master_seed, identity)
+
+
 def test_each_path_level_is_fit_nn_called_along_its_recorded_path(
     tmp_path, small_splits, path_library
 ):
@@ -480,13 +487,6 @@ def test_each_path_level_is_fit_nn_called_along_its_recorded_path(
     loaded = networks(load_library(path))
     built = networks(path_library)
     assert len(built) == 20 and loaded.keys() == built.keys()
-    cold_plan = {
-        family: next(
-            e.index for e in path_library.entries
-            if e.hyperparams.get("loss") == family and e.hyperparams["a"] == 1.0
-        )
-        for family in ("llc", "qqc")
-    }
     for (family, a), model in built.items():
         # from a = 1.0 down, every level records the levels before it
         above = [level for level in DEFAULT_PATH if level > a]
@@ -494,7 +494,7 @@ def test_each_path_level_is_fit_nn_called_along_its_recorded_path(
             {"loss": loss_to_text(path_loss(family, level)), "epochs": 100 if level == 1.0 else 30}
             for level in above
         ]
-        assert model.hyperparams["seed"] == library_module._model_seed(5, cold_plan[family])
+        assert model.hyperparams["seed"] == path_seed(5, family, 2)
         rebuilt = loaded[family, a]
         assert rebuilt.hyperparams == model.hyperparams
         assert same_network(rebuilt.state, model.state)
@@ -579,10 +579,43 @@ def test_a_path_runs_in_a_order_and_caps_later_levels_at_nn_epochs_when_lower(sm
         ]
         assert paths[0.6] == [] and len(paths[0.45]) == 1
         assert {e.model.hyperparams["epochs"] for e in entries} == {12}
-        # every level draws the seed of the path's first level, a = 0.6
+        # every level draws the seed of its path, whatever its a-grid
         assert {e.model.hyperparams["seed"] for e in entries} == {
-            library_module._model_seed(config.master_seed, entries[1].index)
+            path_seed(config.master_seed, family, 2)
         }
+
+
+# ------------------------------------------------------------- seeds
+
+def entry_name(entry) -> tuple:
+    return entry.family, tuple(sorted(entry.hyperparams.items()))
+
+
+def test_entries_keep_their_forecasts_whatever_other_plans_the_grids_hold(small_splits):
+    config = LibraryConfig(master_seed=5)
+    library = build_library(small_splits, config, augment=True)
+    forecasts = {entry_name(e): e.val_pred for e in library.entries}
+    # each seeded plan or group draws one seed of its own
+    seeds = {}
+    for e in library.entries:
+        if "seed" in e.model.hyperparams:
+            group = {k: v for k, v in e.hyperparams.items() if k not in ("bags", "trees", "a")}
+            seeds.setdefault((e.family, *sorted(group.items())), set()).add(
+                e.model.hyperparams["seed"]
+            )
+    # 4 symmetric networks, bagging, 2 forest groups and 2 network paths
+    assert len(seeds) == 9 and all(len(drawn) == 1 for drawn in seeds.values())
+    assert len(set.union(*seeds.values())) == 9
+    without_knn = tuple(family for family in config.families if family != "knn")
+    flipped = {"rf_mtrys": config.rf_mtrys[::-1], "ridge_lambdas": config.ridge_lambdas[::-1]}
+    for other, common in (
+        (replace(config, families=without_knn, tree_min_nodes=(10,)), 51),
+        (replace(config, **flipped), 60),
+    ):
+        pruned = build_library(small_splits, other, augment=True)
+        assert pruned.failures == [] and len(pruned) == common
+        for entry in pruned.entries:
+            assert same_bits(entry.val_pred, forecasts[entry_name(entry)]), entry_name(entry)
 
 
 # ------------------------------------------------------------- persistence
@@ -629,6 +662,21 @@ def test_grids_of_numpy_integers_save_and_load(tmp_path, tiny_splits):
     )
     library = build_library(tiny_splits, config, augment=True)
     assert library.failures == []
+    # a plan's seed hashes its json text, where a numpy integer reads as the Python int
+    python_ints = replace(
+        config,
+        knn_ks=(5,),
+        nn_hidden=(2,),
+        nn_epochs=10,
+        bag_counts=(2,),
+        rf_trees=(2,),
+        rf_mtrys=(4,),
+        aug_nn_hidden=(2,),
+        master_seed=7,
+    )
+    expected = build_library(tiny_splits, python_ints, augment=True)
+    for entry, other in zip(library.entries, expected.entries, strict=True):
+        assert same_bits(entry.val_pred, other.val_pred)
     path = tmp_path / "library.npz"
     save_library(library, path)
     loaded = load_library(path)
