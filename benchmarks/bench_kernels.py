@@ -68,6 +68,7 @@ from asymcast.models import (  # noqa: E402
     predict,
     select_best,
 )
+from asymcast.models.base import QueryMemo  # noqa: E402
 from asymcast.models.neighbors import NeighborIndex  # noqa: E402
 from asymcast.models.neural import (  # noqa: E402
     NNConfig,
@@ -161,8 +162,10 @@ def run(sizes: dict, seed: int) -> dict:
         ),
         "nn_fit": best_of(repeats, lambda: fit_nn(X_lin, y_lin, config, loss)),
         "fit_quantile": best_of(repeats, lambda: fit_quantile(X_lin, y_lin, tau)),
-        # a new index per call: an index answers a repeated query from its memo
-        "knn_rank": best_of(repeats, lambda: NeighborIndex(X_tree, y_tree, ks).means(Q)),
+        # a new index and memo per call: a memo answers a repeated query
+        "knn_rank": best_of(
+            repeats, lambda: NeighborIndex(X_tree, y_tree, ks, QueryMemo()).means(Q)
+        ),
         "csv_export": best_of(repeats, export),
         "select_best": best_of(repeats, select),
     }

@@ -3,16 +3,15 @@
 A fitted model is its family tag, the hyperparameters it was fitted
 with, a state object, the loss mode used for training, and a
 symmetric/asymmetric provenance flag, which by default follows the loss
-(``losses.is_symmetric``). A library wires the states that
-share prediction work where it creates them: the forests of a nested
-group get one tree walk as the group grows, and ``load_library`` builds
-each group and neighbour index from the bundle. States do not change
-once built, with one exception: after fitting, ``build_library`` points
-its kNN states at one neighbour index over the ATS rows. The shared
-parts keep what they computed for the latest query in a ``QueryMemo``,
-one per library. The memo is keyed on the query's contents and swapped
-whole, so prediction stays deterministic and safe for concurrent
-callers.
+(``losses.is_symmetric``). A library wires the states that share
+prediction work where it creates them: the forests of a nested group get
+one tree walk as the group grows, the kNN models of a build get one
+neighbour index once their ks have fitted, and ``load_library`` builds
+each group and neighbour index from the bundle. States never change
+once built. The shared parts keep what they computed for the latest
+query in a ``QueryMemo``, one per library. The memo is keyed on the
+query's contents and swapped whole, so prediction stays deterministic
+and safe for concurrent callers.
 """
 
 from __future__ import annotations
@@ -60,10 +59,6 @@ class Model:
         if not self.provenance:
             symmetric = is_symmetric(self.loss_mode)
             object.__setattr__(self, "provenance", "symmetric" if symmetric else "asymmetric")
-
-    def describe(self) -> str:
-        params = ", ".join(f"{k}={v}" for k, v in sorted(self.hyperparams.items()))
-        return f"{self.family}({params})"
 
 
 class QueryMemo:

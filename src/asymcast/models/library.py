@@ -14,7 +14,7 @@ network trains qqc(1, 1), which is squared error, so all three are
 the same full-batch objective.
 A symmetric network runs at most ``nn_epochs`` iterations from its
 seeded start. A plan that draws random numbers is seeded from what it is,
-not from where it sits in the plan order (``_build_plans``), so adding or
+not from where it sits in the plan order (``_fit_plans``), so adding or
 removing a plan moves no other plan's forecasts.
 
 The asymmetric networks of one loss family (llc or qqc) and one
@@ -40,22 +40,23 @@ record the group seed, so the fitter called with them reproduces it.
 Prediction work is shared where the library creates it, and no
 content comparison decides it. The forests of a nested group hold one
 ``trees.TreeSums``, made when the group grows its ensemble, which walks
-each tree once per query for every size. After fitting,
-``build_library`` points every kNN state at one neighbour index over the
-ATS rows, which ranks a query's neighbours once for all the ks. Both
-keep their results in one ``QueryMemo`` per library, which holds one
-copy of the latest query. ``load_library`` forms the groups from the
+each tree once per query for every size. The kNN models share one
+neighbour index over the ATS rows, made once their ks have fitted,
+which ranks a query's neighbours once for all the ks. Both keep their
+results in one ``QueryMemo`` per library, which holds one copy of the
+latest query. ``load_library`` forms the groups from the
 bundle's locators, so a loaded model reproduces its stored validation
 forecasts bit for bit. A single tree is built in no group, so two plans
 that grow equal trees each keep and store their own.
 
-A fit that fails is skipped and recorded in ``ModelLibrary.failures``.
-``save_library`` writes the entries and those failure records to one
-``.npz`` bundle with a json manifest, so a loaded library still says
-which fits failed and why. The bundle is version 3, the only version
-``load_library`` reads. Each manifest entry keeps the grid label of its
-plan, the hyperparameters the model was fitted with, and a locator of
-its state in the bundle's shared arrays:
+A fit or validation forecast that fails is skipped and recorded, in
+plan order, in ``ModelLibrary.failures``. ``save_library`` writes the
+entries and those failure records to one ``.npz`` bundle with a json
+manifest, so a loaded library still says which fits failed and why.
+The bundle is version 3, the only version ``load_library`` reads. Each
+manifest entry keeps the grid label of its plan, the hyperparameters the
+model was fitted with, and a locator of its state in the bundle's shared
+arrays:
 
 - ``betas``: every linear model's coefficients, concatenated; an entry
   names its ``[start, stop)``.
@@ -195,135 +196,140 @@ def _model_seed(master_seed: int, identity: dict) -> int:
     return int(np.random.SeedSequence(entropy=(master_seed, key)).generate_state(1)[0])
 
 
-def _group_fitters(fit_group):
-    """Per-member fitters of a group fitted as a whole, on the first member's call.
+def _attempt(fit):
+    """``fit()``, or the exception it raises: a failed fit or forecast is recorded, not raised."""
+    try:
+        return fit()
+    except Exception as exc:  # noqa: BLE001 - skip-and-log is the contract
+        return exc
 
-    ``fit_group(X, y)`` returns each member's model, or the exception it
-    fails with, in member order; ``member(i)`` returns or raises member ``i``'s.
+
+def _nested_ensembles(fit, sizes, memo: QueryMemo) -> list:
+    """Each size's model, or the exception it fails with, from one growth of a tree ensemble.
+
+    ``fit(size)`` is a bagging or forest fitter with the group's rows and
+    seed bound. The group grows it once at the largest valid size, an
+    integer of at least 1, with one ``TreeSums`` over ``memo``, and a valid
+    size gets the first trees of that growth, sharing that ``TreeSums``:
+    by the prefix property (see ``trees``), what ``fit`` returns for that
+    size. If the growth fails, every valid size fails with its exception;
+    a size that is not valid fails alone, with what ``fit`` raises for it.
     """
+    valid = [size for size in sizes if is_integer(size) and size >= 1]
+    grown = _attempt(lambda: fit(max(valid))) if valid else None
+    if isinstance(grown, Model):
+        sums = TreeSums(grown.state.trees, valid, memo)
     results = []
-
-    def member(i):
-        def fit_member(X, y):
-            if not results:
-                results.extend(fit_group(X, y))
-            if isinstance(results[i], Exception):
-                raise results[i]
-            return results[i]
-
-        return fit_member
-
-    return member
-
-
-def _nested_ensembles(fit, sizes, memo: QueryMemo):
-    """``_group_fitters`` of one group of tree ensembles that share one growth.
-
-    ``fit(X, y, size)`` is a bagging or forest fitter with the group's seed
-    bound. The group grows it once at the largest valid size, an integer of
-    at least 1, with one ``TreeSums`` over ``memo``, and member ``i`` gets
-    the first ``sizes[i]`` trees, sharing that ``TreeSums``: by the prefix
-    property (see ``trees``), what ``fit`` returns for that size. A member
-    of invalid size fails alone, with what ``fit`` raises for it.
-    """
-
-    def grow(X, y):
-        valid = [size for size in sizes if is_integer(size) and size >= 1]
-        if valid:
-            grown = fit(X, y, max(valid))
-            sums = TreeSums(grown.state.trees, valid, memo)
-
-        def prefix(size):
-            if not (is_integer(size) and size >= 1):
-                return fit(X, y, size)
+    for size in sizes:
+        if not (is_integer(size) and size >= 1):
+            results.append(_attempt(lambda: fit(size)))
+        elif isinstance(grown, Exception):
+            results.append(grown)
+        else:
             model = ensemble_prefix(grown, size)
-            return replace(model, state=ForestState(model.state.trees, sums))
-
-        results = []
-        for size in sizes:
-            try:
-                results.append(prefix(size))
-            except Exception as exc:  # noqa: BLE001 - raised again by this size's plan
-                results.append(exc)
-        return results
-
-    return _group_fitters(grow)
+            results.append(replace(model, state=ForestState(model.state.trees, sums)))
+    return results
 
 
-def _build_plans(config: LibraryConfig, augment: bool, n_features: int, memo: QueryMemo):
-    """Enumerate (family, hyperparams, fitter) plans in a stable order.
+def _loss_path(config: LibraryConfig, hidden: int, losses, seed: int, X, y) -> list:
+    """Each level's network, or the exception it fails with, from one path of ``fit_nn`` calls.
 
-    A fitter takes the ATS rows only. Each seed is bound here from what it
+    ``losses`` are the training losses in path order, and the path fits
+    the levels in that order on ``X``, ``y``, one ``fit_nn`` call each,
+    with ``seed``. A level starts from the network of the last level that
+    fitted, with an iteration cap of ``min(config.nn_epochs,
+    PATH_EPOCHS)``; while none has, it starts cold with
+    ``config.nn_epochs``. Each model's ``hyperparams["path"]`` lists the
+    loss text and cap of the levels it started from, in order, so
+    ``fit_nn`` called along that list reproduces it.
+    """
+    results, path, start = [], [], None
+    for loss in losses:
+        epochs = config.nn_epochs if start is None else min(config.nn_epochs, PATH_EPOCHS)
+        model = _attempt(
+            lambda: fit_nn(X, y, NNConfig(hidden, epochs=epochs, seed=seed), loss, start=start)
+        )
+        if isinstance(model, Model):
+            model = replace(model, hyperparams={**model.hyperparams, "path": list(path)})
+            path.append({"loss": loss_to_text(loss), "epochs": epochs})
+            start = model.state
+        results.append(model)
+    return results
+
+
+def _fit_plans(config: LibraryConfig, augment: bool, X, y, memo: QueryMemo):
+    """Fit every plan on the ATS rows ``X``, ``y``; yield (family, hyperparams, model or exception).
+
+    Plans come in a stable order: OLS, ridge, kNN, single trees, symmetric
+    networks, bagging, forests, then, when ``augment``, the quantile
+    regressions and the network paths. Each seed is drawn from what it
     seeds (``_model_seed``): a symmetric network's family and width, the
     bagging family, a forest group's family and ``mtry``, or a network
     path's loss label and width. OLS, ridge, kNN, single trees and quantile
     regressions take none. Every bagged-tree plan, or every forest plan of
     one ``mtry``, is a group (``_nested_ensembles``) whose tree sums live
     in ``memo``; the llc, or the qqc, networks of one width are a path
-    (``_loss_path``).
+    (``_loss_path``). The kNN plans that fit share one ``NeighborIndex``
+    over ``memo``, so the validation forecasts rank each query once.
+    Every fitter is looked up in this module when it is called.
     """
-    plans = []
-
-    def add(family, params, fitter):
-        plans.append((family, params, fitter))
 
     def seed(family, **identity):
         return _model_seed(config.master_seed, {"family": family, **identity})
 
     fams = config.families
     if FAMILY_OLS in fams:
-        add(FAMILY_OLS, {}, lambda X, y: fit_ols(X, y))
+        yield FAMILY_OLS, {}, _attempt(lambda: fit_ols(X, y))
     if FAMILY_RIDGE in fams:
         for lam in config.ridge_lambdas:
-            add(FAMILY_RIDGE, {"lambda": lam}, lambda X, y, lam=lam: fit_ridge(X, y, lam))
+            yield FAMILY_RIDGE, {"lambda": lam}, _attempt(lambda: fit_ridge(X, y, lam))
     if FAMILY_KNN in fams:
-        for k in config.knn_ks:
-            add(FAMILY_KNN, {"k": k}, lambda X, y, k=k: fit_knn(X, y, k))
+        fitted = [(k, _attempt(lambda: fit_knn(X, y, k))) for k in config.knn_ks]
+        ks = [k for k, model in fitted if isinstance(model, Model)]
+        index = NeighborIndex(X, y, ks, memo) if ks else None
+        # rebinding frees the index each fit made for itself, which no forecast uses
+        fitted = [
+            (k, replace(model, state=KnnState(index, k)) if isinstance(model, Model) else model)
+            for k, model in fitted
+        ]
+        for k, model in fitted:
+            yield FAMILY_KNN, {"k": k}, model
     if FAMILY_TREE in fams:
         for cp in config.tree_complexities:
             for mn in config.tree_min_nodes:
-                add(
-                    FAMILY_TREE,
-                    {"complexity": cp, "min_node": mn},
-                    lambda X, y, cp=cp, mn=mn: fit_tree(X, y, cp, mn),
-                )
+                params = {"complexity": cp, "min_node": mn}
+                yield FAMILY_TREE, params, _attempt(lambda: fit_tree(X, y, cp, mn))
     if FAMILY_NN in fams:
         for k in config.nn_hidden:
-            add(
-                FAMILY_NN,
-                {"hidden_nodes": k},
-                lambda X, y, k=k, s=seed(FAMILY_NN, hidden_nodes=k): fit_nn(
-                    X, y, NNConfig(hidden_nodes=k, epochs=config.nn_epochs, seed=s)
-                ),
+            s = seed(FAMILY_NN, hidden_nodes=k)
+            model = _attempt(
+                lambda: fit_nn(X, y, NNConfig(hidden_nodes=k, epochs=config.nn_epochs, seed=s))
             )
+            yield FAMILY_NN, {"hidden_nodes": k}, model
     if FAMILY_BAGGED_TREE in fams:
-        grow = _nested_ensembles(
-            lambda X, y, bags, s=seed(FAMILY_BAGGED_TREE): fit_bagged_tree(X, y, bags, s),
-            config.bag_counts,
-            memo,
+        s = seed(FAMILY_BAGGED_TREE)
+        bagged = _nested_ensembles(
+            lambda bags: fit_bagged_tree(X, y, bags, s), config.bag_counts, memo
         )
-        for i, bags in enumerate(config.bag_counts):
-            add(FAMILY_BAGGED_TREE, {"bags": bags}, grow(i))
+        for bags, model in zip(config.bag_counts, bagged):
+            yield FAMILY_BAGGED_TREE, {"bags": bags}, model
     if FAMILY_RANDOM_FOREST in fams:
         groups = {}
-        for mtry in config.rf_mtrys:
-
-            def forest(X, y, trees, mtry=mtry, s=seed(FAMILY_RANDOM_FOREST, mtry=mtry)):
-                return fit_random_forest(X, y, trees, min(mtry, n_features), s)
-
-            groups[mtry] = _nested_ensembles(forest, config.rf_trees, memo)
+        for mtry in dict.fromkeys(config.rf_mtrys):
+            s = seed(FAMILY_RANDOM_FOREST, mtry=mtry)
+            groups[mtry] = _nested_ensembles(
+                lambda trees: fit_random_forest(X, y, trees, min(mtry, X.shape[1]), s),
+                config.rf_trees,
+                memo,
+            )
         for i, trees in enumerate(config.rf_trees):
             for mtry in config.rf_mtrys:
-                add(FAMILY_RANDOM_FOREST, {"trees": trees, "mtry": mtry}, groups[mtry](i))
+                yield FAMILY_RANDOM_FOREST, {"trees": trees, "mtry": mtry}, groups[mtry][i]
 
     if augment:
         for a in config.aug_a_levels:
             tau = tau_from_weights(a, 1.0)
-            add(
-                FAMILY_QUANTILE,
-                {"tau": tau, "a": a},
-                lambda X, y, tau=tau: fit_quantile(X, y, tau),
-            )
+            yield FAMILY_QUANTILE, {"tau": tau, "a": a}, _attempt(lambda: fit_quantile(X, y, tau))
         levels, widths = config.aug_a_levels, config.aug_nn_hidden
         taus = [tau_from_weights(a, 1.0) for a in levels]
         # each path runs from the largest a down
@@ -332,84 +338,36 @@ def _build_plans(config: LibraryConfig, augment: bool, n_features: int, memo: Qu
             ({"loss": "llc"}, [CostSpec("llc", a=tau, b=1.0 - tau) for tau in taus]),
             ({"b": 1.0, "loss": "qqc"}, [CostSpec("qqc", a=a, b=1.0) for a in levels]),
         ):
-            seeds = {k: seed(FAMILY_NN, hidden_nodes=k, **label) for k in widths}
-            paths = {k: _loss_path(config, k, [losses[i] for i in order], seeds[k]) for k in widths}
+            paths = {}
+            for k in dict.fromkeys(widths):
+                s = seed(FAMILY_NN, hidden_nodes=k, **label)
+                paths[k] = _loss_path(config, k, [losses[i] for i in order], s, X, y)
             for level, a in enumerate(levels):
                 for k in widths:
                     params = {"hidden_nodes": k, "a": a, **label}
-                    add(FAMILY_NN, params, paths[k](order.index(level)))
-    return plans
-
-
-def _loss_path(config: LibraryConfig, hidden: int, losses, seed: int):
-    """``_group_fitters`` of one asymmetric network family, fitted as one path.
-
-    Member ``i`` is level ``i`` of ``losses``, the training losses in path
-    order, and the path fits the levels in that order, one ``fit_nn`` call
-    each, with ``seed``. A level starts from the network of the last level
-    that fitted, with an iteration cap of ``min(config.nn_epochs,
-    PATH_EPOCHS)``; while none has, it starts cold with
-    ``config.nn_epochs``. Each model's ``hyperparams["path"]`` lists the
-    loss text and cap of the levels it started from, in order, so
-    ``fit_nn`` called along that list reproduces it.
-    """
-
-    def fit_path(X, y):
-        results, path, start = [], [], None
-        for loss in losses:
-            epochs = config.nn_epochs if start is None else min(config.nn_epochs, PATH_EPOCHS)
-            nn_config = NNConfig(hidden_nodes=hidden, epochs=epochs, seed=seed)
-            try:
-                model = fit_nn(X, y, nn_config, loss, start=start)
-            except Exception as exc:  # noqa: BLE001 - raised again by this level's plan
-                results.append(exc)
-                continue
-            results.append(replace(model, hyperparams={**model.hyperparams, "path": list(path)}))
-            path.append({"loss": loss_to_text(loss), "epochs": epochs})
-            start = model.state
-        return results
-
-    return _group_fitters(fit_path)
+                    yield FAMILY_NN, params, paths[k][order.index(level)]
 
 
 def build_library(
     splits: DataSplits, config: LibraryConfig, augment: bool, jobs: int = 1
 ) -> ModelLibrary:
-    """Fit the configured grids on ATS rows in plan order, then cache validation forecasts.
+    """Fit the configured grids on ATS rows in plan order, and forecast validation with each.
 
-    No entry's forecasts depend on the other plans (``_build_plans``).
-    Individual fit or forecast failures are logged and skipped; only a
-    fully failed build raises. ``jobs`` must be 1: fits run one after another.
+    No entry's forecasts depend on the other plans (``_fit_plans``). A fit
+    or validation forecast that fails is logged and recorded in
+    ``ModelLibrary.failures``, in plan order; only a fully failed build
+    raises. ``jobs`` must be 1: fits run one after another.
     """
     if jobs != 1:
         raise ConfigurationError(f"build_library fits sequentially; jobs must be 1, got {jobs}")
-    X = splits.ats.features
-    y = splits.ats.target
     X_val = splits.validation.features
-    memo = QueryMemo()
-    plans = _build_plans(config, augment, X.shape[1], memo)
-    fitted, entries, failures = [], [], []
-    for family, params, fitter in plans:
-        try:
-            model = fitter(X, y)
-        except Exception as exc:  # noqa: BLE001 - skip-and-log is the contract
-            log.warning("skipping %s %s: %s", family, params, exc)
-            failures.append((family, params, str(exc)))
-            continue
-        fitted.append((family, params, model))
-    # before the first forecast, so the validation forecasts rank each query once
-    knn = [model.state for _, _, model in fitted if isinstance(model.state, KnnState)]
-    if knn:
-        index = NeighborIndex(X, y, [state.k for state in knn])
-        index.memo = memo
-        for state in knn:
-            state.index = index
-    for family, params, model in fitted:
-        try:
-            val_pred = predict(model, X_val)
-        except Exception as exc:  # noqa: BLE001
-            log.warning("skipping %s %s: %s", family, params, exc)
-            failures.append((family, params, str(exc)))
+    entries, failures = [], []
+    plans = _fit_plans(config, augment, splits.ats.features, splits.ats.target, QueryMemo())
+    for family, params, model in plans:
+        val_pred = _attempt(lambda: predict(model, X_val)) if isinstance(model, Model) else model
+        if isinstance(val_pred, Exception):
+            log.warning("skipping %s %s: %s", family, params, val_pred)
+            failures.append((family, params, str(val_pred)))
             continue
         entries.append(
             LibraryEntry(len(entries), family, params, model.provenance, model, val_pred)
@@ -569,9 +527,9 @@ def _shared_parts(manifest: dict, arrays: dict, memo: QueryMemo):
         first: TreeSums(stored[first : first + max(counts)], counts, memo)
         for first, counts in sizes.items()
     }
-    knn = {i: NeighborIndex(arrays[f"knn{i}_X"], arrays[f"knn{i}_y"], k) for i, k in ks.items()}
-    for index in knn.values():
-        index.memo = memo
+    knn = {
+        i: NeighborIndex(arrays[f"knn{i}_X"], arrays[f"knn{i}_y"], k, memo) for i, k in ks.items()
+    }
     return groups, knn
 
 

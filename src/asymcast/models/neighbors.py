@@ -6,16 +6,16 @@ pass and ranks the neighbours once, at the largest k it serves, ordering
 them by (distance, training row); every k then reads its mean from
 running sums of the ranked targets. That order is exact, ties included,
 so a k forecasts the same bits alone as in any group. ``fit_knn`` gives
-a model an index of its own. After fitting, ``build_library`` points
-all its kNN states at one index over the ATS rows and their ks, and
-``load_library`` builds one index per stored training set.
+a model an index of its own; ``build_library`` gives the kNN models it
+fits one index over the ATS rows and their ks, and ``load_library``
+builds one index per stored training set.
 
-The index keeps the per-k means of its latest query in a
-``base.QueryMemo``, keyed on the query's contents, not its identity:
-models of one library scoring the same rows one after another share one
-ranking, and a query changed in place is ranked again. A library's
-index uses the library's memo, so it shares its query copy with the
-library's tree groups.
+The index keeps the per-k means of its latest query in the
+``base.QueryMemo`` it is built with, keyed on the query's contents, not
+its identity: models of one library scoring the same rows one after
+another share one ranking, and a query changed in place is ranked
+again. A library's index uses the library's memo, so it shares its
+query copy with the library's tree groups.
 
 Ranking. The index stores ``-2 X`` and the squared row norms, and a
 chunk's distances are ``q @ (-2 X)ᵀ + |x|²`` (the |q|² term is constant
@@ -44,9 +44,13 @@ _CHUNK_DISTANCES = 65_536
 
 
 class NeighborIndex:
-    """Training rows and targets, ranked once per query for every k in ``ks``."""
+    """Training rows and targets, ranked once per query for every k in ``ks``.
 
-    def __init__(self, X, y, ks):
+    The per-k means of the latest query live in ``memo``, which other indexes
+    and tree groups may share.
+    """
+
+    def __init__(self, X, y, ks, memo: QueryMemo):
         # copies: a caller writing to its arrays after the fit must not
         # move the forecasts, nor leave the memo answering for old rows
         self.X = np.array(X, dtype=float, order="C")
@@ -61,7 +65,7 @@ class NeighborIndex:
             raise ConfigurationError(f"k_neighbors must lie in [1, n={n}], got {bad[0]}")
         self._sq = np.einsum("ij,ij->i", self.X, self.X)
         self._m2 = -2.0 * self.X
-        self.memo = QueryMemo()
+        self.memo = memo
         self._key = object()
 
     def means(self, Q) -> dict:
@@ -110,5 +114,5 @@ class KnnState:
 
 def fit_knn(X, y, k_neighbors: int) -> Model:
     X, y = check_training_data(X, y)
-    state = KnnState(NeighborIndex(X, y, (k_neighbors,)), k_neighbors)
+    state = KnnState(NeighborIndex(X, y, (k_neighbors,), QueryMemo()), k_neighbors)
     return Model(FAMILY_KNN, {"k": k_neighbors}, state, X.shape[1])

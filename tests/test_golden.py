@@ -3,7 +3,7 @@
 The pinned values were captured from the per-feature-loop tree builder,
 the per-row tree predict and the primal quantile LP, with each network,
 network path, bagging group and forest group seeded from what it is, not
-from its place in the plan order (``library._build_plans``); the network
+from its place in the plan order (``library._fit_plans``); the network
 forecasts, and the selections that follow from them, with the L-BFGS
 network trainer on the units x rows training objective, each asymmetric
 family fitted as a warm-started path from its largest a down and the

@@ -131,6 +131,44 @@ def test_a_failed_fit_is_logged_but_not_printed(small_splits, capfd, caplog):
     assert capfd.readouterr().err == ""
 
 
+def test_every_fitter_and_predict_is_called_through_the_library_module(
+    small_splits, augmented_library, monkeypatch
+):
+    # a tracer rebinds these names in the library module's namespace
+    calls = {}
+
+    def counted(name):
+        original = getattr(library_module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(library_module, name, wrapper)
+
+    for name in (
+        "fit_ols", "fit_ridge", "fit_quantile", "fit_knn", "fit_tree",
+        "fit_bagged_tree", "fit_random_forest", "fit_nn", "predict",
+    ):
+        counted(name)
+    library = build_library(small_splits, SMALL_CONFIG, augment=True)
+    assert calls == {
+        "fit_ols": 1,
+        "fit_ridge": 2,
+        "fit_knn": 2,
+        "fit_tree": 1,
+        # one symmetric network, then an llc and a qqc path of two levels each
+        "fit_nn": 5,
+        "fit_bagged_tree": 1,
+        "fit_random_forest": 1,
+        "fit_quantile": 2,
+        "predict": len(library),
+    }
+    np.testing.assert_array_equal(
+        library.validation_matrix(), augmented_library.validation_matrix()
+    )
+
+
 # ------------------------------------------------ nested tree ensembles
 
 NESTED_CONFIG = replace(
@@ -214,6 +252,26 @@ def test_each_group_calls_its_fitter_once_through_the_library_module(
         ("fit_random_forest", 6, 8),
     ]
     np.testing.assert_array_equal(library.validation_matrix(), nested_library.validation_matrix())
+
+
+def test_a_failed_growth_is_one_fitter_call_and_fails_every_size_of_its_group(
+    small_splits, monkeypatch
+):
+    calls = []
+
+    def stub(X, y, bags, seed):
+        calls.append(bags)
+        raise TrainingError("stubbed bagging failure")
+
+    monkeypatch.setattr(library_module, "fit_bagged_tree", stub)
+    config = replace(NESTED_CONFIG, families=("ols", "bagged_tree"), bag_counts=(2, 3))
+    library = build_library(small_splits, config, augment=False)
+    assert calls == [3]
+    assert library.failures == [
+        ("bagged_tree", {"bags": 2}, "stubbed bagging failure"),
+        ("bagged_tree", {"bags": 3}, "stubbed bagging failure"),
+    ]
+    assert [e.family for e in library.entries] == ["ols"]
 
 
 def test_a_size_0_plan_fails_alone_and_the_rest_of_its_group_fits(small_splits, nested_library):
@@ -566,6 +624,17 @@ def test_a_failed_path_level_fails_alone_and_the_next_starts_from_the_last_fitte
     ]
     for key in (("llc", 0.4), ("llc", 0.1), ("qqc", 0.9), ("qqc", 0.8)):
         assert same_network(refit_along_path(small_splits, nets[key]), nets[key].state)
+
+
+def test_a_width_the_network_config_rejects_fails_each_path_level_alone(small_splits):
+    config = replace(PATH_CONFIG, aug_nn_hidden=(0,))
+    library = build_library(small_splits, config, augment=True)
+    assert library.failures == [
+        ("nn", {"hidden_nodes": 0, "a": a, **label}, "need at least one hidden node, got 0")
+        for label in ({"loss": "llc"}, {"b": 1.0, "loss": "qqc"})
+        for a in config.aug_a_levels
+    ]
+    assert [e.family for e in library.entries] == ["ols"] + ["quantile"] * 10
 
 
 def test_a_path_runs_in_a_order_and_caps_later_levels_at_nn_epochs_when_lower(small_splits):

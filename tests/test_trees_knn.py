@@ -73,7 +73,7 @@ def test_shared_knn_matches_full_sort_oracle_for_every_k(largest):
     assert Xq.shape[0] > _CHUNK_DISTANCES // X.shape[0]  # the query spans at least two chunks
     # the largest k ranks by a full sort (n) or by a partition first (n - 1)
     ks = range(1, X.shape[0] + (largest == "n"))
-    index = NeighborIndex(X, y, ks)
+    index = NeighborIndex(X, y, ks, QueryMemo())
     expected = ranked_mean_oracle(X, y, Xq)
     for k in ks:
         np.testing.assert_array_equal(KnnState(index, k).predict(Xq), expected[:, k - 1])
@@ -84,7 +84,7 @@ def test_shared_knn_predicts_the_bits_of_a_model_fitted_alone():
     Xq = make_nonlinear_problem(seed=21, n=400)[0]
     ks = (3, 5, 10, 25, 100)
     # one index over the training rows and every k, as build_library wires it
-    index = NeighborIndex(X, y, (25, 3, 100, 5, 10, 3))
+    index = NeighborIndex(X, y, (25, 3, 100, 5, 10, 3), QueryMemo())
     assert index.ks == ks
     for k in (10, 3, 100, 5, 25):
         assert same_bits(KnnState(index, k).predict(Xq), predict(fit_knn(X, y, k), Xq))
@@ -120,8 +120,8 @@ def test_knn_keeps_its_training_rows_when_the_caller_writes_to_them():
 def test_knn_index_answers_concurrent_queries_separately():
     X, y = make_nonlinear_problem(seed=24, n=300)
     queries = [make_nonlinear_problem(seed=25 + t, n=64)[0] for t in range(4)]
-    index = NeighborIndex(X, y, (3, 10))
-    expected = [NeighborIndex(X, y, (3, 10)).means(Q) for Q in queries]
+    index = NeighborIndex(X, y, (3, 10), QueryMemo())
+    expected = [NeighborIndex(X, y, (3, 10), QueryMemo()).means(Q) for Q in queries]
     wrong = []
 
     def work(t):
@@ -174,7 +174,7 @@ def test_neighbor_ranking_equals_the_stable_sort_oracle(distinct, n, m, queries,
     expected = knn_rank_means(X, y, ks, Q, chunk)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(neighbors_module, "_CHUNK_DISTANCES", chunk)
-        got = NeighborIndex(X, y, ks).means(Q)
+        got = NeighborIndex(X, y, ks, QueryMemo()).means(Q)
     assert sorted(got) == sorted(expected)
     for k in expected:
         assert same_bits(got[k], expected[k])
@@ -191,7 +191,7 @@ def test_neighbor_ranking_breaks_ties_by_training_row(top):
     # where the default sort keeps equal distances in row order, this test shows nothing
     assert not np.array_equal(np.argsort(d2, axis=1), np.argsort(d2, axis=1, kind="stable"))
     ks = (1, 7, top)
-    got = NeighborIndex(X, y, ks).means(Q)
+    got = NeighborIndex(X, y, ks, QueryMemo()).means(Q)
     expected = knn_rank_means(X, y, ks, Q, _CHUNK_DISTANCES)
     for k in ks:
         assert same_bits(got[k], expected[k])
@@ -206,15 +206,15 @@ def test_a_k_alone_forecasts_the_bits_of_the_same_k_in_any_group(k):
     Q = rng.integers(-3, 4, size=(50, 2)).astype(float)
     d2 = np.sort(np.einsum("ij,ij->i", X, X) - 2.0 * (Q @ X.T), axis=1)
     assert (d2[:, k - 1] == d2[:, k]).any()
-    alone = NeighborIndex(X, y, (k,)).means(Q)[k]
+    alone = NeighborIndex(X, y, (k,), QueryMemo()).means(Q)[k]
     for group in ((k, k + 1), (k, 2 * k + 3), (1, k, 100), (k, 299), (k, 300)):
-        assert same_bits(NeighborIndex(X, y, group).means(Q)[k], alone), group
+        assert same_bits(NeighborIndex(X, y, group, QueryMemo()).means(Q)[k], alone), group
 
 
 def test_neighbor_distances_keep_the_bits_of_the_unscaled_product():
     X, _ = make_nonlinear_problem(seed=41, n=300)
     Q = make_nonlinear_problem(seed=42, n=100)[0]
-    index = NeighborIndex(X, np.zeros(300), (1,))
+    index = NeighborIndex(X, np.zeros(300), (1,), QueryMemo())
     d2 = Q @ index._m2.T
     d2 += index._sq
     assert same_bits(d2, np.einsum("ij,ij->i", X, X)[None, :] - 2.0 * (Q @ X.T))
@@ -234,9 +234,9 @@ def test_a_k_that_is_not_an_integer_is_named(k):
     with pytest.raises(ConfigurationError, match=f"k_neighbors must be an integer, got {k!r}"):
         fit_knn(X, y, k_neighbors=k)
     with pytest.raises(ConfigurationError, match="k_neighbors must be an integer"):
-        NeighborIndex(X, y, (3, k, 10))
+        NeighborIndex(X, y, (3, k, 10), QueryMemo())
     # numpy integers are integers
-    assert NeighborIndex(X, y, (np.int64(3), np.int32(10))).ks == (3, 10)
+    assert NeighborIndex(X, y, (np.int64(3), np.int32(10)), QueryMemo()).ks == (3, 10)
 
 
 # ------------------------------------------------------------------- trees
@@ -575,8 +575,7 @@ def test_shared_forests_answer_concurrent_queries_separately():
 def test_a_dropped_memo_is_freed_without_the_cycle_collector():
     memo = QueryMemo()
     shared, _ = nested_forests(memo=memo)
-    index = NeighborIndex(*make_nonlinear_problem(seed=43, n=100), (3,))
-    index.memo = memo
+    index = NeighborIndex(*make_nonlinear_problem(seed=43, n=100), (3,), memo)
     knn = KnnState(index, 3)
     Q = make_nonlinear_problem(seed=44, n=50)[0]
     knn.predict(Q)
