@@ -95,7 +95,7 @@ def ridge_library(splits) -> ModelLibrary:
         model = fit_ridge(X, y, float(lam))
         val_pred = predict(model, splits.validation.features)
         params = {"lam": float(lam)}
-        entries.append(LibraryEntry(i, "ridge", params, model.provenance, model, val_pred))
+        entries.append(LibraryEntry(i, params, model, val_pred))
     return ModelLibrary(entries, splits.validation.target, False, 0)
 
 

@@ -1,6 +1,6 @@
 """Base learners and the model library."""
 
-from .base import FAMILIES, Model, predict
+from .base import Model, predict
 from .library import (
     LibraryConfig,
     LibraryEntry,
@@ -16,7 +16,6 @@ from .neural import NNConfig, fit_nn, nn_objective_and_grad
 from .trees import fit_bagged_tree, fit_random_forest, fit_tree
 
 __all__ = [
-    "FAMILIES",
     "Model",
     "predict",
     "LibraryConfig",

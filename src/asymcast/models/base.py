@@ -2,7 +2,7 @@
 
 A fitted model is its family tag, the hyperparameters it was fitted
 with, a state object, the loss mode used for training, and a
-symmetric/asymmetric provenance flag, which by default follows the loss
+symmetric/asymmetric provenance flag, which follows the loss
 (``losses.is_symmetric``). A library wires the states that share
 prediction work where it creates them: the forests of a nested group get
 one tree walk as the group grows, the kNN models of a build get one
@@ -16,7 +16,7 @@ and safe for concurrent callers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,17 +32,6 @@ FAMILY_NN = "nn"
 FAMILY_BAGGED_TREE = "bagged_tree"
 FAMILY_RANDOM_FOREST = "random_forest"
 
-FAMILIES = (
-    FAMILY_OLS,
-    FAMILY_RIDGE,
-    FAMILY_QUANTILE,
-    FAMILY_KNN,
-    FAMILY_TREE,
-    FAMILY_NN,
-    FAMILY_BAGGED_TREE,
-    FAMILY_RANDOM_FOREST,
-)
-
 SYMMETRIC_LOSS = CostSpec("squared_error")
 
 
@@ -53,12 +42,10 @@ class Model:
     state: object
     n_features: int
     loss_mode: CostSpec = SYMMETRIC_LOSS
-    provenance: str = field(default="")
 
-    def __post_init__(self):
-        if not self.provenance:
-            symmetric = is_symmetric(self.loss_mode)
-            object.__setattr__(self, "provenance", "symmetric" if symmetric else "asymmetric")
+    @property
+    def provenance(self) -> str:
+        return "symmetric" if is_symmetric(self.loss_mode) else "asymmetric"
 
 
 class QueryMemo:
@@ -100,6 +87,12 @@ def require_integer(name: str, value) -> None:
     """Raise ConfigurationError naming ``name`` unless ``value`` is an integer, not a bool."""
     if not is_integer(value):
         raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+
+
+def require_nonnegative(name: str, value) -> None:
+    """Raise ConfigurationError naming ``name`` unless ``value`` is finite and >= 0."""
+    if not (np.isfinite(value) and value >= 0):
+        raise ConfigurationError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 def check_training_data(X, y, min_rows: int = 1):

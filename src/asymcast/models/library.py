@@ -158,12 +158,20 @@ class LibraryConfig:
 
 @dataclass(frozen=True)
 class LibraryEntry:
+    """A model, its grid label and validation forecasts; family and provenance are the model's."""
+
     index: int
-    family: str
     hyperparams: dict
-    provenance: str
-    model: Model | None
+    model: Model
     val_pred: np.ndarray
+
+    @property
+    def family(self) -> str:
+        return self.model.family
+
+    @property
+    def provenance(self) -> str:
+        return self.model.provenance
 
 
 @dataclass
@@ -369,9 +377,7 @@ def build_library(
             log.warning("skipping %s %s: %s", family, params, val_pred)
             failures.append((family, params, str(val_pred)))
             continue
-        entries.append(
-            LibraryEntry(len(entries), family, params, model.provenance, model, val_pred)
-        )
+        entries.append(LibraryEntry(len(entries), params, model, val_pred))
     if not entries:
         raise InvalidInputError("every model fit failed; library is empty")
     return ModelLibrary(entries, splits.validation.target.copy(), augment, config.master_seed, failures)
@@ -476,6 +482,7 @@ def save_library(library: ModelLibrary, path) -> None:
         "entries": [],
         "failures": library.failures,
     }
+    # "family" and "provenance" repeat the model's, for earlier load_library code, which reads them
     for entry, locator in zip(library.entries, locators):
         manifest["entries"].append(
             {
@@ -551,16 +558,9 @@ def load_library(path) -> ModelLibrary:
         family, hyperparams = meta["family"], meta["model_hyperparams"]
         state = _unpack(family, hyperparams, meta["n_features"], meta["state"], arrays, groups, knn)
         model = Model(
-            family,
-            hyperparams,
-            state,
-            meta["n_features"],
-            loss_mode=loss_from_text(meta["loss_mode"]),
-            provenance=meta["provenance"],
+            family, hyperparams, state, meta["n_features"], loss_from_text(meta["loss_mode"])
         )
-        entries.append(
-            LibraryEntry(meta["index"], family, meta["hyperparams"], meta["provenance"], model, val_pred)
-        )
+        entries.append(LibraryEntry(meta["index"], meta["hyperparams"], model, val_pred))
     failures = [tuple(failure) for failure in manifest["failures"]]
     return ModelLibrary(
         entries, arrays["val_actuals"], manifest["augmented"], manifest["master_seed"], failures

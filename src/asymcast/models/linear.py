@@ -51,8 +51,15 @@ import scipy.linalg
 import scipy.optimize
 
 from ..errors import ConfigurationError, ConvergenceError, InvalidInputError, SingularDesignError
-from ..losses import CostSpec
-from .base import FAMILY_OLS, FAMILY_QUANTILE, FAMILY_RIDGE, Model, check_training_data
+from ..losses import CostSpec, _eval_raw
+from .base import (
+    FAMILY_OLS,
+    FAMILY_QUANTILE,
+    FAMILY_RIDGE,
+    Model,
+    check_training_data,
+    require_nonnegative,
+)
 
 
 class LinearState:
@@ -101,8 +108,7 @@ def fit_ols(X, y, feature_names=None) -> Model:
 
 def fit_ridge(X, y, lam: float, feature_names=None) -> Model:
     """Penalized normal equations; the intercept is not penalized."""
-    if lam < 0:
-        raise ConfigurationError(f"ridge penalty must be non-negative, got {lam}")
+    require_nonnegative("lam", lam)
     X, y, A = _design(X, y)
     if lam == 0.0:
         _check_rank(A, feature_names)
@@ -118,7 +124,7 @@ def quantile_objective(beta, X, y, tau: float) -> float:
     """Sum of pinball losses, llc(tau, 1 - tau), of the residuals y - (b0 + X b)."""
     beta = np.asarray(beta, dtype=float)
     d = y - (beta[0] + X @ beta[1:])
-    return float(np.sum(np.where(d > 0, tau * d, (tau - 1.0) * d)))
+    return float(_eval_raw(CostSpec("llc", a=tau, b=1.0 - tau), d).sum())
 
 
 def _band_start(n: int, size: int, tau: float) -> int:

@@ -44,7 +44,7 @@ from scipy.optimize import minimize
 from .. import kernels
 from ..errors import ConfigurationError, TrainingError
 from ..losses import CostSpec, _eval_raw, _grad_raw
-from .base import FAMILY_NN, Model, check_training_data, require_integer
+from .base import FAMILY_NN, Model, check_training_data, require_integer, require_nonnegative
 
 _LOSSES = ("squared_error", "llc", "qqc")
 _DIVERGED = "network training diverged (non-finite objective); check the scale of the targets"
@@ -63,8 +63,8 @@ class NNConfig:
         require_integer("epochs", self.epochs)
         if self.hidden_nodes < 1:
             raise ConfigurationError(f"need at least one hidden node, got {self.hidden_nodes}")
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            raise ConfigurationError("weight penalties must be non-negative")
+        require_nonnegative("lambda1", self.lambda1)
+        require_nonnegative("lambda2", self.lambda2)
         if self.epochs < 1:
             raise ConfigurationError(
                 f"epochs (the L-BFGS iteration cap) must be >= 1, got {self.epochs}"
@@ -143,7 +143,6 @@ def fit_nn(
         "lambda2": config.lambda2,
         "epochs": config.epochs,
         "seed": config.seed,
-        "loss": loss_mode.describe(),
         "iterations": int(result.nit),
     }
     return Model(FAMILY_NN, params, state, X.shape[1], loss_mode=loss_mode)

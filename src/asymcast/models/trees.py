@@ -51,6 +51,7 @@ from .base import (
     QueryMemo,
     check_training_data,
     require_integer,
+    require_nonnegative,
 )
 
 MAX_DEPTH = 30
@@ -125,10 +126,9 @@ class TreeSums:
 def fit_tree(X, y, complexity: float = 1e-3, min_node: int = 10) -> Model:
     X, y = check_training_data(X, y, min_rows=2)
     require_integer("min_node", min_node)
-    if complexity < 0 or min_node < 1:
-        raise ConfigurationError(
-            f"need complexity >= 0 and min_node >= 1, got {complexity}, {min_node}"
-        )
+    require_nonnegative("complexity", complexity)
+    if min_node < 1:
+        raise ConfigurationError(f"need min_node >= 1, got {min_node}")
     idx = np.arange(X.shape[0], dtype=np.int64)
     tree = TreeState(*kernels.tree_build(X, y, idx, min_node, complexity, X.shape[1], 0, MAX_DEPTH))
     state = ForestState([tree])

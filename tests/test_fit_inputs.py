@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from asymcast.errors import InvalidInputError
+from asymcast.errors import ConfigurationError, InvalidInputError
 from asymcast.models import (
     NNConfig,
     fit_bagged_tree,
@@ -39,3 +39,21 @@ def test_non_finite_training_data_raises_naming_the_array(fitter, where, bad):
         y[7] = bad
     with pytest.raises(InvalidInputError, match=f"training {where} must be finite"):
         FITTERS[fitter](X, y)
+
+
+HYPERPARAMETERS = {
+    "lam": lambda X, y, value: fit_ridge(X, y, value),
+    "complexity": lambda X, y, value: fit_tree(X, y, complexity=value),
+    "lambda1": lambda X, y, value: fit_nn(X, y, NNConfig(hidden_nodes=2, epochs=5, lambda1=value)),
+    "lambda2": lambda X, y, value: fit_nn(X, y, NNConfig(hidden_nodes=2, epochs=5, lambda2=value)),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0], ids=["nan", "inf", "-inf", "-1"])
+@pytest.mark.parametrize("name", sorted(HYPERPARAMETERS))
+def test_a_hyperparameter_that_is_not_finite_and_non_negative_raises_naming_it(name, bad):
+    rng = np.random.default_rng(6)
+    X = rng.normal(size=(40, 3))
+    y = 0.5 + X @ np.array([0.2, -0.1, 0.3]) + rng.normal(0, 0.05, 40)
+    with pytest.raises(ConfigurationError, match=rf"^{name} must be finite and >= 0, got {bad!r}$"):
+        HYPERPARAMETERS[name](X, y, bad)

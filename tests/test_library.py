@@ -11,10 +11,18 @@ from hypothesis import strategies as st
 from asymcast import kernels
 from asymcast.data import SynthConfig, split, standardize, synth_generate
 from asymcast.errors import ConfigurationError, InvalidInputError, TrainingError
-from asymcast.losses import CostSpec, eval_mean, loss_from_text, loss_to_text, tau_from_weights
+from asymcast.losses import (
+    CostSpec,
+    eval_mean,
+    is_symmetric,
+    loss_from_text,
+    loss_to_text,
+    tau_from_weights,
+)
 from asymcast.models import (
     LibraryConfig,
     LibraryEntry,
+    Model,
     ModelLibrary,
     NNConfig,
     build_library,
@@ -364,6 +372,20 @@ def test_a_k_that_is_not_an_integer_fails_alone(small_splits):
         assert same_bits(entry.val_pred, predict(alone, small_splits.validation.features))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_a_non_finite_grid_value_is_one_recorded_failure_naming_it(small_splits, bad):
+    config = replace(
+        SMALL_CONFIG, families=("ridge", "tree"), ridge_lambdas=(1.0, bad), tree_complexities=(bad,)
+    )
+    library = build_library(small_splits, config, augment=False)
+    assert library.failures == [
+        ("ridge", {"lambda": bad}, f"lam must be finite and >= 0, got {bad!r}"),
+        ("tree", {"complexity": bad, "min_node": 10},
+         f"complexity must be finite and >= 0, got {bad!r}"),
+    ]
+    assert [entry.hyperparams for entry in library.entries] == [{"lambda": 1.0}]
+
+
 def test_nested_ensembles_survive_save_and_load(tmp_path, small_splits, nested_library):
     path = tmp_path / "library.npz"
     save_library(nested_library, path)
@@ -381,7 +403,7 @@ def test_nested_ensembles_survive_save_and_load(tmp_path, small_splits, nested_l
 
 def stub_library(predictions, actuals):
     entries = [
-        LibraryEntry(i, "stub", {"id": i}, "symmetric", None, np.asarray(p, dtype=float))
+        LibraryEntry(i, {"id": i}, Model("stub", {}, None, 1), np.asarray(p, dtype=float))
         for i, p in enumerate(predictions)
     ]
     return ModelLibrary(entries, np.asarray(actuals, dtype=float), False, 0)
@@ -798,6 +820,33 @@ def test_bundles_of_other_versions_do_not_load(tmp_path, symmetric_library, vers
     rewrite_bundle(path, lambda manifest: manifest.update(version=version))
     with pytest.raises(ConfigurationError, match=f"version {version} does not load.*refit"):
         load_library(path)
+
+
+def test_loaded_provenance_follows_each_loss_not_the_manifest(tmp_path, small_splits):
+    config = LibraryConfig(families=("ols",), aug_a_levels=(0.5, 1.0), aug_nn_hidden=(2,))
+    library = build_library(small_splits, config, augment=True)
+    path = tmp_path / "library.npz"
+    save_library(library, path)
+    swap = {"symmetric": "asymmetric", "asymmetric": "symmetric"}
+
+    def swap_provenance(manifest):
+        for meta in manifest["entries"]:
+            meta["provenance"] = swap[meta["provenance"]]
+
+    rewrite_bundle(path, swap_provenance)
+    loaded = load_library(path)
+    for entry in loaded.entries:
+        assert entry.provenance == (
+            "symmetric" if is_symmetric(entry.model.loss_mode) else "asymmetric"
+        )
+
+    def symmetric_side(lib):
+        """The entries of the symmetric sub-library, formed as the benchmark forms it."""
+        return [e.index for e in lib.entries if e.provenance == "symmetric"]
+
+    # OLS and the three a = 1 learners; the a = 0.5 learners are asymmetric
+    assert symmetric_side(loaded) == symmetric_side(library)
+    assert len(symmetric_side(library)) == 4 and len(library) == 7
 
 
 def same_bits(a, b) -> bool:

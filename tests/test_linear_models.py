@@ -172,6 +172,21 @@ def test_quantile_dual_objective_equals_primal(tau, seed):
     assert dual == pytest.approx(primal, rel=1e-9)
 
 
+def test_quantile_objective_sums_the_np_where_pinball_form_bit_for_bit():
+    rng = np.random.default_rng(18)
+    X = rng.normal(size=(300, 3))
+    beta = rng.normal(size=4)
+    y = rng.normal(size=300)
+    y[:20] = beta[0] + X[:20] @ beta[1:]  # residuals of exactly zero
+    d = y - (beta[0] + X @ beta[1:])
+    assert (d == 0.0).sum() == 20
+    for tau in (1 / 11, 0.3, 0.5, 0.9):
+        where = float(np.sum(np.where(d > 0, tau * d, (tau - 1.0) * d)))
+        assert np.float64(quantile_objective(beta, X, y, tau)).view(np.int64) == np.float64(
+            where
+        ).view(np.int64)
+
+
 def test_quantile_solver_failure_raises_convergence_error(monkeypatch):
     X, y = make_linear_problem(seed=17)
     linprog = scipy.optimize.linprog

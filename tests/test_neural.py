@@ -300,6 +300,16 @@ def test_a_start_state_at_the_seeded_weights_trains_as_a_cold_start():
     assert 1 <= cold.hyperparams["iterations"] <= config.epochs
 
 
+def test_hyperparams_record_the_config_and_iterations_and_the_loss_lives_in_loss_mode():
+    X, y = standardized_linear_problem(seed=16, n=200)
+    loss_mode = CostSpec("llc", a=1 / 11, b=10 / 11)
+    model = fit_nn(X, y, NNConfig(hidden_nodes=2, epochs=20, seed=3), loss_mode)
+    assert model.hyperparams.keys() == {
+        "hidden_nodes", "lambda1", "lambda2", "epochs", "seed", "iterations"
+    }
+    assert model.loss_mode == loss_mode and model.provenance == "asymmetric"
+
+
 def test_a_start_state_continues_from_its_parameters():
     X, y = standardized_linear_problem(seed=15, n=200)
     loss_mode = CostSpec("qqc", a=0.3, b=1.0)
