@@ -60,12 +60,10 @@ from asymcast.data import (  # noqa: E402
 from asymcast.losses import CostSpec, tau_from_weights  # noqa: E402
 from asymcast.models import (  # noqa: E402
     LibraryConfig,
-    LibraryEntry,
     ModelLibrary,
+    build_library,
     fit_nn,
     fit_quantile,
-    fit_ridge,
-    predict,
     select_best,
 )
 from asymcast.models.base import QueryMemo  # noqa: E402
@@ -89,14 +87,9 @@ def standardized_splits(n: int, seed: int):
 
 def ridge_library(splits) -> ModelLibrary:
     """``LIBRARY_ENTRIES`` ridge fits on the ATS rows and their validation forecasts."""
-    X, y = splits.ats.features, splits.ats.target
-    entries = []
-    for i, lam in enumerate(np.geomspace(1e-4, 1e3, LIBRARY_ENTRIES)):
-        model = fit_ridge(X, y, float(lam))
-        val_pred = predict(model, splits.validation.features)
-        params = {"lam": float(lam)}
-        entries.append(LibraryEntry(i, params, model, val_pred))
-    return ModelLibrary(entries, splits.validation.target, False, 0)
+    lambdas = tuple(float(lam) for lam in np.geomspace(1e-4, 1e3, LIBRARY_ENTRIES))
+    config = LibraryConfig(families=("ridge",), ridge_lambdas=lambdas)
+    return build_library(splits, config, augment=False)
 
 
 def best_of(repeats: int, call) -> float:

@@ -13,9 +13,9 @@ numeric | categorical | target.
 from __future__ import annotations
 
 import csv
-import io
+import hashlib
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -73,13 +73,7 @@ class Dataset:
     def take(self, indices: np.ndarray) -> "Dataset":
         ids = np.asarray(indices, dtype=np.int64)
         row_ids = self.row_ids[ids] if self.row_ids is not None else ids
-        return Dataset(
-            self.features[ids],
-            self.feature_names,
-            self.target[ids],
-            self.categorical_map,
-            row_ids,
-        )
+        return replace(self, features=self.features[ids], target=self.target[ids], row_ids=row_ids)
 
 
 @dataclass(frozen=True)
@@ -352,23 +346,11 @@ def standardize(splits: DataSplits) -> tuple[DataSplits, Standardizer]:
             means[j] = 0.0
             sds[j] = 1.0
     scaler = Standardizer(means, sds, tuple(skipped), splits.ats.feature_names)
-
-    def rebuild(ds: Dataset) -> Dataset:
-        return Dataset(
-            scaler.transform(ds.features),
-            ds.feature_names,
-            ds.target,
-            ds.categorical_map,
-            ds.row_ids,
-        )
-
-    out = DataSplits(
-        ats=rebuild(splits.ats),
-        validation=rebuild(splits.validation),
-        test=rebuild(splits.test),
-        seed=splits.seed,
-    )
-    return out, scaler
+    scaled = {}
+    for name in ("ats", "validation", "test"):
+        part = getattr(splits, name)
+        scaled[name] = replace(part, features=scaler.transform(part.features))
+    return replace(splits, **scaled), scaler
 
 
 # -------------------------------------------------------- synthetic data
@@ -479,11 +461,9 @@ def synth_export(path_csv, path_schema, config: SynthConfig) -> None:
 
 
 def dataset_hash(dataset: Dataset) -> str:
-    """Stable content hash of the encoded matrix and target."""
-    import hashlib
-
-    buf = io.BytesIO()
-    buf.write(",".join(dataset.feature_names).encode())
-    buf.write(np.ascontiguousarray(dataset.features).tobytes())
-    buf.write(np.ascontiguousarray(dataset.target).tobytes())
-    return hashlib.sha256(buf.getvalue()).hexdigest()
+    """Stable content hash of the feature names, encoded matrix and target."""
+    digest = hashlib.sha256(",".join(dataset.feature_names).encode())
+    # a Dataset holds both arrays C-contiguous, so each hashes as its buffer
+    digest.update(dataset.features)
+    digest.update(dataset.target)
+    return digest.hexdigest()

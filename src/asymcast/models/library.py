@@ -54,22 +54,25 @@ plan order, in ``ModelLibrary.failures``. ``save_library`` writes the
 entries and those failure records to one ``.npz`` bundle with a json
 manifest, so a loaded library still says which fits failed and why.
 The bundle is version 3, the only version ``load_library`` reads. Each
-manifest entry keeps the grid label of its plan, the hyperparameters the
-model was fitted with, and a locator of its state in the bundle's shared
-arrays:
+entry's manifest record is written in the pass that packs its arrays.
+It has seven keys: ``index``, ``family``, ``hyperparams`` (its plan's
+grid label), ``model_hyperparams``, ``n_features``, ``loss_mode`` and
+``state``, a locator into the bundle's shared arrays. ``load_library``
+rebuilds each state from its locator alone, by the locator's key:
 
-- ``betas``: every linear model's coefficients, concatenated; an entry
-  names its ``[start, stop)``.
+- ``betas``: every linear model's coefficients, concatenated; a
+  ``beta`` locator names its ``[start, stop)``.
 - ``nn_params``: every network's flat parameters (W1, b1, v, v0, as the
-  trainer flattens them), concatenated; an entry names its
-  ``[start, stop)`` and hidden width.
+  trainer flattens them), concatenated; a ``params`` locator names its
+  ``[start, stop)`` and ``hidden`` width.
 - ``tree_<array>`` for each node array: the nodes of every distinct
   tree, concatenated, with ``tree_nodes`` (node count) and
   ``tree_depths`` (walk depth) per tree. A group of forests stores its
-  largest forest's trees once; an entry names its first tree and count,
-  and the entries that name the same first tree form a group at load.
+  largest forest's trees once; a ``trees`` locator names its first tree
+  and count, and the entries that name the same first tree form a group
+  at load.
 - ``knn<i>_X``, ``knn<i>_y``: one copy of each neighbour index's
-  training set; an entry names its set.
+  training set; a ``knn`` locator names its set.
 - ``val_pred``: the validation forecasts, one row per entry in manifest
   order, and ``val_actuals``.
 """
@@ -98,6 +101,7 @@ from .base import (
     QueryMemo,
     is_integer,
     predict,
+    require_integer,
 )
 from .linear import LinearState, fit_ols, fit_quantile, fit_ridge
 from .neighbors import KnnState, NeighborIndex, fit_knn
@@ -154,6 +158,13 @@ class LibraryConfig:
                 raise ConfigurationError(
                     f"unknown model family {family!r}; supported: {SUPPORTED_FAMILIES}"
                 )
+        # both are read outside the per-plan failure records, so a bad value fails here
+        require_integer("master_seed", self.master_seed)
+        if self.master_seed < 0:
+            raise ConfigurationError(f"master_seed must be >= 0, got {self.master_seed!r}")
+        for a in self.aug_a_levels:
+            if not (np.isfinite(a) and a > 0):
+                raise ConfigurationError(f"aug_a_levels must be positive and finite, got {a!r}")
 
 
 @dataclass(frozen=True)
@@ -409,7 +420,7 @@ def _flat(chunks, dtype=float) -> np.ndarray:
 
 
 def _pack(library: ModelLibrary):
-    """The version 3 arrays of ``library``'s models, and each entry's locator into them."""
+    """The version 3 arrays of ``library``'s models, and each entry's manifest record."""
     flat = {"betas": [], "nn_params": []}
     # the first stored tree of each tree group, and the set of each neighbour index
     trees, tree_at, knn_at = [], {}, {}
@@ -419,24 +430,36 @@ def _pack(library: ModelLibrary):
         flat[name].append(array)
         return [start, start + array.shape[0]]
 
-    locators = []
-    for state in (entry.model.state for entry in library.entries):
+    records = []
+    for entry in library.entries:
+        model, state = entry.model, entry.model.state
         if isinstance(state, LinearState):
-            locators.append({"beta": put("betas", state.beta)})
+            locator = {"beta": put("betas", state.beta)}
         elif isinstance(state, NNState):
             params = flatten_params(state.W1, state.b1, state.v, state.v0)
-            locators.append({"params": put("nn_params", params), "hidden": state.v.shape[0]})
+            locator = {"params": put("nn_params", params), "hidden": state.v.shape[0]}
         elif isinstance(state, ForestState):
             # a group stores its largest forest's trees once; members name a prefix
             group = state if state.shared is None else state.shared
             if group not in tree_at:
                 tree_at[group] = len(trees)
                 trees.extend(group.trees)
-            locators.append({"trees": [tree_at[group], len(state.trees)]})
+            locator = {"trees": [tree_at[group], len(state.trees)]}
         elif isinstance(state, KnnState):
-            locators.append({"knn": knn_at.setdefault(state.index, len(knn_at))})
+            locator = {"knn": knn_at.setdefault(state.index, len(knn_at))}
         else:
             raise ConfigurationError(f"cannot serialize model state {type(state).__name__}")
+        records.append(
+            {
+                "index": entry.index,
+                "family": model.family,
+                "hyperparams": entry.hyperparams,
+                "model_hyperparams": model.hyperparams,
+                "n_features": model.n_features,
+                "loss_mode": loss_to_text(model.loss_mode),
+                "state": locator,
+            }
+        )
     arrays = {name: _flat(chunks) for name, chunks in flat.items()}
     for name in NODE_ARRAYS:
         arrays[f"tree_{name}"] = _flat(
@@ -448,28 +471,12 @@ def _pack(library: ModelLibrary):
     for index, i in knn_at.items():
         arrays[f"knn{i}_X"] = index.X
         arrays[f"knn{i}_y"] = index.y
-    return arrays, locators
-
-
-def _unpack(family: str, hyperparams: dict, n_features: int, locator: dict, arrays, groups, knn):
-    """A version 3 entry's state; ``groups`` and ``knn`` are the bundle's shared parts."""
-    if family in (FAMILY_OLS, FAMILY_RIDGE, FAMILY_QUANTILE):
-        lo, hi = locator["beta"]
-        return LinearState(arrays["betas"][lo:hi])
-    if family == FAMILY_NN:
-        lo, hi = locator["params"]
-        return NNState(*unflatten_params(arrays["nn_params"][lo:hi], n_features, locator["hidden"]))
-    if family in (FAMILY_TREE, FAMILY_BAGGED_TREE, FAMILY_RANDOM_FOREST):
-        first, count = locator["trees"]
-        return ForestState(groups[first].trees[:count], groups[first])
-    if family == FAMILY_KNN:
-        return KnnState(knn[locator["knn"]], hyperparams["k"])
-    raise ConfigurationError(f"cannot rebuild model family {family!r}")
+    return arrays, records
 
 
 def save_library(library: ModelLibrary, path) -> None:
     """Persist the library as a version 3 npz bundle with a json manifest."""
-    arrays, locators = _pack(library)
+    arrays, records = _pack(library)
     n_val = library.val_actuals.shape[0]
     arrays["val_actuals"] = library.val_actuals
     arrays["val_pred"] = (
@@ -479,23 +486,9 @@ def save_library(library: ModelLibrary, path) -> None:
         "version": _BUNDLE_VERSION,
         "augmented": library.augmented,
         "master_seed": library.master_seed,
-        "entries": [],
+        "entries": records,
         "failures": library.failures,
     }
-    # "family" and "provenance" repeat the model's, for earlier load_library code, which reads them
-    for entry, locator in zip(library.entries, locators):
-        manifest["entries"].append(
-            {
-                "index": entry.index,
-                "family": entry.family,
-                "hyperparams": entry.hyperparams,
-                "model_hyperparams": entry.model.hyperparams,
-                "provenance": entry.provenance,
-                "n_features": entry.model.n_features,
-                "loss_mode": loss_to_text(entry.model.loss_mode),
-                "state": locator,
-            }
-        )
     arrays["manifest"] = np.frombuffer(
         json.dumps(manifest, sort_keys=True, default=_python_scalar).encode("utf-8"),
         dtype=np.uint8,
@@ -541,7 +534,11 @@ def _shared_parts(manifest: dict, arrays: dict, memo: QueryMemo):
 
 
 def load_library(path) -> ModelLibrary:
-    """A library saved by ``save_library``, from a version 3 bundle."""
+    """A library saved by ``save_library``, from a version 3 bundle.
+
+    Each entry's state is rebuilt from its locator's key; a locator with
+    none of the four keys raises ConfigurationError naming the entry.
+    """
     with np.load(path, allow_pickle=False) as bundle:
         arrays = {key: bundle[key] for key in bundle.files}
     manifest = json.loads(bytes(arrays["manifest"]).decode("utf-8"))
@@ -555,10 +552,26 @@ def load_library(path) -> ModelLibrary:
     groups, knn = _shared_parts(manifest, arrays, memo)
     entries = []
     for meta, val_pred in zip(manifest["entries"], arrays["val_pred"], strict=True):
-        family, hyperparams = meta["family"], meta["model_hyperparams"]
-        state = _unpack(family, hyperparams, meta["n_features"], meta["state"], arrays, groups, knn)
+        hyperparams, n_features = meta["model_hyperparams"], meta["n_features"]
+        locator = meta["state"]
+        if "beta" in locator:
+            lo, hi = locator["beta"]
+            state = LinearState(arrays["betas"][lo:hi])
+        elif "params" in locator:
+            lo, hi = locator["params"]
+            params = unflatten_params(arrays["nn_params"][lo:hi], n_features, locator["hidden"])
+            state = NNState(*params)
+        elif "trees" in locator:
+            first, count = locator["trees"]
+            state = ForestState(groups[first].trees[:count], groups[first])
+        elif "knn" in locator:
+            state = KnnState(knn[locator["knn"]], hyperparams["k"])
+        else:
+            raise ConfigurationError(
+                f"bundle entry {meta['index']} locates no model state: {locator}; refit and save it"
+            )
         model = Model(
-            family, hyperparams, state, meta["n_features"], loss_from_text(meta["loss_mode"])
+            meta["family"], hyperparams, state, n_features, loss_from_text(meta["loss_mode"])
         )
         entries.append(LibraryEntry(meta["index"], meta["hyperparams"], model, val_pred))
     failures = [tuple(failure) for failure in manifest["failures"]]

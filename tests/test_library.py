@@ -128,6 +128,23 @@ def test_unsupported_family_is_named():
         LibraryConfig(families=("quintic",))
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("master_seed", -1, "master_seed must be >= 0, got -1"),
+        ("master_seed", 1.5, "master_seed must be an integer, got 1.5"),
+        ("master_seed", True, "master_seed must be an integer, got True"),
+        ("aug_a_levels", (0.5, float("nan")), r"aug_a_levels must be positive and finite, got nan"),
+        ("aug_a_levels", (0.5, -1.0), r"aug_a_levels must be positive and finite, got -1.0"),
+        ("aug_a_levels", (0.0, 0.5), r"aug_a_levels must be positive and finite, got 0.0"),
+    ],
+)
+def test_a_bad_seed_or_a_level_is_rejected_before_any_fit(field, value, message):
+    # both are read outside the per-plan failure records, so no build may start with them
+    with pytest.raises(ConfigurationError, match=message):
+        LibraryConfig(families=("ols", "nn"), **{field: value})
+
+
 def test_a_failed_fit_is_logged_but_not_printed(small_splits, capfd, caplog):
     n_ats = small_splits.ats.target.shape[0]
     config = replace(SMALL_CONFIG, families=("ols", "knn"), knn_ks=(5, n_ats + 1))
@@ -829,11 +846,12 @@ def test_loaded_provenance_follows_each_loss_not_the_manifest(tmp_path, small_sp
     save_library(library, path)
     swap = {"symmetric": "asymmetric", "asymmetric": "symmetric"}
 
-    def swap_provenance(manifest):
+    # bundles written before the manifest dropped "provenance" carry one per entry
+    def insert_swapped_provenance(manifest):
         for meta in manifest["entries"]:
-            meta["provenance"] = swap[meta["provenance"]]
+            meta["provenance"] = swap[library.entry(meta["index"]).provenance]
 
-    rewrite_bundle(path, swap_provenance)
+    rewrite_bundle(path, insert_swapped_provenance)
     loaded = load_library(path)
     for entry in loaded.entries:
         assert entry.provenance == (
@@ -847,6 +865,33 @@ def test_loaded_provenance_follows_each_loss_not_the_manifest(tmp_path, small_sp
     # OLS and the three a = 1 learners; the a = 0.5 learners are asymmetric
     assert symmetric_side(loaded) == symmetric_side(library)
     assert len(symmetric_side(library)) == 4 and len(library) == 7
+
+
+def test_each_manifest_record_has_the_seven_keys(tmp_path, augmented_library):
+    path = tmp_path / "library.npz"
+    save_library(augmented_library, path)
+    with np.load(path) as bundle:
+        manifest = json.loads(bytes(bundle["manifest"]).decode("utf-8"))
+    keys = {
+        "index", "family", "hyperparams", "model_hyperparams", "n_features", "loss_mode", "state"
+    }
+    assert len(manifest["entries"]) == len(augmented_library)
+    for meta, entry in zip(manifest["entries"], augmented_library.entries, strict=True):
+        assert set(meta) == keys
+        assert (meta["index"], meta["family"]) == (entry.index, entry.family)
+
+
+def test_a_locator_that_names_no_state_is_named_by_its_entry(tmp_path, symmetric_library):
+    path = tmp_path / "library.npz"
+    save_library(symmetric_library, path)
+    index = symmetric_library.entries[1].index
+
+    def drop_locator(manifest):
+        manifest["entries"][1]["state"] = {"hidden": 2}
+
+    rewrite_bundle(path, drop_locator)
+    with pytest.raises(ConfigurationError, match=f"bundle entry {index} locates no model state"):
+        load_library(path)
 
 
 def same_bits(a, b) -> bool:
