@@ -68,12 +68,7 @@ from asymcast.models import (  # noqa: E402
 )
 from asymcast.models.base import QueryMemo  # noqa: E402
 from asymcast.models.neighbors import NeighborIndex  # noqa: E402
-from asymcast.models.neural import (  # noqa: E402
-    NNConfig,
-    flatten_params,
-    init_params,
-    nn_objective_and_grad,
-)
+from asymcast.models.neural import flatten_params, init_params, nn_objective_and_grad  # noqa: E402
 from asymcast.models.trees import ENSEMBLE_COMPLEXITY, ENSEMBLE_MIN_NODE, MAX_DEPTH  # noqa: E402
 
 FULL = {"tree_n": 3000, "linear_n": 8000, "query_rows": 10000, "repeats": 5}
@@ -131,9 +126,9 @@ def run(sizes: dict, seed: int) -> dict:
 
     tree = build()
     tau = tau_from_weights(0.5, 1.0)
-    config = NNConfig(hidden_nodes=6, epochs=LibraryConfig().nn_epochs, seed=seed)
+    hidden, epochs = 6, LibraryConfig().nn_epochs
     loss = CostSpec("llc", a=tau, b=1.0 - tau)
-    theta = flatten_params(*init_params(X_lin.shape[1], y_lin, config))
+    theta = flatten_params(*init_params(X_lin.shape[1], y_lin, hidden, seed))
     ks = tuple(k for k in LibraryConfig().knn_ks if k <= X_tree.shape[0])
     table_config = SynthConfig(n=sizes["linear_n"], seed=seed)
     table, _ = synth_raw_columns(table_config)
@@ -151,9 +146,9 @@ def run(sizes: dict, seed: int) -> dict:
         "tree_build": best_of(repeats, build),
         "tree_predict": best_of(repeats, lambda: kernels.tree_predict(*tree, Q)),
         "nn_objective_and_grad": best_of(
-            repeats, lambda: nn_objective_and_grad(theta, X_lin, y_lin, config, loss)
+            repeats, lambda: nn_objective_and_grad(theta, X_lin, y_lin, hidden, loss)
         ),
-        "nn_fit": best_of(repeats, lambda: fit_nn(X_lin, y_lin, config, loss)),
+        "nn_fit": best_of(repeats, lambda: fit_nn(X_lin, y_lin, hidden, epochs, seed, loss)),
         "fit_quantile": best_of(repeats, lambda: fit_quantile(X_lin, y_lin, tau)),
         # a new index and memo per call: a memo answers a repeated query
         "knn_rank": best_of(

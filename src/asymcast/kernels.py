@@ -174,6 +174,7 @@ def tree_predict(node_feature, node_threshold, node_left, node_right, node_value
 
 # ------------------------------------------------------------ neural net
 
+# exp() overflow guard: the logistic here and losses' lec clip their exponents to +-700
 _EXP_CLIP = 700.0
 
 

@@ -24,11 +24,9 @@ import math
 import numpy as np
 
 from .errors import ConfigurationError, InvalidInputError
+from .kernels import _EXP_CLIP
 
 FAMILIES = ("squared_error", "llc", "qqc", "lec")
-
-# exp() overflow guard: lec clips |a*e| here before exponentiation.
-_EXP_CLIP = 700.0
 
 # eval_mean scores at most this many forecasts (64 KB of float64) at once
 _BLOCK_FORECASTS = 8192

@@ -12,7 +12,7 @@ from .library import (
 )
 from .linear import fit_ols, fit_quantile, fit_ridge, quantile_objective
 from .neighbors import fit_knn
-from .neural import NNConfig, fit_nn, nn_objective_and_grad
+from .neural import fit_nn, nn_objective_and_grad
 from .trees import fit_bagged_tree, fit_random_forest, fit_tree
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "fit_ridge",
     "quantile_objective",
     "fit_knn",
-    "NNConfig",
     "fit_nn",
     "nn_objective_and_grad",
     "fit_bagged_tree",

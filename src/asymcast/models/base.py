@@ -89,6 +89,13 @@ def require_integer(name: str, value) -> None:
         raise ConfigurationError(f"{name} must be an integer, got {value!r}")
 
 
+def require_seed(name: str, value) -> None:
+    """Raise ConfigurationError naming ``name`` unless ``value`` is an integer >= 0, not a bool."""
+    require_integer(name, value)
+    if value < 0:
+        raise ConfigurationError(f"{name} must be >= 0, got {value!r}")
+
+
 def require_nonnegative(name: str, value) -> None:
     """Raise ConfigurationError naming ``name`` unless ``value`` is finite and >= 0."""
     if not (np.isfinite(value) and value >= 0):

@@ -101,11 +101,11 @@ from .base import (
     QueryMemo,
     is_integer,
     predict,
-    require_integer,
+    require_seed,
 )
 from .linear import LinearState, fit_ols, fit_quantile, fit_ridge
 from .neighbors import KnnState, NeighborIndex, fit_knn
-from .neural import NNConfig, NNState, fit_nn, flatten_params, unflatten_params
+from .neural import NNState, fit_nn, flatten_params, unflatten_params
 from .trees import (
     NODE_ARRAYS,
     ForestState,
@@ -159,9 +159,7 @@ class LibraryConfig:
                     f"unknown model family {family!r}; supported: {SUPPORTED_FAMILIES}"
                 )
         # both are read outside the per-plan failure records, so a bad value fails here
-        require_integer("master_seed", self.master_seed)
-        if self.master_seed < 0:
-            raise ConfigurationError(f"master_seed must be >= 0, got {self.master_seed!r}")
+        require_seed("master_seed", self.master_seed)
         for a in self.aug_a_levels:
             if not (np.isfinite(a) and a > 0):
                 raise ConfigurationError(f"aug_a_levels must be positive and finite, got {a!r}")
@@ -265,9 +263,7 @@ def _loss_path(config: LibraryConfig, hidden: int, losses, seed: int, X, y) -> l
     results, path, start = [], [], None
     for loss in losses:
         epochs = config.nn_epochs if start is None else min(config.nn_epochs, PATH_EPOCHS)
-        model = _attempt(
-            lambda: fit_nn(X, y, NNConfig(hidden, epochs=epochs, seed=seed), loss, start=start)
-        )
+        model = _attempt(lambda: fit_nn(X, y, hidden, epochs, seed, loss, start=start))
         if isinstance(model, Model):
             model = replace(model, hyperparams={**model.hyperparams, "path": list(path)})
             path.append({"loss": loss_to_text(loss), "epochs": epochs})
@@ -321,9 +317,7 @@ def _fit_plans(config: LibraryConfig, augment: bool, X, y, memo: QueryMemo):
     if FAMILY_NN in fams:
         for k in config.nn_hidden:
             s = seed(FAMILY_NN, hidden_nodes=k)
-            model = _attempt(
-                lambda: fit_nn(X, y, NNConfig(hidden_nodes=k, epochs=config.nn_epochs, seed=s))
-            )
+            model = _attempt(lambda: fit_nn(X, y, k, config.nn_epochs, s))
             yield FAMILY_NN, {"hidden_nodes": k}, model
     if FAMILY_BAGGED_TREE in fams:
         s = seed(FAMILY_BAGGED_TREE)

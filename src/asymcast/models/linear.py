@@ -77,41 +77,38 @@ def _design(X, y):
     return X, y, np.column_stack([np.ones(X.shape[0]), X])
 
 
-def _check_rank(A, feature_names):
-    """Raise SingularDesignError naming the dependent columns (QR pivoting)."""
+def _check_rank(A):
+    """Raise SingularDesignError naming the dependent columns of ``X`` (QR pivoting)."""
     _, R, piv = scipy.linalg.qr(A, mode="economic", pivoting=True)
     diag = np.abs(np.diag(R))
     tol = diag.max() * max(A.shape) * np.finfo(float).eps if diag.size else 0.0
     rank = int(np.sum(diag > tol))
     if rank < A.shape[1]:
         bad = sorted(piv[rank:])
-        if feature_names is not None:
-            labels = ["intercept" if j == 0 else feature_names[j - 1] for j in bad]
-        else:
-            labels = ["intercept" if j == 0 else f"column {j - 1}" for j in bad]
+        labels = ["intercept" if j == 0 else f"column {j - 1}" for j in bad]
         raise SingularDesignError(
             f"design matrix is rank deficient (rank {rank} of {A.shape[1]}); "
             f"offending columns: {labels}"
         )
 
 
-def fit_ols(X, y, feature_names=None) -> Model:
+def fit_ols(X, y) -> Model:
     """Ordinary least squares with intercept."""
     X, y, A = _design(X, y)
     n, p = A.shape
     if n <= p:
         raise InvalidInputError(f"need n > m+1 rows, got n={n} for {p} coefficients")
-    _check_rank(A, feature_names)
+    _check_rank(A)
     beta, *_ = np.linalg.lstsq(A, y, rcond=None)
     return Model(FAMILY_OLS, {}, LinearState(beta), X.shape[1])
 
 
-def fit_ridge(X, y, lam: float, feature_names=None) -> Model:
+def fit_ridge(X, y, lam: float) -> Model:
     """Penalized normal equations; the intercept is not penalized."""
     require_nonnegative("lam", lam)
     X, y, A = _design(X, y)
     if lam == 0.0:
-        _check_rank(A, feature_names)
+        _check_rank(A)
     p = A.shape[1]
     D = np.eye(p)
     D[0, 0] = 0.0

@@ -11,16 +11,17 @@ is standard practice and materially improves trainability.
 
 Training minimizes the full-batch objective
 
-    mean(loss(y - f(x))) + lambda1*sum(W^2) + lambda2*sum(v^2)
+    mean(loss(y - f(x))) + WEIGHT_DECAY*sum(W^2) + WEIGHT_DECAY*sum(v^2)
 
 of ``nn_objective_and_grad`` with scipy's L-BFGS-B quasi-Newton method,
-as R's ``nnet`` trains the same model; biases are unpenalized and
-``epochs`` caps the L-BFGS iterations, and ``hyperparams["iterations"]``
-records how many ran. Supported loss modes: squared error, lin-lin
-(``llc``, which at a = tau, b = 1 - tau is the quantile loss) and
-quadratic-quadratic (``qqc``), at any weights. L-BFGS trains ``llc``
-through the jump of its gradient at e = 0; the gradient 2 w e of ``qqc``
-is continuous.
+as R's ``nnet`` trains the same model. The weight decay is the module
+constant ``WEIGHT_DECAY`` on the hidden weights W and the output weights
+v; the biases are unpenalized. ``epochs`` caps the L-BFGS iterations,
+and ``hyperparams["iterations"]`` records how many ran. Supported loss
+modes: squared error, lin-lin (``llc``, which at a = tau, b = 1 - tau is
+the quantile loss) and quadratic-quadratic (``qqc``), at any weights.
+L-BFGS trains ``llc`` through the jump of its gradient at e = 0; the
+gradient 2 w e of ``qqc`` is continuous.
 
 The objective holds the hidden layer units x rows, H' = g1(W1' X' + b1),
 so its elementwise passes and its sums over rows run along all n rows;
@@ -31,12 +32,10 @@ rows x units composition.
 Training starts from the seeded ``init_params``, or from a given
 ``start`` state, such as a network fitted on a neighbouring loss, whose
 parameters then replace the seeded ones. Training is deterministic given
-the config seed and the start state.
+``seed`` and the start state.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
@@ -44,31 +43,12 @@ from scipy.optimize import minimize
 from .. import kernels
 from ..errors import ConfigurationError, TrainingError
 from ..losses import CostSpec, _eval_raw, _grad_raw
-from .base import FAMILY_NN, Model, check_training_data, require_integer, require_nonnegative
+from .base import FAMILY_NN, Model, check_training_data, require_integer, require_seed
 
 _LOSSES = ("squared_error", "llc", "qqc")
 _DIVERGED = "network training diverged (non-finite objective); check the scale of the targets"
 
-
-@dataclass(frozen=True)
-class NNConfig:
-    hidden_nodes: int = 8
-    lambda1: float = 1e-6
-    lambda2: float = 1e-6
-    epochs: int = 100  # L-BFGS iteration cap
-    seed: int = 0
-
-    def __post_init__(self):
-        require_integer("hidden_nodes", self.hidden_nodes)
-        require_integer("epochs", self.epochs)
-        if self.hidden_nodes < 1:
-            raise ConfigurationError(f"need at least one hidden node, got {self.hidden_nodes}")
-        require_nonnegative("lambda1", self.lambda1)
-        require_nonnegative("lambda2", self.lambda2)
-        if self.epochs < 1:
-            raise ConfigurationError(
-                f"epochs (the L-BFGS iteration cap) must be >= 1, got {self.epochs}"
-            )
+WEIGHT_DECAY = 1e-6
 
 
 class NNState:
@@ -90,10 +70,10 @@ def _check_loss_mode(loss_mode: CostSpec):
         )
 
 
-def init_params(n_features: int, y: np.ndarray, config: NNConfig):
+def init_params(n_features: int, y: np.ndarray, hidden_nodes: int, seed: int):
     """Seeded initial weights; output bias starts at the target mean."""
-    rng = np.random.default_rng(config.seed)
-    k = config.hidden_nodes
+    rng = np.random.default_rng(seed)
+    k = hidden_nodes
     W1 = rng.normal(0.0, 1.0 / np.sqrt(max(1, n_features)), size=(n_features, k))
     b1 = np.zeros(k)
     v = rng.normal(0.0, 1.0 / np.sqrt(k), size=k)
@@ -104,22 +84,31 @@ def init_params(n_features: int, y: np.ndarray, config: NNConfig):
 def fit_nn(
     X,
     y,
-    config: NNConfig,
+    hidden_nodes: int,
+    epochs: int,
+    seed: int,
     loss_mode: CostSpec = CostSpec("squared_error"),
     start: NNState | None = None,
 ) -> Model:
-    """Train on standardized features; deterministic given config.seed and ``start``.
+    """Train on standardized features; deterministic given ``seed`` and ``start``.
 
-    ``start``, a network of ``X``'s width and ``config.hidden_nodes``
-    hidden units with finite parameters, replaces ``init_params``.
+    ``epochs`` caps the L-BFGS iterations. ``start``, a network of
+    ``X``'s width and ``hidden_nodes`` hidden units with finite
+    parameters, replaces ``init_params``.
     """
+    require_integer("hidden_nodes", hidden_nodes)
+    require_integer("epochs", epochs)
+    if hidden_nodes < 1:
+        raise ConfigurationError(f"need at least one hidden node, got {hidden_nodes}")
+    if epochs < 1:
+        raise ConfigurationError(f"epochs (the L-BFGS iteration cap) must be >= 1, got {epochs}")
+    require_seed("seed", seed)
     X, y = check_training_data(X, y)
-    k = config.hidden_nodes
     if start is None:
-        theta0 = flatten_params(*init_params(X.shape[1], y, config))
+        theta0 = flatten_params(*init_params(X.shape[1], y, hidden_nodes, seed))
     else:
-        theta0 = _start_params(start, X.shape[1], k)
-    args = (X, y, config, loss_mode)
+        theta0 = _start_params(start, X.shape[1], hidden_nodes)
+    args = (X, y, hidden_nodes, loss_mode)
     # huge targets overflow the loss; a line search backs off from an
     # infinite objective, and one at the start or the end is raised
     with np.errstate(over="ignore", invalid="ignore"):
@@ -131,19 +120,14 @@ def fit_nn(
             args=args,
             method="L-BFGS-B",
             jac=True,
-            options={"maxiter": config.epochs},
+            options={"maxiter": epochs},
         )
     if not np.isfinite(result.fun):
         raise TrainingError(_DIVERGED)
-    W1, b1, v, v0 = unflatten_params(result.x, X.shape[1], k)
+    W1, b1, v, v0 = unflatten_params(result.x, X.shape[1], hidden_nodes)
     state = NNState(W1, b1, v, v0)
     params = {
-        "hidden_nodes": k,
-        "lambda1": config.lambda1,
-        "lambda2": config.lambda2,
-        "epochs": config.epochs,
-        "seed": config.seed,
-        "iterations": int(result.nit),
+        "hidden_nodes": hidden_nodes, "epochs": epochs, "seed": seed, "iterations": int(result.nit)
     }
     return Model(FAMILY_NN, params, state, X.shape[1], loss_mode=loss_mode)
 
@@ -176,7 +160,7 @@ def unflatten_params(theta, n_features, k):
     return W1, b1, v, v0
 
 
-def nn_objective_and_grad(theta, X, y, config: NNConfig, loss_mode: CostSpec):
+def nn_objective_and_grad(theta, X, y, hidden_nodes: int, loss_mode: CostSpec):
     """The training objective at flat parameters ``theta`` and its gradient.
 
     ``fit_nn`` minimizes exactly this function, so it is the one
@@ -195,8 +179,7 @@ def nn_objective_and_grad(theta, X, y, config: NNConfig, loss_mode: CostSpec):
     """
     _check_loss_mode(loss_mode)
     n, m = X.shape
-    k = config.hidden_nodes
-    W1, b1, v, v0 = unflatten_params(np.asarray(theta, dtype=float), m, k)
+    W1, b1, v, v0 = unflatten_params(np.asarray(theta, dtype=float), m, hidden_nodes)
     HT = np.dot(W1.T, X.T)
     HT += b1[:, None]
     kernels.logistic_inplace(HT)
@@ -208,18 +191,18 @@ def nn_objective_and_grad(theta, X, y, config: NNConfig, loss_mode: CostSpec):
 
     # np.mean's arithmetic: a pairwise sum, then one division by n
     mean_loss = float(_eval_raw(loss_mode, e).sum()) / n
-    objective = mean_loss + config.lambda1 * float((W1 * W1).sum()) + config.lambda2 * float(
+    objective = mean_loss + WEIGHT_DECAY * float((W1 * W1).sum()) + WEIGHT_DECAY * float(
         (v * v).sum()
     )
 
     dyhat = _grad_raw(loss_mode, e)
     dyhat /= -n
-    dv = HT @ dyhat + 2.0 * config.lambda2 * v
+    dv = HT @ dyhat + 2.0 * WEIGHT_DECAY * v
     dv0 = np.array([dyhat.sum()])
     # HT becomes dZ', the pre-activation gradient; dv has used HT itself
     HT *= 1.0 - HT
     HT *= v[:, None]
     HT *= dyhat
-    dW1 = np.dot(HT, X).T + 2.0 * config.lambda1 * W1
+    dW1 = np.dot(HT, X).T + 2.0 * WEIGHT_DECAY * W1
     db1 = HT.sum(axis=1)
     return objective, flatten_params(dW1, db1, dv, dv0)

@@ -52,6 +52,7 @@ from .base import (
     check_training_data,
     require_integer,
     require_nonnegative,
+    require_seed,
 )
 
 MAX_DEPTH = 30
@@ -155,6 +156,7 @@ def fit_bagged_tree(X, y, bags: int, seed: int) -> Model:
     require_integer("bags", bags)
     if bags < 1:
         raise ConfigurationError(f"need at least one bag, got {bags}")
+    require_seed("seed", seed)
     state = _fit_tree_ensemble(X, y, bags, X.shape[1], seed)
     params = {"bags": bags, "seed": seed}
     return Model(FAMILY_BAGGED_TREE, params, state, X.shape[1])
@@ -188,6 +190,7 @@ def fit_random_forest(X, y, trees: int, mtry: int, seed: int) -> Model:
         raise ConfigurationError(f"need at least one tree, got {trees}")
     if not 1 <= mtry <= X.shape[1]:
         raise ConfigurationError(f"mtry must lie in [1, m={X.shape[1]}], got {mtry}")
+    require_seed("seed", seed)
     state = _fit_tree_ensemble(X, y, trees, mtry, seed)
     params = {"trees": trees, "mtry": mtry, "seed": seed}
     return Model(FAMILY_RANDOM_FOREST, params, state, X.shape[1])

@@ -28,6 +28,7 @@ import scipy.optimize
 import scipy.sparse
 
 from asymcast.losses import _eval_raw, eval_loss, grad_loss
+from asymcast.models import neural
 from asymcast.models.neural import flatten_params, unflatten_params
 
 
@@ -254,23 +255,25 @@ def nn_forward_rows(X, W1, b1, v, v0):
     return np.dot(nn_hidden_rows(X, W1, b1), v) + v0[0]
 
 
-def nn_objective_and_grad_rows(theta, X, y, config, loss_mode):
+def nn_objective_and_grad_rows(theta, X, y, hidden_nodes, loss_mode):
     """The network's training objective and gradient, rows x units.
 
-    The mean of ``eval_loss`` plus the weight penalties, and the gradient
-    by backpropagation through the n x k hidden layer with ``grad_loss``.
+    The mean of ``eval_loss`` plus the weight penalties at
+    ``neural.WEIGHT_DECAY`` as it stands at the call, and the gradient by
+    backpropagation through the n x k hidden layer with ``grad_loss``.
     """
     n, m = X.shape
-    W1, b1, v, v0 = unflatten_params(theta, m, config.hidden_nodes)
+    decay = neural.WEIGHT_DECAY
+    W1, b1, v, v0 = unflatten_params(theta, m, hidden_nodes)
     H = nn_hidden_rows(X, W1, b1)
     e = y - (H @ v + v0[0])
-    objective = float(np.mean(eval_loss(loss_mode, e))) + config.lambda1 * float(
+    objective = float(np.mean(eval_loss(loss_mode, e))) + decay * float(
         np.sum(W1 * W1)
-    ) + config.lambda2 * float(np.sum(v * v))
+    ) + decay * float(np.sum(v * v))
     dyhat = -grad_loss(loss_mode, e) / n
-    dv = H.T @ dyhat + 2.0 * config.lambda2 * v
+    dv = H.T @ dyhat + 2.0 * decay * v
     dv0 = np.array([np.sum(dyhat)])
     dZ = (dyhat[:, None] * v[None, :]) * (H * (1.0 - H))
-    dW1 = X.T @ dZ + 2.0 * config.lambda1 * W1
+    dW1 = X.T @ dZ + 2.0 * decay * W1
     db1 = dZ.sum(axis=0)
     return objective, flatten_params(dW1, db1, dv, dv0)

@@ -24,7 +24,6 @@ from asymcast.models import (
     LibraryEntry,
     Model,
     ModelLibrary,
-    NNConfig,
     build_library,
     fit_bagged_tree,
     fit_knn,
@@ -543,15 +542,15 @@ def refit_along_path(splits, model):
     own = {"loss": loss_to_text(model.loss_mode), "epochs": params["epochs"]}
     state = None
     for level in params["path"] + [own]:
-        config = NNConfig(
-            hidden_nodes=params["hidden_nodes"],
-            lambda1=params["lambda1"],
-            lambda2=params["lambda2"],
-            epochs=level["epochs"],
-            seed=params["seed"],
-        )
-        loss_mode = loss_from_text(level["loss"])
-        state = fit_nn(splits.ats.features, splits.ats.target, config, loss_mode, start=state).state
+        state = fit_nn(
+            splits.ats.features,
+            splits.ats.target,
+            params["hidden_nodes"],
+            level["epochs"],
+            params["seed"],
+            loss_from_text(level["loss"]),
+            start=state,
+        ).state
     return state
 
 
@@ -615,8 +614,8 @@ def test_each_path_level_is_one_fit_nn_call_through_the_library_module(
     # a tracer rebinds fit_nn in the library module's namespace
     calls = []
 
-    def counted(X, y, config, loss_mode, start=None):
-        model = fit_nn(X, y, config, loss_mode, start=start)
+    def counted(X, y, hidden_nodes, epochs, seed, loss_mode, start=None):
+        model = fit_nn(X, y, hidden_nodes, epochs, seed, loss_mode, start=start)
         calls.append((loss_mode.family, model.hyperparams["epochs"]))
         return model
 
@@ -632,10 +631,10 @@ def test_a_failed_path_level_fails_alone_and_the_next_starts_from_the_last_fitte
 ):
     failing = {path_loss("llc", 0.5), path_loss("qqc", 1.0)}
 
-    def stub(X, y, config, loss_mode, start=None):
+    def stub(X, y, hidden_nodes, epochs, seed, loss_mode, start=None):
         if loss_mode in failing:
             raise TrainingError(f"stubbed failure at {loss_mode.describe()}")
-        return fit_nn(X, y, config, loss_mode, start=start)
+        return fit_nn(X, y, hidden_nodes, epochs, seed, loss_mode, start=start)
 
     monkeypatch.setattr(library_module, "fit_nn", stub)
     library = build_library(small_splits, PATH_CONFIG, augment=True)
