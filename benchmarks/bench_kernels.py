@@ -4,7 +4,7 @@
     python benchmarks/bench_kernels.py --tiny      # small sizes, about a second
     python benchmarks/bench_kernels.py --seed 20170710
 
-Times eight kernels, each the best of several calls, and prints one JSON
+Times nine kernels, each the best of several calls, and prints one JSON
 line with the seconds per call, the sizes and the seed, plus the
 ``tracemalloc`` peaks of one ``csv_export`` and one ``select_best`` call
 in bytes. It writes no file.
@@ -12,6 +12,9 @@ in bytes. It writes no file.
 - ``tree_build``: one bagged tree (a bootstrap sample, every feature a
   candidate) on the training rows of an n = 3,000 dataset (1,200 rows).
 - ``tree_predict``: that tree on 10,000 fresh rows.
+- ``forest_fit``: one ``fit_random_forest`` of 60 trees (6 with
+  ``--tiny``) at mtry 4 on those training rows, grown across the usable
+  CPUs as the library grows it.
 - ``nn_objective_and_grad``: one evaluation of a 6-unit network under
   the tau-quantile loss llc(tau, 1 - tau), tau = 1/3, with its gradient,
   on the training rows of an n = 8,000 dataset (3,200 rows).
@@ -64,6 +67,7 @@ from asymcast.models import (  # noqa: E402
     build_library,
     fit_nn,
     fit_quantile,
+    fit_random_forest,
     select_best,
 )
 from asymcast.models.base import QueryMemo  # noqa: E402
@@ -71,8 +75,9 @@ from asymcast.models.neighbors import NeighborIndex  # noqa: E402
 from asymcast.models.neural import flatten_params, init_params, nn_objective_and_grad  # noqa: E402
 from asymcast.models.trees import ENSEMBLE_COMPLEXITY, ENSEMBLE_MIN_NODE, MAX_DEPTH  # noqa: E402
 
-FULL = {"tree_n": 3000, "linear_n": 8000, "query_rows": 10000, "repeats": 5}
-TINY = {"tree_n": 200, "linear_n": 200, "query_rows": 300, "repeats": 3}
+FULL = {"tree_n": 3000, "linear_n": 8000, "query_rows": 10000, "forest_trees": 60, "repeats": 5}
+TINY = {"tree_n": 200, "linear_n": 200, "query_rows": 300, "forest_trees": 6, "repeats": 3}
+FOREST_MTRY = 4
 LIBRARY_ENTRIES = 42
 
 
@@ -145,6 +150,10 @@ def run(sizes: dict, seed: int) -> dict:
     seconds = {
         "tree_build": best_of(repeats, build),
         "tree_predict": best_of(repeats, lambda: kernels.tree_predict(*tree, Q)),
+        "forest_fit": best_of(
+            repeats,
+            lambda: fit_random_forest(X_tree, y_tree, sizes["forest_trees"], FOREST_MTRY, seed),
+        ),
         "nn_objective_and_grad": best_of(
             repeats, lambda: nn_objective_and_grad(theta, X_lin, y_lin, hidden, loss)
         ),
@@ -163,6 +172,7 @@ def run(sizes: dict, seed: int) -> dict:
         "sizes": {
             "tree_rows": X_tree.shape[0],
             "tree_nodes": int(tree[0].shape[0]),
+            "forest_trees": sizes["forest_trees"],
             "linear_rows": X_lin.shape[0],
             "table_rows": table_config.n,
             "features": m,

@@ -369,7 +369,9 @@ def build_library(
     No entry's forecasts depend on the other plans (``_fit_plans``). A fit
     or validation forecast that fails is logged and recorded in
     ``ModelLibrary.failures``, in plan order; only a fully failed build
-    raises. ``jobs`` must be 1: fits run one after another.
+    raises. ``jobs`` must be 1: fits still run one after another, but one
+    bagging or forest fit grows its trees across the usable CPUs (see
+    ``trees``).
     """
     if jobs != 1:
         raise ConfigurationError(f"build_library fits sequentially; jobs must be 1, got {jobs}")

@@ -20,6 +20,13 @@ with the same seed and settings: the first t trees of a T-tree fit are
 the t-tree fit, node array for node array. ``ensemble_prefix`` cuts
 such a prefix, which lets a model library fit each group of sizes once.
 
+An ensemble takes every tree's draws from its stream up front, in that
+order, and then grows its trees in contiguous chunks, one per usable
+CPU (``os.sched_getaffinity``, so on Linux; elsewhere one chunk): the
+caller grows the first chunk and a forked child each other one, sending
+its node arrays back down a pipe. Once drawn, a tree depends on nothing
+else, so the chunks move no bit, and no child outlives the fit.
+
 Every tree family stores its model as a ``ForestState``: a single tree
 is a one-tree forest, so the three families predict and persist the
 same way. ``TreeState`` holds the node arrays of one tree and its depth.
@@ -38,6 +45,10 @@ walked again. A forest in no group predicts on its own.
 """
 
 from __future__ import annotations
+
+import os
+import pickle
+import signal
 
 import numpy as np
 
@@ -137,18 +148,88 @@ def fit_tree(X, y, complexity: float = 1e-3, min_node: int = 10) -> Model:
     return Model(FAMILY_TREE, params, state, X.shape[1])
 
 
+def _grow(X, y, draws, mtry) -> list:
+    """The node arrays of each (bootstrap rows, tree seed) pair's ensemble tree."""
+    return [
+        kernels.tree_build(
+            X, y, boot, ENSEMBLE_MIN_NODE, ENSEMBLE_COMPLEXITY, mtry, tree_seed, MAX_DEPTH
+        )
+        for boot, tree_seed in draws
+    ]
+
+
+def _start_grow(X, y, draws, mtry):
+    """Fork a child that grows ``draws``' trees; return its pid and the read end of its pipe.
+
+    The child pickles ``(True, node arrays)``, or ``(False, exception)``
+    when growing raises, down the pipe and leaves through ``os._exit``.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            try:
+                result = (True, _grow(X, y, draws, mtry))
+            except BaseException as exc:  # noqa: BLE001 - the parent raises it
+                result = (False, exc)
+            with open(write_fd, "wb") as pipe:
+                pickle.dump(result, pipe, pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, read_fd
+
+
+def _finish_grow(pid, read_fd) -> list:
+    """The node arrays that child ``pid`` sends; raise what it raised. The child is reaped."""
+    try:
+        with open(read_fd, "rb") as pipe:
+            data = pipe.read()
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    if status != 0 or not data:
+        raise RuntimeError(
+            f"tree worker {pid} ended with wait status {status} before sending its trees"
+        )
+    grown, result = pickle.loads(data)
+    if not grown:
+        raise result
+    return result
+
+
 def _fit_tree_ensemble(X, y, n_trees, mtry, seed) -> ForestState:
     rng = np.random.default_rng(seed)
     n = X.shape[0]
-    trees = []
+    draws = []
     for _ in range(n_trees):
         boot = rng.integers(0, n, size=n).astype(np.int64)
-        tree_seed = int(rng.integers(0, 2**31 - 1))
-        arrays = kernels.tree_build(
-            X, y, boot, ENSEMBLE_MIN_NODE, ENSEMBLE_COMPLEXITY, mtry, tree_seed, MAX_DEPTH
-        )
-        trees.append(TreeState(*arrays))
-    return ForestState(trees)
+        draws.append((boot, int(rng.integers(0, 2**31 - 1))))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, n_trees)
+    bounds = [n_trees * w // workers for w in range(workers + 1)]
+    chunks = [draws[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    children = []
+    try:
+        for chunk in chunks[1:]:
+            children.append(_start_grow(X, y, chunk, mtry))
+        arrays = _grow(X, y, chunks[0], mtry)
+        while children:
+            arrays += _finish_grow(*children.pop(0))
+    finally:
+        # only after a failure: stop and reap the children not yet joined
+        for pid, read_fd in children:
+            os.close(read_fd)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return ForestState([TreeState(*tree) for tree in arrays])
 
 
 def fit_bagged_tree(X, y, bags: int, seed: int) -> Model:
@@ -172,6 +253,11 @@ def ensemble_prefix(model: Model, size: int) -> Model:
     By the prefix property this equals the fitter's model for ``size``
     trees with ``model``'s seed and settings, hyperparameters included.
     """
+    if model.family not in _SIZE_PARAMS:
+        raise ConfigurationError(
+            f"ensemble_prefix takes a {FAMILY_BAGGED_TREE} or {FAMILY_RANDOM_FOREST} model, "
+            f"got a {model.family} model"
+        )
     trees = model.state.trees
     require_integer("size", size)
     if not 1 <= size <= len(trees):

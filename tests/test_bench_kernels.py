@@ -9,8 +9,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "benchmarks" / "bench_kernels.py"
 KERNELS = {
-    "tree_build", "tree_predict", "nn_objective_and_grad", "nn_fit", "fit_quantile", "knn_rank",
-    "csv_export", "select_best",
+    "tree_build", "tree_predict", "forest_fit", "nn_objective_and_grad", "nn_fit", "fit_quantile",
+    "knn_rank", "csv_export", "select_best",
 }
 
 

@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import tracemalloc
 from dataclasses import replace
 
@@ -296,6 +297,37 @@ def test_a_failed_growth_is_one_fitter_call_and_fails_every_size_of_its_group(
         ("bagged_tree", {"bags": 3}, "stubbed bagging failure"),
     ]
     assert [e.family for e in library.entries] == ["ols"]
+
+
+@pytest.mark.parametrize("failing", ["child", "caller"])
+def test_a_tree_that_raises_in_any_worker_is_raised_recorded_and_leaves_no_child(
+    small_splits, monkeypatch, failing
+):
+    # two usable CPUs: the caller grows the first half of the trees, a forked child the rest
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    build, caller = kernels.tree_build, os.getpid()
+
+    def breaking(*args):
+        if (os.getpid() == caller) == (failing == "caller"):
+            raise TrainingError(f"tree broke in the {failing}")
+        return build(*args)
+
+    # patched before the fork, so the child calls it too
+    monkeypatch.setattr(kernels, "tree_build", breaking)
+    open_fds = len(os.listdir("/dev/fd"))
+    X, y = small_splits.ats.features, small_splits.ats.target
+    with pytest.raises(TrainingError, match=f"^tree broke in the {failing}$"):
+        fit_random_forest(X, y, 6, 4, seed=0)
+    config = replace(NESTED_CONFIG, families=("ols", "random_forest"), rf_mtrys=(4,))
+    library = build_library(small_splits, config, augment=False)
+    assert library.failures == [
+        ("random_forest", {"trees": 3, "mtry": 4}, f"tree broke in the {failing}"),
+        ("random_forest", {"trees": 6, "mtry": 4}, f"tree broke in the {failing}"),
+    ]
+    assert [e.family for e in library.entries] == ["ols"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert len(os.listdir("/dev/fd")) == open_fds
 
 
 def test_a_size_0_plan_fails_alone_and_the_rest_of_its_group_fits(small_splits, nested_library):

@@ -1,4 +1,5 @@
 import gc
+import os
 import sys
 import threading
 import weakref
@@ -390,6 +391,8 @@ def assert_same_trees(trees, expected):
     for tree, other in zip(trees, expected):
         for name in NODE_ARRAYS:
             np.testing.assert_array_equal(getattr(tree, name), getattr(other, name))
+            assert getattr(tree, name).dtype == getattr(other, name).dtype
+        assert tree.depth == other.depth
 
 
 @settings(max_examples=15, deadline=None)
@@ -419,6 +422,71 @@ def test_ensemble_prefix_needs_a_size_within_the_ensemble():
     for size in (0, 4):
         with pytest.raises(ConfigurationError, match=f"in \\[1, 3\\], got {size}"):
             ensemble_prefix(forest, size)
+
+
+@pytest.mark.parametrize("fit", [fit_tree, fit_ols], ids=["tree", "ols"])
+def test_ensemble_prefix_names_the_families_it_takes(fit):
+    X, y = make_nonlinear_problem(seed=21, n=60)
+    fitted = fit(X, y)
+    message = f"takes a bagged_tree or random_forest model, got a {fitted.family} model"
+    with pytest.raises(ConfigurationError, match=message):
+        ensemble_prefix(fitted, 1)
+
+
+def use_cpus(monkeypatch, count):
+    """Make ``count`` CPUs look usable, and count the forks an ensemble fit makes."""
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forks
+
+
+def ensemble_fit(kind):
+    if kind == "bagged":
+        return lambda X, y, size: fit_bagged_tree(X, y, bags=size, seed=31)
+    # mtry < m, so every tree also draws its split features from its seed
+    return lambda X, y, size: fit_random_forest(X, y, size, 2, seed=31)
+
+
+@pytest.mark.parametrize("kind", ["bagged", "forest"])
+@pytest.mark.parametrize("cpus", [2, 3, 9])
+def test_trees_grown_across_cpus_equal_the_one_cpu_fit(monkeypatch, kind, cpus):
+    X, y = make_nonlinear_problem(seed=22, n=150)
+    fit = ensemble_fit(kind)
+    forks = use_cpus(monkeypatch, 1)
+    alone = fit(X, y, 7)
+    assert forks == []
+    forks = use_cpus(monkeypatch, cpus)
+    # 7 trees over 3 CPUs is an uneven split; 9 CPUs is more than there are trees
+    split = fit(X, y, 7)
+    assert len(forks) == min(cpus, 7) - 1
+    assert_same_trees(split.state.trees, alone.state.trees)
+    np.testing.assert_array_equal(predict(split, X), predict(alone, X))
+    for t in (1, 4):
+        assert_same_trees(fit(X, y, t).state.trees, alone.state.trees[:t])
+
+
+def test_a_child_that_ends_without_its_trees_is_reported(monkeypatch):
+    X, y = make_nonlinear_problem(seed=23, n=60)
+    build, parent = kernels.tree_build, os.getpid()
+
+    def dying(*args):
+        if os.getpid() != parent:
+            os._exit(3)
+        return build(*args)
+
+    use_cpus(monkeypatch, 2)
+    monkeypatch.setattr(kernels, "tree_build", dying)
+    with pytest.raises(RuntimeError, match="before sending its trees"):
+        fit_random_forest(X, y, 4, 2, seed=0)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_forest_seeded_determinism():
