@@ -19,7 +19,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, IngestionError, InvalidInputError
+from .errors import (
+    ConfigurationError,
+    IngestionError,
+    InvalidInputError,
+    SchemaError,
+    require_integer,
+    require_seed,
+)
 
 TARGET_RANGE = (0.0, 1.5)  # target is a price ratio; open at 0
 
@@ -93,6 +100,8 @@ class SynthConfig:
     noise_sd: float = 0.025
 
     def __post_init__(self):
+        require_integer("n", self.n)
+        require_seed("seed", self.seed)
         if self.n < 10:
             raise ConfigurationError(f"synthetic dataset needs n >= 10, got {self.n}")
         if not self.noise_sd > 0:
@@ -102,8 +111,8 @@ class SynthConfig:
 # ------------------------------------------------------------------ schema
 
 def parse_schema(text: str) -> list[tuple[str, str]]:
-    """Parse "name:type" lines; exactly one column must have type target."""
-    columns = []
+    """Parse "name:type" lines; names must differ and exactly one column must have type target."""
+    columns, seen = [], {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -113,6 +122,11 @@ def parse_schema(text: str) -> list[tuple[str, str]]:
         name, kind = (part.strip() for part in line.split(":", 1))
         if kind not in ("numeric", "categorical", "target"):
             raise ConfigurationError(f"schema line {lineno}: unknown column type {kind!r}")
+        if name in seen:
+            raise ConfigurationError(
+                f"schema line {lineno} repeats column {name!r}, first named on line {seen[name]}"
+            )
+        seen[name] = lineno
         columns.append((name, kind))
     targets = [name for name, kind in columns if kind == "target"]
     if len(targets) != 1:
@@ -295,6 +309,7 @@ def split(dataset: Dataset, seed: int) -> DataSplits:
 
     Test size is floored; the remainder goes to training.
     """
+    require_seed("seed", seed)
     n = dataset.n_rows
     if n < 10:
         raise InvalidInputError(f"need at least 10 rows to split, got {n}")
@@ -324,8 +339,15 @@ class Standardizer:
     feature_names: tuple
 
     def transform(self, X: np.ndarray) -> np.ndarray:
+        """``X`` centred and scaled; raises SchemaError unless it has the fitted width."""
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.means.shape[0]:
+            raise SchemaError(
+                f"standardizer was fitted on {self.means.shape[0]} columns, "
+                f"got input of shape {X.shape}"
+            )
         # one temporary: the centred copy is scaled in place, never the input
-        Z = np.asarray(X, dtype=float) - self.means
+        Z = X - self.means
         Z /= self.sds
         return Z
 

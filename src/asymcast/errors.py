@@ -1,8 +1,11 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the argument checks that raise it.
 
 Every error the package raises on purpose derives from ``AsymcastError``;
 its subclass names the kind of failure (configuration, input, numerics).
+The ``require_*`` checks raise ConfigurationError naming the argument.
 """
+
+import numpy as np
 
 
 class AsymcastError(Exception):
@@ -39,3 +42,27 @@ class ConvergenceError(AsymcastError):
 
 class TrainingError(AsymcastError):
     """Model training diverged (NaN loss or similar)."""
+
+
+def is_integer(value) -> bool:
+    """Whether ``value`` is an integer, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def require_integer(name: str, value) -> None:
+    """Raise ConfigurationError naming ``name`` unless ``value`` is an integer, not a bool."""
+    if not is_integer(value):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+
+
+def require_seed(name: str, value) -> None:
+    """Raise ConfigurationError naming ``name`` unless ``value`` is an integer >= 0, not a bool."""
+    require_integer(name, value)
+    if value < 0:
+        raise ConfigurationError(f"{name} must be >= 0, got {value!r}")
+
+
+def require_nonnegative(name: str, value) -> None:
+    """Raise ConfigurationError naming ``name`` unless ``value`` is finite and >= 0."""
+    if not (np.isfinite(value) and value >= 0):
+        raise ConfigurationError(f"{name} must be finite and >= 0, got {value!r}")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigurationError, InvalidInputError, SchemaError
+from ..errors import InvalidInputError, SchemaError
 from ..losses import CostSpec, is_symmetric
 
 FAMILY_OLS = "ols"
@@ -76,30 +76,6 @@ class QueryMemo:
         if key not in values:
             values[key] = compute(X)
         return values[key]
-
-
-def is_integer(value) -> bool:
-    """Whether ``value`` is an integer, not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def require_integer(name: str, value) -> None:
-    """Raise ConfigurationError naming ``name`` unless ``value`` is an integer, not a bool."""
-    if not is_integer(value):
-        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-
-
-def require_seed(name: str, value) -> None:
-    """Raise ConfigurationError naming ``name`` unless ``value`` is an integer >= 0, not a bool."""
-    require_integer(name, value)
-    if value < 0:
-        raise ConfigurationError(f"{name} must be >= 0, got {value!r}")
-
-
-def require_nonnegative(name: str, value) -> None:
-    """Raise ConfigurationError naming ``name`` unless ``value`` is finite and >= 0."""
-    if not (np.isfinite(value) and value >= 0):
-        raise ConfigurationError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 def check_training_data(X, y, min_rows: int = 1):

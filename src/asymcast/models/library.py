@@ -86,7 +86,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ..data import DataSplits
-from ..errors import ConfigurationError, InvalidInputError
+from ..errors import ConfigurationError, InvalidInputError, is_integer, require_seed
 from ..losses import CostSpec, eval_mean, loss_from_text, loss_to_text, tau_from_weights
 from .base import (
     FAMILY_BAGGED_TREE,
@@ -99,9 +99,7 @@ from .base import (
     FAMILY_TREE,
     Model,
     QueryMemo,
-    is_integer,
     predict,
-    require_seed,
 )
 from .linear import LinearState, fit_ols, fit_quantile, fit_ridge
 from .neighbors import KnnState, NeighborIndex, fit_knn
@@ -533,10 +531,23 @@ def load_library(path) -> ModelLibrary:
     """A library saved by ``save_library``, from a version 3 bundle.
 
     Each entry's state is rebuilt from its locator's key; a locator with
-    none of the four keys raises ConfigurationError naming the entry.
+    none of the four keys raises ConfigurationError naming the entry. A
+    file that is not an ``.npz`` archive with a manifest raises
+    ConfigurationError naming the path.
     """
-    with np.load(path, allow_pickle=False) as bundle:
-        arrays = {key: bundle[key] for key in bundle.files}
+    arrays = {}
+    try:
+        loaded = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError):  # neither .npy nor .npz, or an empty file
+        loaded = None
+    if isinstance(loaded, np.lib.npyio.NpzFile):
+        with loaded:
+            arrays = {key: loaded[key] for key in loaded.files}
+    if "manifest" not in arrays:
+        raise ConfigurationError(
+            f"{path} is not a library bundle: it is not an .npz archive with a manifest; "
+            "save the library with save_library"
+        )
     manifest = json.loads(bytes(arrays["manifest"]).decode("utf-8"))
     version = manifest["version"]
     if version != _BUNDLE_VERSION:

@@ -50,7 +50,13 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from ..errors import ConfigurationError, ConvergenceError, InvalidInputError, SingularDesignError
+from ..errors import (
+    ConfigurationError,
+    ConvergenceError,
+    InvalidInputError,
+    SingularDesignError,
+    require_nonnegative,
+)
 from ..losses import CostSpec, _eval_raw
 from .base import (
     FAMILY_OLS,
@@ -58,7 +64,6 @@ from .base import (
     FAMILY_RIDGE,
     Model,
     check_training_data,
-    require_nonnegative,
 )
 
 

@@ -35,8 +35,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ConfigurationError
-from .base import FAMILY_KNN, Model, QueryMemo, check_training_data, require_integer
+from ..errors import ConfigurationError, require_integer
+from .base import FAMILY_KNN, Model, QueryMemo, check_training_data
 
 # distances per brute-force chunk: 512 KB of float64, so the chunk and its
 # temporaries stay small next to the training matrix

@@ -41,9 +41,9 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .. import kernels
-from ..errors import ConfigurationError, TrainingError
+from ..errors import ConfigurationError, TrainingError, require_integer, require_seed
 from ..losses import CostSpec, _eval_raw, _grad_raw
-from .base import FAMILY_NN, Model, check_training_data, require_integer, require_seed
+from .base import FAMILY_NN, Model, check_training_data
 
 _LOSSES = ("squared_error", "llc", "qqc")
 _DIVERGED = "network training diverged (non-finite objective); check the scale of the targets"

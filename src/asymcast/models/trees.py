@@ -23,9 +23,11 @@ such a prefix, which lets a model library fit each group of sizes once.
 An ensemble takes every tree's draws from its stream up front, in that
 order, and then grows its trees in contiguous chunks, one per usable
 CPU (``os.sched_getaffinity``, so on Linux; elsewhere one chunk): the
-caller grows the first chunk and a forked child each other one, sending
-its node arrays back down a pipe. Once drawn, a tree depends on nothing
-else, so the chunks move no bit, and no child outlives the fit.
+caller grows the first chunk and a ``ProcessPoolExecutor`` with a fork
+context grows each other one, and the chunks' node arrays join in tree
+order. Once drawn, a tree depends on nothing else, so the chunks move
+no bit. The pool shuts down before the fit returns or raises, so no
+worker outlives it.
 
 Every tree family stores its model as a ``ForestState``: a single tree
 is a one-tree forest, so the three families predict and persist the
@@ -46,14 +48,14 @@ walked again. A forest in no group predicts on its own.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
-import pickle
-import signal
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
 from .. import kernels
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, require_integer, require_nonnegative, require_seed
 from .base import (
     FAMILY_BAGGED_TREE,
     FAMILY_RANDOM_FOREST,
@@ -61,9 +63,6 @@ from .base import (
     Model,
     QueryMemo,
     check_training_data,
-    require_integer,
-    require_nonnegative,
-    require_seed,
 )
 
 MAX_DEPTH = 30
@@ -158,54 +157,13 @@ def _grow(X, y, draws, mtry) -> list:
     ]
 
 
-def _start_grow(X, y, draws, mtry):
-    """Fork a child that grows ``draws``' trees; return its pid and the read end of its pipe.
-
-    The child pickles ``(True, node arrays)``, or ``(False, exception)``
-    when growing raises, down the pipe and leaves through ``os._exit``.
-    """
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_fd)
-            try:
-                result = (True, _grow(X, y, draws, mtry))
-            except BaseException as exc:  # noqa: BLE001 - the parent raises it
-                result = (False, exc)
-            with open(write_fd, "wb") as pipe:
-                pickle.dump(result, pipe, pickle.HIGHEST_PROTOCOL)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    return pid, read_fd
-
-
-def _finish_grow(pid, read_fd) -> list:
-    """The node arrays that child ``pid`` sends; raise what it raised. The child is reaped."""
-    try:
-        with open(read_fd, "rb") as pipe:
-            data = pipe.read()
-    finally:
-        status = os.waitpid(pid, 0)[1]
-    if status != 0 or not data:
-        raise RuntimeError(
-            f"tree worker {pid} ended with wait status {status} before sending its trees"
-        )
-    grown, result = pickle.loads(data)
-    if not grown:
-        raise result
-    return result
-
-
 def _fit_tree_ensemble(X, y, n_trees, mtry, seed) -> ForestState:
+    """The ForestState of ``n_trees`` trees drawn up front and grown in contiguous chunks.
+
+    A worker's exception re-raises with its type and message; a worker
+    that dies raises ``BrokenProcessPool``. If the caller's chunk raises,
+    the pool's ``with`` block waits for the running worker chunks first.
+    """
     rng = np.random.default_rng(seed)
     n = X.shape[0]
     draws = []
@@ -216,19 +174,15 @@ def _fit_tree_ensemble(X, y, n_trees, mtry, seed) -> ForestState:
     workers = min(cpus, n_trees)
     bounds = [n_trees * w // workers for w in range(workers + 1)]
     chunks = [draws[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    children = []
-    try:
-        for chunk in chunks[1:]:
-            children.append(_start_grow(X, y, chunk, mtry))
+    if workers == 1:
         arrays = _grow(X, y, chunks[0], mtry)
-        while children:
-            arrays += _finish_grow(*children.pop(0))
-    finally:
-        # only after a failure: stop and reap the children not yet joined
-        for pid, read_fd in children:
-            os.close(read_fd)
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+    else:
+        fork = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(workers - 1, mp_context=fork) as pool:
+            futures = [pool.submit(_grow, X, y, chunk, mtry) for chunk in chunks[1:]]
+            arrays = _grow(X, y, chunks[0], mtry)
+            for future in futures:
+                arrays += future.result()
     return ForestState([TreeState(*tree) for tree in arrays])
 
 

@@ -1,4 +1,5 @@
 import csv
+import re
 import tracemalloc
 
 import numpy as np
@@ -23,7 +24,7 @@ from asymcast.data import (
     synth_target_mean,
     SYNTH_SCHEMA,
 )
-from asymcast.errors import ConfigurationError, IngestionError, InvalidInputError
+from asymcast.errors import ConfigurationError, IngestionError, InvalidInputError, SchemaError
 from reference_kernels import decode_categories
 
 TOY_SCHEMA = "age:numeric\nfuel:categorical\nprice:target\n"
@@ -216,6 +217,9 @@ def test_schema_validation():
         parse_schema("age:blob\nprice:target\n")
     with pytest.raises(ConfigurationError):
         parse_schema("age:numeric\n")  # no target
+    repeated = "^schema line 3 repeats column 'a', first named on line 1$"
+    with pytest.raises(ConfigurationError, match=repeated):
+        parse_schema("a:numeric\n\na:numeric\ny:target\n")
     cols = parse_schema(TOY_SCHEMA)
     assert schema_to_text(cols) == TOY_SCHEMA
 
@@ -283,6 +287,17 @@ def test_split_requires_ten_rows():
         split(small, seed=0)
 
 
+@pytest.mark.parametrize(
+    "seed, message",
+    [(1.5, "must be an integer, got 1.5"), (True, "must be an integer, got True"),
+     (-1, "must be >= 0, got -1")],
+)
+def test_split_names_a_seed_that_is_not_an_integer_at_least_0(seed, message):
+    ds = synth_generate(SynthConfig(n=20, seed=0))
+    with pytest.raises(ConfigurationError, match=f"^seed {message}$"):
+        split(ds, seed=seed)
+
+
 # --------------------------------------------------------- standardization
 
 def test_standardize_uses_ats_statistics_only():
@@ -316,6 +331,14 @@ def test_standardizer_transform_has_the_bits_of_one_expression_and_keeps_its_inp
     assert np.array_equal(Z.view(np.int64), expected.view(np.int64))
     assert np.array_equal(X.view(np.int64), before.view(np.int64))
     assert not np.shares_memory(Z, X)
+
+
+@pytest.mark.parametrize("shape", [(5, 3), (5, 5), (4,)])
+def test_standardizer_transform_names_the_fitted_width_and_the_shape_it_got(shape):
+    scaler = Standardizer(np.zeros(4), np.ones(4), (), tuple("abcd"))
+    message = f"^standardizer was fitted on 4 columns, got input of shape {re.escape(str(shape))}$"
+    with pytest.raises(SchemaError, match=message):
+        scaler.transform(np.zeros(shape))
 
 
 # ---------------------------------------------------------- synthetic data
@@ -391,3 +414,11 @@ def test_synth_config_validation():
         SynthConfig(n=5)
     with pytest.raises(ConfigurationError):
         SynthConfig(n=100, noise_sd=0.0)
+    for kwargs, message in [
+        ({"n": 100.0}, "n must be an integer, got 100.0"),
+        ({"seed": 2.5}, "seed must be an integer, got 2.5"),
+        ({"seed": False}, "seed must be an integer, got False"),
+        ({"seed": -3}, "seed must be >= 0, got -3"),
+    ]:
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            SynthConfig(**kwargs)

@@ -1,6 +1,9 @@
 import io
 import json
+import multiprocessing
 import os
+import re
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -299,11 +302,20 @@ def test_a_failed_growth_is_one_fitter_call_and_fails_every_size_of_its_group(
     assert [e.family for e in library.entries] == ["ols"]
 
 
+def assert_no_pool_left(threads, open_fds):
+    """No worker process, pool thread or file descriptor remains from an ensemble fit."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == threads
+    assert len(os.listdir("/dev/fd")) == open_fds
+
+
 @pytest.mark.parametrize("failing", ["child", "caller"])
 def test_a_tree_that_raises_in_any_worker_is_raised_recorded_and_leaves_no_child(
     small_splits, monkeypatch, failing
 ):
-    # two usable CPUs: the caller grows the first half of the trees, a forked child the rest
+    # two usable CPUs: the caller grows the first half of the trees, a pool worker the rest
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     build, caller = kernels.tree_build, os.getpid()
 
@@ -312,12 +324,13 @@ def test_a_tree_that_raises_in_any_worker_is_raised_recorded_and_leaves_no_child
             raise TrainingError(f"tree broke in the {failing}")
         return build(*args)
 
-    # patched before the fork, so the child calls it too
+    # patched before the fork, so the worker calls it too
     monkeypatch.setattr(kernels, "tree_build", breaking)
-    open_fds = len(os.listdir("/dev/fd"))
+    threads, open_fds = threading.active_count(), len(os.listdir("/dev/fd"))
     X, y = small_splits.ats.features, small_splits.ats.target
     with pytest.raises(TrainingError, match=f"^tree broke in the {failing}$"):
         fit_random_forest(X, y, 6, 4, seed=0)
+    assert_no_pool_left(threads, open_fds)
     config = replace(NESTED_CONFIG, families=("ols", "random_forest"), rf_mtrys=(4,))
     library = build_library(small_splits, config, augment=False)
     assert library.failures == [
@@ -325,9 +338,21 @@ def test_a_tree_that_raises_in_any_worker_is_raised_recorded_and_leaves_no_child
         ("random_forest", {"trees": 6, "mtry": 4}, f"tree broke in the {failing}"),
     ]
     assert [e.family for e in library.entries] == ["ols"]
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    assert len(os.listdir("/dev/fd")) == open_fds
+    assert_no_pool_left(threads, open_fds)
+
+
+def test_an_ensemble_grown_across_cpus_leaves_no_child_thread_or_descriptor(
+    small_splits, monkeypatch
+):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    threads, open_fds = threading.active_count(), len(os.listdir("/dev/fd"))
+    X, y = small_splits.ats.features, small_splits.ats.target
+    assert len(fit_random_forest(X, y, 6, 4, seed=0).state.trees) == 6
+    assert_no_pool_left(threads, open_fds)
+    config = replace(NESTED_CONFIG, families=("random_forest", "bagged_tree"), rf_mtrys=(4,))
+    library = build_library(small_splits, config, augment=False)
+    assert library.failures == []
+    assert_no_pool_left(threads, open_fds)
 
 
 def test_a_size_0_plan_fails_alone_and_the_rest_of_its_group_fits(small_splits, nested_library):
@@ -867,6 +892,31 @@ def test_bundles_of_other_versions_do_not_load(tmp_path, symmetric_library, vers
     save_library(symmetric_library, path)
     rewrite_bundle(path, lambda manifest: manifest.update(version=version))
     with pytest.raises(ConfigurationError, match=f"version {version} does not load.*refit"):
+        load_library(path)
+
+
+def write_npz_without_manifest(path):
+    np.savez(path, val_actuals=np.zeros(3))
+
+
+def write_text(path):
+    path.write_text("index,family\n0,ols\n")
+
+
+def write_npy(path):
+    with open(path, "wb") as handle:
+        np.save(handle, np.arange(3))
+
+
+@pytest.mark.parametrize(
+    "write", [write_npz_without_manifest, write_text, write_npy, lambda path: path.touch()],
+    ids=["npz-without-manifest", "text", "npy", "empty"],
+)
+def test_a_file_that_is_not_a_bundle_is_named_and_not_loaded(tmp_path, write):
+    path = tmp_path / "library.npz"
+    write(path)
+    message = f"^{re.escape(str(path))} is not a library bundle"
+    with pytest.raises(ConfigurationError, match=message):
         load_library(path)
 
 

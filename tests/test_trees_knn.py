@@ -1,8 +1,10 @@
 import gc
+import multiprocessing
 import os
 import sys
 import threading
 import weakref
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -483,10 +485,13 @@ def test_a_child_that_ends_without_its_trees_is_reported(monkeypatch):
 
     use_cpus(monkeypatch, 2)
     monkeypatch.setattr(kernels, "tree_build", dying)
-    with pytest.raises(RuntimeError, match="before sending its trees"):
+    threads = threading.active_count()
+    with pytest.raises(BrokenProcessPool):
         fit_random_forest(X, y, 4, 2, seed=0)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == threads
 
 
 def test_forest_seeded_determinism():
