@@ -13,8 +13,8 @@ in bytes. It writes no file.
   candidate) on the training rows of an n = 3,000 dataset (1,200 rows).
 - ``tree_predict``: that tree on 10,000 fresh rows.
 - ``forest_fit``: one ``fit_random_forest`` of 60 trees (6 with
-  ``--tiny``) at mtry 4 on those training rows, grown across the usable
-  CPUs as the library grows it.
+  ``--tiny``) at mtry 4 on those training rows, grown tree after tree in
+  one process, as one work unit of a library build grows it.
 - ``nn_objective_and_grad``: one evaluation of a 6-unit network under
   the tau-quantile loss llc(tau, 1 - tau), tau = 1/3, with its gradient,
   on the training rows of an n = 8,000 dataset (3,200 rows).

@@ -49,6 +49,13 @@ bundle's locators, so a loaded model reproduces its stored validation
 forecasts bit for bit. A single tree is built in no group, so two plans
 that grow equal trees each keep and store their own.
 
+A build fits its plans as independent work units side by side, in one
+fork-context process pool over the usable CPUs (``_fit_units``), and
+joins the results in plan order in the calling process, which wires the
+shared prediction work and makes every validation forecast. So no
+forecast depends on where or when a unit ran; with one usable CPU the
+units run in the caller and nothing forks.
+
 A fit or validation forecast that fails is skipped and recorded, in
 plan order, in ``ModelLibrary.failures``. ``save_library`` writes the
 entries and those failure records to one ``.npz`` bundle with a json
@@ -79,9 +86,16 @@ rebuilds each state from its locator alone, by the locator's key:
 
 from __future__ import annotations
 
+import ctypes
 import json
 import logging
+import multiprocessing
+import os
+import zipfile
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -219,24 +233,37 @@ def _attempt(fit):
         return exc
 
 
-def _nested_ensembles(fit, sizes, memo: QueryMemo) -> list:
-    """Each size's model, or the exception it fails with, from one growth of a tree ensemble.
+def _valid_size(size) -> bool:
+    return is_integer(size) and size >= 1
+
+
+def _grow_group(fit, sizes):
+    """An ensemble group's work unit: ``fit`` at the largest valid size, or its exception.
 
     ``fit(size)`` is a bagging or forest fitter with the group's rows and
-    seed bound. The group grows it once at the largest valid size, an
-    integer of at least 1, with one ``TreeSums`` over ``memo``, and a valid
-    size gets the first trees of that growth, sharing that ``TreeSums``:
-    by the prefix property (see ``trees``), what ``fit`` returns for that
-    size. If the growth fails, every valid size fails with its exception;
-    a size that is not valid fails alone, with what ``fit`` raises for it.
+    seed bound, and a valid size is an integer of at least 1. With no
+    valid size the unit grows nothing and returns None.
     """
-    valid = [size for size in sizes if is_integer(size) and size >= 1]
-    grown = _attempt(lambda: fit(max(valid))) if valid else None
+    valid = [size for size in sizes if _valid_size(size)]
+    return _attempt(lambda: fit(max(valid))) if valid else None
+
+
+def _nested_ensembles(fit, sizes, grown, memo: QueryMemo) -> list:
+    """Each size's model, or the exception it fails with, from one growth of a tree ensemble.
+
+    ``grown`` is what ``_grow_group(fit, sizes)`` returned. A valid size
+    gets the first trees of that growth, and all of them share one
+    ``TreeSums`` over ``memo``: by the prefix property (see ``trees``),
+    what ``fit`` returns for that size. If the growth failed, every valid
+    size fails with its exception; a size that is not valid fails alone,
+    with what ``fit`` raises for it.
+    """
+    valid = [size for size in sizes if _valid_size(size)]
     if isinstance(grown, Model):
         sums = TreeSums(grown.state.trees, valid, memo)
     results = []
     for size in sizes:
-        if not (is_integer(size) and size >= 1):
+        if not _valid_size(size):
             results.append(_attempt(lambda: fit(size)))
         elif isinstance(grown, Exception):
             results.append(grown)
@@ -279,100 +306,228 @@ def _fit_plans(config: LibraryConfig, augment: bool, X, y, memo: QueryMemo):
     seeds (``_model_seed``): a symmetric network's family and width, the
     bagging family, a forest group's family and ``mtry``, or a network
     path's loss label and width. OLS, ridge, kNN, single trees and quantile
-    regressions take none. Every bagged-tree plan, or every forest plan of
-    one ``mtry``, is a group (``_nested_ensembles``) whose tree sums live
-    in ``memo``; the llc, or the qqc, networks of one width are a path
-    (``_loss_path``). The kNN plans that fit share one ``NeighborIndex``
-    over ``memo``, so the validation forecasts rank each query once.
-    Every fitter is looked up in this module when it is called.
+    regressions take none.
+
+    The fits run as independent work units (``_fit_units``), in plan
+    order: each OLS, ridge, single-tree, symmetric-network and quantile
+    plan is one unit; the kNN ks are one; every bagged-tree plan, or every
+    forest plan of one ``mtry``, is a group (``_nested_ensembles``) whose
+    unit grows it once at its largest size; and the llc, or the qqc,
+    networks of one width are a path (``_loss_path``), one unit each. The
+    cheap closed-form units come first and the groups and paths last, so
+    the pool hands out the units from the last. A unit returns what it
+    fitted, a failed fit's exception included (``_attempt``). Once every
+    unit has returned, this process wires what plans share over ``memo``:
+    each group's tree sums, and one ``NeighborIndex`` for the kNN plans
+    that fit, so the validation forecasts walk each tree and rank each
+    query once. Every fitter is looked up in this module when it is
+    called, in a worker process too.
     """
 
     def seed(family, **identity):
         return _model_seed(config.master_seed, {"family": family, **identity})
 
+    # each section is (its units, and a join of their results into its plans in plan order)
+    sections = []
+
+    def each(family, grid, fit):
+        # one unit per plan: fit(p) for the hyperparameters p of each grid point
+        units = [partial(_attempt, partial(fit, p)) for p in grid]
+        sections.append((units, lambda results: [(family, p, m) for p, m in zip(grid, results)]))
+
     fams = config.families
     if FAMILY_OLS in fams:
-        yield FAMILY_OLS, {}, _attempt(lambda: fit_ols(X, y))
+        each(FAMILY_OLS, [{}], lambda p: fit_ols(X, y))
     if FAMILY_RIDGE in fams:
-        for lam in config.ridge_lambdas:
-            yield FAMILY_RIDGE, {"lambda": lam}, _attempt(lambda: fit_ridge(X, y, lam))
+        grid = [{"lambda": lam} for lam in config.ridge_lambdas]
+        each(FAMILY_RIDGE, grid, lambda p: fit_ridge(X, y, p["lambda"]))
     if FAMILY_KNN in fams:
-        fitted = [(k, _attempt(lambda: fit_knn(X, y, k))) for k in config.knn_ks]
-        ks = [k for k, model in fitted if isinstance(model, Model)]
-        index = NeighborIndex(X, y, ks, memo) if ks else None
-        # rebinding frees the index each fit made for itself, which no forecast uses
-        fitted = [
-            (k, replace(model, state=KnnState(index, k)) if isinstance(model, Model) else model)
-            for k, model in fitted
-        ]
-        for k, model in fitted:
-            yield FAMILY_KNN, {"k": k}, model
+        ks = config.knn_ks
+
+        def fit_ks():
+            # each model goes back without the index its fit made, which no forecast uses
+            return [_attempt(lambda: replace(fit_knn(X, y, k), state=None)) for k in ks]
+
+        def share_index(results):
+            (fitted,) = results
+            good = [k for k, model in zip(ks, fitted) if isinstance(model, Model)]
+            index = NeighborIndex(X, y, good, memo) if good else None
+            return [
+                (FAMILY_KNN, {"k": k},
+                 replace(model, state=KnnState(index, k)) if isinstance(model, Model) else model)
+                for k, model in zip(ks, fitted)
+            ]
+
+        sections.append(([fit_ks], share_index))
     if FAMILY_TREE in fams:
-        for cp in config.tree_complexities:
-            for mn in config.tree_min_nodes:
-                params = {"complexity": cp, "min_node": mn}
-                yield FAMILY_TREE, params, _attempt(lambda: fit_tree(X, y, cp, mn))
+        grid = [
+            {"complexity": cp, "min_node": mn}
+            for cp in config.tree_complexities
+            for mn in config.tree_min_nodes
+        ]
+        each(FAMILY_TREE, grid, lambda p: fit_tree(X, y, p["complexity"], p["min_node"]))
     if FAMILY_NN in fams:
-        for k in config.nn_hidden:
-            s = seed(FAMILY_NN, hidden_nodes=k)
-            model = _attempt(lambda: fit_nn(X, y, k, config.nn_epochs, s))
-            yield FAMILY_NN, {"hidden_nodes": k}, model
-    if FAMILY_BAGGED_TREE in fams:
-        s = seed(FAMILY_BAGGED_TREE)
-        bagged = _nested_ensembles(
-            lambda bags: fit_bagged_tree(X, y, bags, s), config.bag_counts, memo
+        grid = [{"hidden_nodes": k} for k in config.nn_hidden]
+        each(
+            FAMILY_NN, grid,
+            lambda p: fit_nn(X, y, p["hidden_nodes"], config.nn_epochs, seed(FAMILY_NN, **p)),
         )
-        for bags, model in zip(config.bag_counts, bagged):
-            yield FAMILY_BAGGED_TREE, {"bags": bags}, model
+    if FAMILY_BAGGED_TREE in fams:
+        s, counts = seed(FAMILY_BAGGED_TREE), config.bag_counts
+
+        def bag(bags):
+            return fit_bagged_tree(X, y, bags, s)
+
+        def cut_bags(results):
+            bagged = _nested_ensembles(bag, counts, results[0], memo)
+            return [(FAMILY_BAGGED_TREE, {"bags": b}, m) for b, m in zip(counts, bagged)]
+
+        sections.append(([partial(_grow_group, bag, counts)], cut_bags))
     if FAMILY_RANDOM_FOREST in fams:
-        groups = {}
-        for mtry in dict.fromkeys(config.rf_mtrys):
+        sizes = config.rf_trees
+
+        def forest(mtry):
             s = seed(FAMILY_RANDOM_FOREST, mtry=mtry)
-            groups[mtry] = _nested_ensembles(
-                lambda trees: fit_random_forest(X, y, trees, min(mtry, X.shape[1]), s),
-                config.rf_trees,
-                memo,
-            )
-        for i, trees in enumerate(config.rf_trees):
-            for mtry in config.rf_mtrys:
-                yield FAMILY_RANDOM_FOREST, {"trees": trees, "mtry": mtry}, groups[mtry][i]
+            return lambda trees: fit_random_forest(X, y, trees, min(mtry, X.shape[1]), s)
+
+        forests = {mtry: forest(mtry) for mtry in config.rf_mtrys}
+
+        def cut_forests(results):
+            groups = {
+                mtry: _nested_ensembles(fit, sizes, grown, memo)
+                for (mtry, fit), grown in zip(forests.items(), results)
+            }
+            return [
+                (FAMILY_RANDOM_FOREST, {"trees": trees, "mtry": mtry}, groups[mtry][i])
+                for i, trees in enumerate(sizes)
+                for mtry in config.rf_mtrys
+            ]
+
+        units = [partial(_grow_group, fit, sizes) for fit in forests.values()]
+        sections.append((units, cut_forests))
 
     if augment:
-        for a in config.aug_a_levels:
-            tau = tau_from_weights(a, 1.0)
-            yield FAMILY_QUANTILE, {"tau": tau, "a": a}, _attempt(lambda: fit_quantile(X, y, tau))
         levels, widths = config.aug_a_levels, config.aug_nn_hidden
         taus = [tau_from_weights(a, 1.0) for a in levels]
+        grid = [{"tau": tau, "a": a} for tau, a in zip(taus, levels)]
+        each(FAMILY_QUANTILE, grid, lambda p: fit_quantile(X, y, p["tau"]))
         # each path runs from the largest a down
         order = sorted(range(len(levels)), key=levels.__getitem__, reverse=True)
-        for label, losses in (
-            ({"loss": "llc"}, [CostSpec("llc", a=tau, b=1.0 - tau) for tau in taus]),
-            ({"b": 1.0, "loss": "qqc"}, [CostSpec("qqc", a=a, b=1.0) for a in levels]),
-        ):
-            paths = {}
-            for k in dict.fromkeys(widths):
-                s = seed(FAMILY_NN, hidden_nodes=k, **label)
-                paths[k] = _loss_path(config, k, [losses[i] for i in order], s, X, y)
-            for level, a in enumerate(levels):
-                for k in widths:
-                    params = {"hidden_nodes": k, "a": a, **label}
-                    yield FAMILY_NN, params, paths[k][order.index(level)]
+
+        def paths(label, losses):
+            ordered = [losses[i] for i in order]
+            units = {
+                k: partial(
+                    _loss_path, config, k, ordered, seed(FAMILY_NN, hidden_nodes=k, **label), X, y
+                )
+                for k in widths
+            }
+
+            def join(results):
+                fitted = dict(zip(units, results))
+                return [
+                    (FAMILY_NN, {"hidden_nodes": k, "a": a, **label}, fitted[k][order.index(level)])
+                    for level, a in enumerate(levels)
+                    for k in widths
+                ]
+
+            sections.append((list(units.values()), join))
+
+        paths({"loss": "llc"}, [CostSpec("llc", a=tau, b=1.0 - tau) for tau in taus])
+        paths({"b": 1.0, "loss": "qqc"}, [CostSpec("qqc", a=a, b=1.0) for a in levels])
+
+    results = iter(_fit_units([unit for units, _ in sections for unit in units]))
+    for units, join in sections:
+        yield from join([next(results) for _ in units])
+
+
+# the OpenBLAS functions that set the thread count, in numpy's and scipy's builds and a plain one
+_BLAS_THREAD_SETTERS = (
+    "scipy_openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "openblas_set_num_threads",
+)
+
+
+def _one_blas_thread() -> None:
+    """Run every OpenBLAS loaded in this process on one thread; do nothing where none is found."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split(maxsplit=5)[-1].strip() for line in maps}
+    except OSError:  # no /proc, so not Linux
+        return
+    for path in paths:
+        if "openblas" not in os.path.basename(path):
+            continue
+        try:
+            blas = ctypes.CDLL(path)
+        except OSError:
+            continue
+        setter = next((getattr(blas, n) for n in _BLAS_THREAD_SETTERS if hasattr(blas, n)), None)
+        if setter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setter(1)
+
+
+# the work units of the build whose pool started this worker process
+_worker_units = None
+
+
+def _start_worker(units) -> None:
+    global _worker_units
+    _worker_units = units
+    _one_blas_thread()
+
+
+def _run(i: int):
+    return _worker_units[i]()
+
+
+def _fit_units(units) -> list:
+    """Each unit's result, in order, from units run side by side over the usable CPUs.
+
+    The pool has ``min(usable CPUs, units)`` fork-context workers, and the
+    caller waits; with one worker, or where ``os.sched_getaffinity`` is
+    missing, every unit runs here in order and nothing forks. The units
+    reach the workers through the initializer, so a fork inherits them,
+    closures and all, no global of the calling process changes, and only
+    their results are pickled. Each worker runs
+    its OpenBLAS on one thread, so the workers do not oversubscribe the
+    CPUs. A worker that dies raises ``BrokenProcessPool``; the pool shuts
+    down before this returns or raises.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, len(units))
+    if workers <= 1:
+        return [unit() for unit in units]
+    fork = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(
+        workers, mp_context=fork, initializer=_start_worker, initargs=(units,)
+    ) as pool:
+        # plan order puts the cheap closed-form fits first and the ensemble groups and
+        # network paths last, so submitting the last unit first hands out the longest first,
+        # and no worker is left with a long unit while the others idle
+        futures = {i: pool.submit(_run, i) for i in reversed(range(len(units)))}
+        return [futures[i].result() for i in range(len(units))]
 
 
 def build_library(
     splits: DataSplits, config: LibraryConfig, augment: bool, jobs: int = 1
 ) -> ModelLibrary:
-    """Fit the configured grids on ATS rows in plan order, and forecast validation with each.
+    """Fit the configured grids on ATS rows, and forecast validation with each plan in order.
 
-    No entry's forecasts depend on the other plans (``_fit_plans``). A fit
-    or validation forecast that fails is logged and recorded in
-    ``ModelLibrary.failures``, in plan order; only a fully failed build
-    raises. ``jobs`` must be 1: fits still run one after another, but one
-    bagging or forest fit grows its trees across the usable CPUs (see
-    ``trees``).
+    No entry's forecasts depend on the other plans (``_fit_plans``). The
+    fits run as work units side by side in one process pool over the
+    usable CPUs (``_fit_units``); the validation forecasts run in this
+    process, in plan order. A fit or validation forecast that fails is
+    logged and recorded in ``ModelLibrary.failures``, in plan order; only
+    a fully failed build raises. A pool worker that dies raises
+    ``BrokenProcessPool``, and no worker outlives the call. ``jobs`` must
+    be 1: the pool's size follows the usable CPUs.
     """
     if jobs != 1:
-        raise ConfigurationError(f"build_library fits sequentially; jobs must be 1, got {jobs}")
+        raise ConfigurationError(f"build_library sizes its own pool; jobs must be 1, got {jobs}")
     X_val = splits.validation.features
     entries, failures = [], []
     plans = _fit_plans(config, augment, splits.ats.features, splits.ats.target, QueryMemo())
@@ -532,23 +687,35 @@ def load_library(path) -> ModelLibrary:
 
     Each entry's state is rebuilt from its locator's key; a locator with
     none of the four keys raises ConfigurationError naming the entry. A
-    file that is not an ``.npz`` archive with a manifest raises
-    ConfigurationError naming the path.
+    file that is not an ``.npz`` archive with a manifest, such as a
+    cut-short bundle, or whose manifest is not json with a ``version``,
+    raises ConfigurationError naming the path.
     """
     arrays = {}
-    try:
-        loaded = np.load(path, allow_pickle=False)
-    except (ValueError, EOFError):  # neither .npy nor .npz, or an empty file
-        loaded = None
-    if isinstance(loaded, np.lib.npyio.NpzFile):
-        with loaded:
-            arrays = {key: loaded[key] for key in loaded.files}
+    is_path = isinstance(path, (str, bytes, os.PathLike))
+    with open(path, "rb") if is_path else nullcontext(path) as handle:
+        try:
+            loaded = np.load(handle, allow_pickle=False)
+            if isinstance(loaded, np.lib.npyio.NpzFile):
+                with loaded:
+                    arrays = {key: loaded[key] for key in loaded.files}
+        # neither .npy nor .npz, an empty file, or an archive cut short
+        except (ValueError, EOFError, zipfile.BadZipFile):
+            pass
     if "manifest" not in arrays:
         raise ConfigurationError(
             f"{path} is not a library bundle: it is not an .npz archive with a manifest; "
             "save the library with save_library"
         )
-    manifest = json.loads(bytes(arrays["manifest"]).decode("utf-8"))
+    try:
+        manifest = json.loads(bytes(arrays["manifest"]).decode("utf-8"))
+    except ValueError:  # not UTF-8, or not json
+        manifest = None
+    if not (isinstance(manifest, dict) and "version" in manifest):
+        raise ConfigurationError(
+            f"{path} is not a library bundle: its manifest is not json with a version; "
+            "save the library with save_library"
+        )
     version = manifest["version"]
     if version != _BUNDLE_VERSION:
         raise ConfigurationError(

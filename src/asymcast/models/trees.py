@@ -20,14 +20,11 @@ with the same seed and settings: the first t trees of a T-tree fit are
 the t-tree fit, node array for node array. ``ensemble_prefix`` cuts
 such a prefix, which lets a model library fit each group of sizes once.
 
-An ensemble takes every tree's draws from its stream up front, in that
-order, and then grows its trees in contiguous chunks, one per usable
-CPU (``os.sched_getaffinity``, so on Linux; elsewhere one chunk): the
-caller grows the first chunk and a ``ProcessPoolExecutor`` with a fork
-context grows each other one, and the chunks' node arrays join in tree
-order. Once drawn, a tree depends on nothing else, so the chunks move
-no bit. The pool shuts down before the fit returns or raises, so no
-worker outlives it.
+An ensemble grows its trees one after another in one loop: for each
+tree it draws the bootstrap rows and then the tree seed from the
+stream, and grows the tree. A standalone fit runs in the calling
+process; ``build_library`` grows its ensemble groups side by side with
+its other fits, one group per work unit of its process pool.
 
 Every tree family stores its model as a ``ForestState``: a single tree
 is a one-tree forest, so the three families predict and persist the
@@ -47,10 +44,6 @@ walked again. A forest in no group predicts on its own.
 """
 
 from __future__ import annotations
-
-import multiprocessing
-import os
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -147,43 +140,18 @@ def fit_tree(X, y, complexity: float = 1e-3, min_node: int = 10) -> Model:
     return Model(FAMILY_TREE, params, state, X.shape[1])
 
 
-def _grow(X, y, draws, mtry) -> list:
-    """The node arrays of each (bootstrap rows, tree seed) pair's ensemble tree."""
-    return [
-        kernels.tree_build(
-            X, y, boot, ENSEMBLE_MIN_NODE, ENSEMBLE_COMPLEXITY, mtry, tree_seed, MAX_DEPTH
-        )
-        for boot, tree_seed in draws
-    ]
-
-
 def _fit_tree_ensemble(X, y, n_trees, mtry, seed) -> ForestState:
-    """The ForestState of ``n_trees`` trees drawn up front and grown in contiguous chunks.
-
-    A worker's exception re-raises with its type and message; a worker
-    that dies raises ``BrokenProcessPool``. If the caller's chunk raises,
-    the pool's ``with`` block waits for the running worker chunks first.
-    """
     rng = np.random.default_rng(seed)
     n = X.shape[0]
-    draws = []
+    trees = []
     for _ in range(n_trees):
         boot = rng.integers(0, n, size=n).astype(np.int64)
-        draws.append((boot, int(rng.integers(0, 2**31 - 1))))
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(cpus, n_trees)
-    bounds = [n_trees * w // workers for w in range(workers + 1)]
-    chunks = [draws[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    if workers == 1:
-        arrays = _grow(X, y, chunks[0], mtry)
-    else:
-        fork = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(workers - 1, mp_context=fork) as pool:
-            futures = [pool.submit(_grow, X, y, chunk, mtry) for chunk in chunks[1:]]
-            arrays = _grow(X, y, chunks[0], mtry)
-            for future in futures:
-                arrays += future.result()
-    return ForestState([TreeState(*tree) for tree in arrays])
+        tree_seed = int(rng.integers(0, 2**31 - 1))
+        arrays = kernels.tree_build(
+            X, y, boot, ENSEMBLE_MIN_NODE, ENSEMBLE_COMPLEXITY, mtry, tree_seed, MAX_DEPTH
+        )
+        trees.append(TreeState(*arrays))
+    return ForestState(trees)
 
 
 def fit_bagged_tree(X, y, bags: int, seed: int) -> Model:

@@ -1,3 +1,4 @@
+import ctypes
 import io
 import json
 import multiprocessing
@@ -5,6 +6,7 @@ import os
 import re
 import threading
 import tracemalloc
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +16,12 @@ from hypothesis import strategies as st
 
 from asymcast import kernels
 from asymcast.data import SynthConfig, split, standardize, synth_generate
-from asymcast.errors import ConfigurationError, InvalidInputError, TrainingError
+from asymcast.errors import (
+    ConfigurationError,
+    ConvergenceError,
+    InvalidInputError,
+    TrainingError,
+)
 from asymcast.losses import (
     CostSpec,
     eval_mean,
@@ -119,6 +126,101 @@ def test_build_is_deterministic(small_splits, symmetric_library):
     )
 
 
+def use_cpus(monkeypatch, count):
+    """Make ``count`` CPUs look usable, and count the forks a build makes."""
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forks
+
+
+# SMALL_CONFIG's augmented build as work units: OLS, two ridge fits, the kNN ks, one tree,
+# one symmetric network, the bagging group, the forest group, two quantile fits, two paths
+SMALL_UNITS = 12
+
+
+@pytest.fixture(scope="module")
+def one_cpu_library(small_splits):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        use_cpus(monkeypatch, 1)
+        return build_library(small_splits, SMALL_CONFIG, augment=True)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 9])
+def test_a_build_across_cpus_equals_the_one_cpu_build(
+    small_splits, one_cpu_library, monkeypatch, cpus
+):
+    # 9 CPUs is more than there are units
+    forks = use_cpus(monkeypatch, cpus)
+    library = build_library(small_splits, SMALL_CONFIG, augment=True)
+    assert len(forks) == (0 if cpus == 1 else min(cpus, SMALL_UNITS))
+    assert library.failures == one_cpu_library.failures == []
+    assert same_bits(library.validation_matrix(), one_cpu_library.validation_matrix())
+    for entry, alone in zip(library.entries, one_cpu_library.entries, strict=True):
+        assert entry.hyperparams == alone.hyperparams
+        assert entry.model.hyperparams == alone.model.hyperparams
+        if entry.family in ("tree", "bagged_tree", "random_forest"):
+            assert_same_trees(entry.model.state.trees, alone.model.state.trees)
+
+
+def test_a_fitter_rebound_in_the_library_module_is_the_one_each_worker_calls(
+    small_splits, monkeypatch
+):
+    use_cpus(monkeypatch, 2)
+    caller = os.getpid()
+
+    def marked(*args, **kwargs):
+        where = "the caller" if os.getpid() == caller else "a worker"
+        raise TrainingError(f"rebound fit_nn ran in {where}")
+
+    monkeypatch.setattr(library_module, "fit_nn", marked)
+    config = replace(SMALL_CONFIG, families=("ols", "nn"))
+    library = build_library(small_splits, config, augment=True)
+    # one symmetric network, then an llc and a qqc path of two levels each
+    assert [failure[0] for failure in library.failures] == ["nn"] * 5
+    assert {failure[2] for failure in library.failures} == {"rebound fit_nn ran in a worker"}
+
+
+def blas_threads() -> set:
+    """The thread count of every OpenBLAS loaded in this process."""
+    with open("/proc/self/maps") as maps:
+        paths = {line.split(maxsplit=5)[-1].strip() for line in maps}
+    counts = set()
+    for path in paths:
+        if "openblas" in os.path.basename(path):
+            blas = ctypes.CDLL(path)
+            for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                         "openblas_get_num_threads64_", "openblas_get_num_threads"):
+                if hasattr(blas, name):
+                    getter = getattr(blas, name)
+                    getter.argtypes, getter.restype = [], ctypes.c_int
+                    counts.add(getter())
+                    break
+    return counts
+
+
+def test_each_worker_runs_its_openblas_on_one_thread(small_splits, monkeypatch):
+    use_cpus(monkeypatch, 2)
+    before = blas_threads()
+    assert before, "no OpenBLAS is loaded"
+
+    def report(X, y):
+        raise TrainingError(f"BLAS threads {sorted(blas_threads())}")
+
+    monkeypatch.setattr(library_module, "fit_ols", report)
+    config = replace(SMALL_CONFIG, families=("ols", "ridge"))
+    library = build_library(small_splits, config, augment=False)
+    assert library.failures == [("ols", {}, "BLAS threads [1]")]
+    # the caller's own threads do not change
+    assert blas_threads() == before
+
+
 def test_build_accepts_no_job_count_but_one(small_splits):
     with pytest.raises(ConfigurationError, match="jobs must be 1, got 2"):
         build_library(small_splits, SMALL_CONFIG, augment=False, jobs=2)
@@ -162,7 +264,9 @@ def test_a_failed_fit_is_logged_but_not_printed(small_splits, capfd, caplog):
 def test_every_fitter_and_predict_is_called_through_the_library_module(
     small_splits, augmented_library, monkeypatch
 ):
-    # a tracer rebinds these names in the library module's namespace
+    # a tracer rebinds these names in the library module's namespace; on one CPU every fit
+    # runs in this process, where the counts are kept (a worker's counts are lost)
+    use_cpus(monkeypatch, 1)
     calls = {}
 
     def counted(name):
@@ -224,6 +328,8 @@ def assert_same_trees(trees, expected):
     for tree, other in zip(trees, expected):
         for name in NODE_ARRAYS:
             np.testing.assert_array_equal(getattr(tree, name), getattr(other, name))
+            assert getattr(tree, name).dtype == getattr(other, name).dtype
+        assert tree.depth == other.depth
 
 
 def test_nested_ensembles_equal_the_public_fitters(small_splits, nested_library):
@@ -261,7 +367,8 @@ def test_each_group_grows_once_and_smaller_entries_are_its_prefixes(nested_libra
 def test_each_group_calls_its_fitter_once_through_the_library_module(
     small_splits, nested_library, monkeypatch
 ):
-    # a tracer rebinds the fitters in the library module's namespace
+    # a tracer rebinds the fitters in the library module's namespace; one CPU keeps the counts
+    use_cpus(monkeypatch, 1)
     calls = []
 
     def counted(name, fit):
@@ -285,6 +392,7 @@ def test_each_group_calls_its_fitter_once_through_the_library_module(
 def test_a_failed_growth_is_one_fitter_call_and_fails_every_size_of_its_group(
     small_splits, monkeypatch
 ):
+    use_cpus(monkeypatch, 1)  # the stub's calls are counted in this process
     calls = []
 
     def stub(X, y, bags, seed):
@@ -303,7 +411,7 @@ def test_a_failed_growth_is_one_fitter_call_and_fails_every_size_of_its_group(
 
 
 def assert_no_pool_left(threads, open_fds):
-    """No worker process, pool thread or file descriptor remains from an ensemble fit."""
+    """No worker process, pool thread or file descriptor remains from a build."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert multiprocessing.active_children() == []
@@ -315,22 +423,20 @@ def assert_no_pool_left(threads, open_fds):
 def test_a_tree_that_raises_in_any_worker_is_raised_recorded_and_leaves_no_child(
     small_splits, monkeypatch, failing
 ):
-    # two usable CPUs: the caller grows the first half of the trees, a pool worker the rest
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    build, caller = kernels.tree_build, os.getpid()
+    # on two usable CPUs pool workers fit the units; on one the caller fits them all
+    use_cpus(monkeypatch, 2 if failing == "child" else 1)
+    caller = os.getpid()
 
     def breaking(*args):
-        if (os.getpid() == caller) == (failing == "caller"):
-            raise TrainingError(f"tree broke in the {failing}")
-        return build(*args)
+        raise TrainingError(f"tree broke in the {'caller' if os.getpid() == caller else 'child'}")
 
-    # patched before the fork, so the worker calls it too
+    # patched before the fork, so a worker calls it too
     monkeypatch.setattr(kernels, "tree_build", breaking)
     threads, open_fds = threading.active_count(), len(os.listdir("/dev/fd"))
     X, y = small_splits.ats.features, small_splits.ats.target
-    with pytest.raises(TrainingError, match=f"^tree broke in the {failing}$"):
+    # a standalone fit grows its trees in the caller
+    with pytest.raises(TrainingError, match="^tree broke in the caller$"):
         fit_random_forest(X, y, 6, 4, seed=0)
-    assert_no_pool_left(threads, open_fds)
     config = replace(NESTED_CONFIG, families=("ols", "random_forest"), rf_mtrys=(4,))
     library = build_library(small_splits, config, augment=False)
     assert library.failures == [
@@ -341,14 +447,53 @@ def test_a_tree_that_raises_in_any_worker_is_raised_recorded_and_leaves_no_child
     assert_no_pool_left(threads, open_fds)
 
 
-def test_an_ensemble_grown_across_cpus_leaves_no_child_thread_or_descriptor(
-    small_splits, monkeypatch
+# OLS, one quantile regression and an llc and a qqc path of one level: four work units
+ONE_LEVEL_CONFIG = replace(SMALL_CONFIG, families=("ols",), aug_a_levels=(0.5,))
+
+
+def test_a_convergence_error_in_a_worker_keeps_its_type_message_and_best_objective(
+    small_splits, monkeypatch, caplog
 ):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    use_cpus(monkeypatch, 2)
+    caller = os.getpid()
+
+    def stub(X, y, tau):
+        where = "the caller" if os.getpid() == caller else "a worker"
+        raise ConvergenceError(f"stubbed LP stop in {where}", best_objective=1.25)
+
+    monkeypatch.setattr(library_module, "fit_quantile", stub)
     threads, open_fds = threading.active_count(), len(os.listdir("/dev/fd"))
-    X, y = small_splits.ats.features, small_splits.ats.target
-    assert len(fit_random_forest(X, y, 6, 4, seed=0).state.trees) == 6
+    with caplog.at_level("WARNING", logger="asymcast"):
+        library = build_library(small_splits, ONE_LEVEL_CONFIG, augment=True)
+    assert library.failures == [
+        ("quantile", {"tau": tau_from_weights(0.5, 1.0), "a": 0.5}, "stubbed LP stop in a worker")
+    ]
+    # the log record holds the exception the worker's fit raised, pickled back
+    (record,) = caplog.records
+    error = record.args[2]
+    assert type(error) is ConvergenceError and error.best_objective == 1.25
     assert_no_pool_left(threads, open_fds)
+
+
+def test_a_worker_that_dies_breaks_the_build_and_leaves_no_pool(small_splits, monkeypatch):
+    use_cpus(monkeypatch, 2)
+    caller = os.getpid()
+
+    def dying(X, y, tau):
+        if os.getpid() != caller:
+            os._exit(3)
+        raise AssertionError("the caller fits no unit on two CPUs")
+
+    monkeypatch.setattr(library_module, "fit_quantile", dying)
+    threads, open_fds = threading.active_count(), len(os.listdir("/dev/fd"))
+    with pytest.raises(BrokenProcessPool):
+        build_library(small_splits, ONE_LEVEL_CONFIG, augment=True)
+    assert_no_pool_left(threads, open_fds)
+
+
+def test_a_build_across_cpus_leaves_no_child_thread_or_descriptor(small_splits, monkeypatch):
+    use_cpus(monkeypatch, 2)
+    threads, open_fds = threading.active_count(), len(os.listdir("/dev/fd"))
     config = replace(NESTED_CONFIG, families=("random_forest", "bagged_tree"), rf_mtrys=(4,))
     library = build_library(small_splits, config, augment=False)
     assert library.failures == []
@@ -668,7 +813,8 @@ def test_later_path_levels_record_at_most_path_epochs_iterations(path_library):
 def test_each_path_level_is_one_fit_nn_call_through_the_library_module(
     small_splits, path_library, monkeypatch
 ):
-    # a tracer rebinds fit_nn in the library module's namespace
+    # a tracer rebinds fit_nn in the library module's namespace; one CPU keeps the counts
+    use_cpus(monkeypatch, 1)
     calls = []
 
     def counted(X, y, hidden_nodes, epochs, seed, loss_mode, start=None):
@@ -917,6 +1063,39 @@ def test_a_file_that_is_not_a_bundle_is_named_and_not_loaded(tmp_path, write):
     write(path)
     message = f"^{re.escape(str(path))} is not a library bundle"
     with pytest.raises(ConfigurationError, match=message):
+        load_library(path)
+
+
+def cut_short(path):
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
+
+
+def write_manifest(text):
+    def write(path):
+        with np.load(path) as bundle:
+            arrays = {key: bundle[key] for key in bundle.files}
+        arrays["manifest"] = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+        np.savez_compressed(path, **arrays)
+
+    return write
+
+
+@pytest.mark.parametrize(
+    "damage,message",
+    [
+        (cut_short, "it is not an .npz archive with a manifest"),
+        (write_manifest("{not json"), "its manifest is not json with a version"),
+        (write_manifest('{"entries": []}'), "its manifest is not json with a version"),
+    ],
+    ids=["cut-short", "manifest-not-json", "manifest-without-version"],
+)
+def test_a_damaged_bundle_is_named_and_not_loaded(tmp_path, symmetric_library, damage, message):
+    path = tmp_path / "library.npz"
+    save_library(symmetric_library, path)
+    damage(path)
+    expected = f"{path} is not a library bundle: {message}"
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(expected)}"):
         load_library(path)
 
 

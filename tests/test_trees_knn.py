@@ -1,10 +1,8 @@
 import gc
-import multiprocessing
 import os
 import sys
 import threading
 import weakref
-from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -24,7 +22,16 @@ from asymcast.models import (
 from asymcast.models import neighbors as neighbors_module
 from asymcast.models.base import QueryMemo
 from asymcast.models.neighbors import _CHUNK_DISTANCES, KnnState, NeighborIndex
-from asymcast.models.trees import NODE_ARRAYS, ForestState, TreeSums, ensemble_prefix
+from asymcast.models.trees import (
+    ENSEMBLE_COMPLEXITY,
+    ENSEMBLE_MIN_NODE,
+    MAX_DEPTH,
+    NODE_ARRAYS,
+    ForestState,
+    TreeState,
+    TreeSums,
+    ensemble_prefix,
+)
 from reference_kernels import knn_rank_means, tree_build_loop, tree_depth, tree_predict_loop
 
 
@@ -435,63 +442,38 @@ def test_ensemble_prefix_names_the_families_it_takes(fit):
         ensemble_prefix(fitted, 1)
 
 
-def use_cpus(monkeypatch, count):
-    """Make ``count`` CPUs look usable, and count the forks an ensemble fit makes."""
-    forks = []
+@pytest.mark.parametrize("fit", [
+    lambda X, y, size: fit_bagged_tree(X, y, bags=size, seed=31),
+    # mtry < m, so every tree also draws its split features from its seed
+    lambda X, y, size: fit_random_forest(X, y, size, 2, seed=31),
+], ids=["bagged", "forest"])
+def test_a_standalone_ensemble_grows_its_trees_in_one_loop_in_the_caller(monkeypatch, fit):
+    X, y = make_nonlinear_problem(seed=22, n=150)
     fork = os.fork
+    forks = []
 
     def counted_fork():
         forks.append(1)
         return fork()
 
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(9)), raising=False)
     monkeypatch.setattr(os, "fork", counted_fork)
-    return forks
-
-
-def ensemble_fit(kind):
-    if kind == "bagged":
-        return lambda X, y, size: fit_bagged_tree(X, y, bags=size, seed=31)
-    # mtry < m, so every tree also draws its split features from its seed
-    return lambda X, y, size: fit_random_forest(X, y, size, 2, seed=31)
-
-
-@pytest.mark.parametrize("kind", ["bagged", "forest"])
-@pytest.mark.parametrize("cpus", [2, 3, 9])
-def test_trees_grown_across_cpus_equal_the_one_cpu_fit(monkeypatch, kind, cpus):
-    X, y = make_nonlinear_problem(seed=22, n=150)
-    fit = ensemble_fit(kind)
-    forks = use_cpus(monkeypatch, 1)
-    alone = fit(X, y, 7)
+    grown = fit(X, y, 7)
     assert forks == []
-    forks = use_cpus(monkeypatch, cpus)
-    # 7 trees over 3 CPUs is an uneven split; 9 CPUs is more than there are trees
-    split = fit(X, y, 7)
-    assert len(forks) == min(cpus, 7) - 1
-    assert_same_trees(split.state.trees, alone.state.trees)
-    np.testing.assert_array_equal(predict(split, X), predict(alone, X))
+    # each tree draws its bootstrap rows, then its seed, from the ensemble's one stream
+    rng = np.random.default_rng(31)
+    mtry = grown.hyperparams.get("mtry", X.shape[1])
+    expected = []
+    for _ in range(7):
+        boot = rng.integers(0, X.shape[0], size=X.shape[0]).astype(np.int64)
+        tree_seed = int(rng.integers(0, 2**31 - 1))
+        arrays = kernels.tree_build(
+            X, y, boot, ENSEMBLE_MIN_NODE, ENSEMBLE_COMPLEXITY, mtry, tree_seed, MAX_DEPTH
+        )
+        expected.append(TreeState(*arrays))
+    assert_same_trees(grown.state.trees, expected)
     for t in (1, 4):
-        assert_same_trees(fit(X, y, t).state.trees, alone.state.trees[:t])
-
-
-def test_a_child_that_ends_without_its_trees_is_reported(monkeypatch):
-    X, y = make_nonlinear_problem(seed=23, n=60)
-    build, parent = kernels.tree_build, os.getpid()
-
-    def dying(*args):
-        if os.getpid() != parent:
-            os._exit(3)
-        return build(*args)
-
-    use_cpus(monkeypatch, 2)
-    monkeypatch.setattr(kernels, "tree_build", dying)
-    threads = threading.active_count()
-    with pytest.raises(BrokenProcessPool):
-        fit_random_forest(X, y, 4, 2, seed=0)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    assert multiprocessing.active_children() == []
-    assert threading.active_count() == threads
+        assert_same_trees(fit(X, y, t).state.trees, grown.state.trees[:t])
 
 
 def test_forest_seeded_determinism():
