@@ -4,10 +4,10 @@ A fitted model is its family tag, the hyperparameters it was fitted
 with, a state object, the loss mode used for training, and a
 symmetric/asymmetric provenance flag, which follows the loss
 (``losses.is_symmetric``). A library wires the states that share
-prediction work where it creates them: the forests of a nested group get
-one tree walk as the group grows, the kNN models of a build get one
-neighbour index once their ks have fitted, and ``load_library`` builds
-each group and neighbour index from the bundle. States never change
+prediction work in one place, ``library._share``, for each work unit of
+a build and each shared locator of a loaded bundle alike: a unit's tree
+models (a single tree, or the sizes of one ensemble group) get one tree
+walk, and its kNN models one neighbour index. States never change
 once built. The shared parts keep what they computed for the latest
 query in a ``QueryMemo``, one per library. The memo is keyed on the
 query's contents and swapped whole, so prediction stays deterministic

@@ -36,25 +36,29 @@ with the group's seed, and every plan of the group keeps the
 prefix of its own size, which is what the public fitter returns for that
 size and seed (``trees.ensemble_prefix``). Each model's hyperparameters
 record the group seed, so the fitter called with them reproduces it.
+Forest plans come one ``mtry`` after another, a group each.
 
-Prediction work is shared where the library creates it, and no
-content comparison decides it. The forests of a nested group hold one
-``trees.TreeSums``, made when the group grows its ensemble, which walks
-each tree once per query for every size. The kNN models share one
-neighbour index over the ATS rows, made once their ks have fitted,
-which ranks a query's neighbours once for all the ks. Both keep their
-results in one ``QueryMemo`` per library, which holds one copy of the
-latest query. ``load_library`` forms the groups from the
-bundle's locators, so a loaded model reproduces its stored validation
-forecasts bit for bit. A single tree is built in no group, so two plans
-that grow equal trees each keep and store their own.
+A build's work unit is a pair ``(plans, fit)`` (``_fit_plans``):
+``plans`` is its list of (family, grid label), held by the caller, and
+``fit()`` returns each plan's model, or the exception it fails with. A
+unit is one plan, the kNN ks, an ensemble group or a network path. The
+units run side by side in one fork-context process pool over the usable
+CPUs (``_fit_units``); with one usable CPU they run in the caller and
+nothing forks. The caller zips each unit's plans with its models and
+makes every validation forecast, in plan order, so no forecast depends
+on where or when a unit ran.
 
-A build fits its plans as independent work units side by side, in one
-fork-context process pool over the usable CPUs (``_fit_units``), and
-joins the results in plan order in the calling process, which wires the
-shared prediction work and makes every validation forecast. So no
-forecast depends on where or when a unit ran; with one usable CPU the
-units run in the caller and nothing forks.
+Prediction work is shared within a unit, and no content comparison
+decides it. ``_share`` wires a unit's models over the library's one
+``QueryMemo``, which holds one copy of the latest query: its tree models
+hold one ``trees.TreeSums`` over the longest one's trees, which walks
+each tree once per query for every size, and its kNN models one
+neighbour index over the ATS rows, which ranks a query's neighbours once
+for all the ks. A single tree is a one-tree group, so two plans that
+grow equal trees each keep and store their own. ``load_library`` groups
+the bundle's entries by locator and wires each group with the same
+``_share``, so a loaded library shares what the built one did and
+reproduces its stored validation forecasts bit for bit.
 
 A fit or validation forecast that fails is skipped and recorded, in
 plan order, in ``ModelLibrary.failures``. ``save_library`` writes the
@@ -237,30 +241,24 @@ def _valid_size(size) -> bool:
     return is_integer(size) and size >= 1
 
 
-def _grow_group(fit, sizes):
-    """An ensemble group's work unit: ``fit`` at the largest valid size, or its exception.
+def _one(fit, params) -> list:
+    """A one-plan unit's result: ``[fit(params)]``, or ``[its exception]``."""
+    return [_attempt(lambda: fit(params))]
+
+
+def _group(fit, sizes) -> list:
+    """Each size's ensemble, or the exception it fails with, from one growth of ``fit``.
 
     ``fit(size)`` is a bagging or forest fitter with the group's rows and
-    seed bound, and a valid size is an integer of at least 1. With no
-    valid size the unit grows nothing and returns None.
+    seed bound, and a valid size is an integer of at least 1. The group
+    grows once, at its largest valid size, and each valid size gets the
+    first trees of that growth (``ensemble_prefix``): by the prefix
+    property (see ``trees``), what ``fit`` returns for that size. If the
+    growth fails, every valid size fails with its exception; a size that
+    is not valid fails alone, with what ``fit`` raises for it.
     """
     valid = [size for size in sizes if _valid_size(size)]
-    return _attempt(lambda: fit(max(valid))) if valid else None
-
-
-def _nested_ensembles(fit, sizes, grown, memo: QueryMemo) -> list:
-    """Each size's model, or the exception it fails with, from one growth of a tree ensemble.
-
-    ``grown`` is what ``_grow_group(fit, sizes)`` returned. A valid size
-    gets the first trees of that growth, and all of them share one
-    ``TreeSums`` over ``memo``: by the prefix property (see ``trees``),
-    what ``fit`` returns for that size. If the growth failed, every valid
-    size fails with its exception; a size that is not valid fails alone,
-    with what ``fit`` raises for it.
-    """
-    valid = [size for size in sizes if _valid_size(size)]
-    if isinstance(grown, Model):
-        sums = TreeSums(grown.state.trees, valid, memo)
+    grown = _attempt(lambda: fit(max(valid))) if valid else None
     results = []
     for size in sizes:
         if not _valid_size(size):
@@ -268,72 +266,67 @@ def _nested_ensembles(fit, sizes, grown, memo: QueryMemo) -> list:
         elif isinstance(grown, Exception):
             results.append(grown)
         else:
-            model = ensemble_prefix(grown, size)
-            results.append(replace(model, state=ForestState(model.state.trees, sums)))
+            results.append(ensemble_prefix(grown, size))
     return results
 
 
-def _loss_path(config: LibraryConfig, hidden: int, losses, seed: int, X, y) -> list:
+def _loss_path(config: LibraryConfig, hidden: int, levels, losses, seed: int, X, y) -> list:
     """Each level's network, or the exception it fails with, from one path of ``fit_nn`` calls.
 
-    ``losses`` are the training losses in path order, and the path fits
-    the levels in that order on ``X``, ``y``, one ``fit_nn`` call each,
-    with ``seed``. A level starts from the network of the last level that
-    fitted, with an iteration cap of ``min(config.nn_epochs,
-    PATH_EPOCHS)``; while none has, it starts cold with
-    ``config.nn_epochs``. Each model's ``hyperparams["path"]`` lists the
-    loss text and cap of the levels it started from, in order, so
-    ``fit_nn`` called along that list reproduces it.
+    ``losses`` are the training losses of the a-levels ``levels``, and the
+    path fits them from the largest a down on ``X``, ``y``, one ``fit_nn``
+    call each, with ``seed``; the results come in ``levels`` order. A
+    level starts from the network of the last level that fitted, with an
+    iteration cap of ``min(config.nn_epochs, PATH_EPOCHS)``; while none
+    has, it starts cold with ``config.nn_epochs``. Each model's
+    ``hyperparams["path"]`` lists the loss text and cap of the levels it
+    started from, in order, so ``fit_nn`` called along that list
+    reproduces it.
     """
-    results, path, start = [], [], None
-    for loss in losses:
+    results, path, start = [None] * len(levels), [], None
+    for i in sorted(range(len(levels)), key=levels.__getitem__, reverse=True):
         epochs = config.nn_epochs if start is None else min(config.nn_epochs, PATH_EPOCHS)
-        model = _attempt(lambda: fit_nn(X, y, hidden, epochs, seed, loss, start=start))
+        model = _attempt(lambda: fit_nn(X, y, hidden, epochs, seed, losses[i], start=start))
         if isinstance(model, Model):
             model = replace(model, hyperparams={**model.hyperparams, "path": list(path)})
-            path.append({"loss": loss_to_text(loss), "epochs": epochs})
+            path.append({"loss": loss_to_text(losses[i]), "epochs": epochs})
             start = model.state
-        results.append(model)
+        results[i] = model
     return results
 
 
-def _fit_plans(config: LibraryConfig, augment: bool, X, y, memo: QueryMemo):
-    """Fit every plan on the ATS rows ``X``, ``y``; yield (family, hyperparams, model or exception).
+def _fit_plans(config: LibraryConfig, augment: bool, X, y) -> list:
+    """The build's work units on the ATS rows ``X``, ``y``, in plan order: pairs ``(plans, fit)``.
 
-    Plans come in a stable order: OLS, ridge, kNN, single trees, symmetric
-    networks, bagging, forests, then, when ``augment``, the quantile
-    regressions and the network paths. Each seed is drawn from what it
-    seeds (``_model_seed``): a symmetric network's family and width, the
-    bagging family, a forest group's family and ``mtry``, or a network
-    path's loss label and width. OLS, ridge, kNN, single trees and quantile
-    regressions take none.
+    ``plans`` is the unit's list of (family, grid label), and ``fit()``
+    returns each plan's model, or the exception it fails with
+    (``_attempt``). Each OLS, ridge, single-tree, symmetric-network and
+    quantile plan is one unit; the kNN ks are one; the bagged-tree plans,
+    and the forest plans of each ``mtry``, are a group (``_group``); and
+    the llc, or the qqc, networks of each width are a path
+    (``_loss_path``). So plans come in a stable order: OLS, ridge, kNN,
+    single trees, symmetric networks, bagging, forests one ``mtry`` after
+    another, then, when ``augment``, the quantile regressions and the
+    network paths, llc before qqc and one width after another. The cheap
+    closed-form units come first and the groups and paths last, so the
+    pool hands out the units from the last.
 
-    The fits run as independent work units (``_fit_units``), in plan
-    order: each OLS, ridge, single-tree, symmetric-network and quantile
-    plan is one unit; the kNN ks are one; every bagged-tree plan, or every
-    forest plan of one ``mtry``, is a group (``_nested_ensembles``) whose
-    unit grows it once at its largest size; and the llc, or the qqc,
-    networks of one width are a path (``_loss_path``), one unit each. The
-    cheap closed-form units come first and the groups and paths last, so
-    the pool hands out the units from the last. A unit returns what it
-    fitted, a failed fit's exception included (``_attempt``). Once every
-    unit has returned, this process wires what plans share over ``memo``:
-    each group's tree sums, and one ``NeighborIndex`` for the kNN plans
-    that fit, so the validation forecasts walk each tree and rank each
-    query once. Every fitter is looked up in this module when it is
-    called, in a worker process too.
+    Each seed is drawn from what it seeds (``_model_seed``): a symmetric
+    network's family and width, the bagging family, a forest group's
+    family and ``mtry``, or a network path's loss label and width. OLS,
+    ridge, kNN, single trees and quantile regressions take none. Every
+    fitter is looked up in this module when it is called, in a worker
+    process too.
     """
 
     def seed(family, **identity):
         return _model_seed(config.master_seed, {"family": family, **identity})
 
-    # each section is (its units, and a join of their results into its plans in plan order)
-    sections = []
+    units = []
 
     def each(family, grid, fit):
         # one unit per plan: fit(p) for the hyperparameters p of each grid point
-        units = [partial(_attempt, partial(fit, p)) for p in grid]
-        sections.append((units, lambda results: [(family, p, m) for p, m in zip(grid, results)]))
+        units.extend(([(family, p)], partial(_one, fit, p)) for p in grid)
 
     fams = config.families
     if FAMILY_OLS in fams:
@@ -345,20 +338,11 @@ def _fit_plans(config: LibraryConfig, augment: bool, X, y, memo: QueryMemo):
         ks = config.knn_ks
 
         def fit_ks():
-            # each model goes back without the index its fit made, which no forecast uses
-            return [_attempt(lambda: replace(fit_knn(X, y, k), state=None)) for k in ks]
+            # each model goes back without the index its fit made; ``_share`` gives them one
+            return [_attempt(lambda: replace(fit_knn(X, y, k), state=KnnState(None, k)))
+                    for k in ks]
 
-        def share_index(results):
-            (fitted,) = results
-            good = [k for k, model in zip(ks, fitted) if isinstance(model, Model)]
-            index = NeighborIndex(X, y, good, memo) if good else None
-            return [
-                (FAMILY_KNN, {"k": k},
-                 replace(model, state=KnnState(index, k)) if isinstance(model, Model) else model)
-                for k, model in zip(ks, fitted)
-            ]
-
-        sections.append(([fit_ks], share_index))
+        units.append(([(FAMILY_KNN, {"k": k}) for k in ks], fit_ks))
     if FAMILY_TREE in fams:
         grid = [
             {"complexity": cp, "min_node": mn}
@@ -372,73 +356,65 @@ def _fit_plans(config: LibraryConfig, augment: bool, X, y, memo: QueryMemo):
             FAMILY_NN, grid,
             lambda p: fit_nn(X, y, p["hidden_nodes"], config.nn_epochs, seed(FAMILY_NN, **p)),
         )
+    # partial binds each group's seed now; a closure would read its name when called
     if FAMILY_BAGGED_TREE in fams:
-        s, counts = seed(FAMILY_BAGGED_TREE), config.bag_counts
-
-        def bag(bags):
-            return fit_bagged_tree(X, y, bags, s)
-
-        def cut_bags(results):
-            bagged = _nested_ensembles(bag, counts, results[0], memo)
-            return [(FAMILY_BAGGED_TREE, {"bags": b}, m) for b, m in zip(counts, bagged)]
-
-        sections.append(([partial(_grow_group, bag, counts)], cut_bags))
+        counts = config.bag_counts
+        fit = partial(lambda s, bags: fit_bagged_tree(X, y, bags, s), seed(FAMILY_BAGGED_TREE))
+        plans = [(FAMILY_BAGGED_TREE, {"bags": bags}) for bags in counts]
+        units.append((plans, partial(_group, fit, counts)))
     if FAMILY_RANDOM_FOREST in fams:
+
+        def forest(mtry, s, trees):
+            return fit_random_forest(X, y, trees, min(mtry, X.shape[1]), s)
+
         sizes = config.rf_trees
-
-        def forest(mtry):
-            s = seed(FAMILY_RANDOM_FOREST, mtry=mtry)
-            return lambda trees: fit_random_forest(X, y, trees, min(mtry, X.shape[1]), s)
-
-        forests = {mtry: forest(mtry) for mtry in config.rf_mtrys}
-
-        def cut_forests(results):
-            groups = {
-                mtry: _nested_ensembles(fit, sizes, grown, memo)
-                for (mtry, fit), grown in zip(forests.items(), results)
-            }
-            return [
-                (FAMILY_RANDOM_FOREST, {"trees": trees, "mtry": mtry}, groups[mtry][i])
-                for i, trees in enumerate(sizes)
-                for mtry in config.rf_mtrys
-            ]
-
-        units = [partial(_grow_group, fit, sizes) for fit in forests.values()]
-        sections.append((units, cut_forests))
+        for mtry in config.rf_mtrys:
+            fit = partial(forest, mtry, seed(FAMILY_RANDOM_FOREST, mtry=mtry))
+            plans = [(FAMILY_RANDOM_FOREST, {"trees": trees, "mtry": mtry}) for trees in sizes]
+            units.append((plans, partial(_group, fit, sizes)))
 
     if augment:
         levels, widths = config.aug_a_levels, config.aug_nn_hidden
         taus = [tau_from_weights(a, 1.0) for a in levels]
         grid = [{"tau": tau, "a": a} for tau, a in zip(taus, levels)]
         each(FAMILY_QUANTILE, grid, lambda p: fit_quantile(X, y, p["tau"]))
-        # each path runs from the largest a down
-        order = sorted(range(len(levels)), key=levels.__getitem__, reverse=True)
+        for label, losses in (
+            ({"loss": "llc"}, [CostSpec("llc", a=tau, b=1.0 - tau) for tau in taus]),
+            ({"b": 1.0, "loss": "qqc"}, [CostSpec("qqc", a=a, b=1.0) for a in levels]),
+        ):
+            for k in widths:
+                plans = [(FAMILY_NN, {"hidden_nodes": k, "a": a, **label}) for a in levels]
+                s = seed(FAMILY_NN, hidden_nodes=k, **label)
+                units.append((plans, partial(_loss_path, config, k, levels, losses, s, X, y)))
+    return units
 
-        def paths(label, losses):
-            ordered = [losses[i] for i in order]
-            units = {
-                k: partial(
-                    _loss_path, config, k, ordered, seed(FAMILY_NN, hidden_nodes=k, **label), X, y
-                )
-                for k in widths
-            }
 
-            def join(results):
-                fitted = dict(zip(units, results))
-                return [
-                    (FAMILY_NN, {"hidden_nodes": k, "a": a, **label}, fitted[k][order.index(level)])
-                    for level, a in enumerate(levels)
-                    for k in widths
-                ]
+def _share(models, memo: QueryMemo, X, y) -> list:
+    """``models`` wired to share their prediction work over ``memo``; exceptions pass through.
 
-            sections.append((list(units.values()), join))
+    ``models`` are one build unit's, or the loaded entries of one bundle
+    locator. Their tree models share one ``TreeSums`` over the trees of
+    the longest, whose prefixes the others hold, and their kNN models one
+    ``NeighborIndex`` over the training rows ``X``, ``y`` and their ks.
+    Every other model passes through.
+    """
+    fitted = [model.state for model in models if isinstance(model, Model)]
+    forests = [state for state in fitted if isinstance(state, ForestState)]
+    ks = [state.k for state in fitted if isinstance(state, KnnState)]
+    if forests:
+        longest = max(forests, key=lambda state: len(state.trees))
+        sums = TreeSums(longest.trees, [len(state.trees) for state in forests], memo)
+    index = NeighborIndex(X, y, ks, memo) if ks else None
 
-        paths({"loss": "llc"}, [CostSpec("llc", a=tau, b=1.0 - tau) for tau in taus])
-        paths({"b": 1.0, "loss": "qqc"}, [CostSpec("qqc", a=a, b=1.0) for a in levels])
+    def wired(model):
+        state = model.state if isinstance(model, Model) else None
+        if isinstance(state, ForestState):
+            return replace(model, state=ForestState(state.trees, sums))
+        if isinstance(state, KnnState):
+            return replace(model, state=KnnState(index, state.k))
+        return model
 
-    results = iter(_fit_units([unit for units, _ in sections for unit in units]))
-    for units, join in sections:
-        yield from join([next(results) for _ in units])
+    return [wired(model) for model in models]
 
 
 # the OpenBLAS functions that set the thread count, in numpy's and scipy's builds and a plain one
@@ -487,14 +463,14 @@ def _run(i: int):
 def _fit_units(units) -> list:
     """Each unit's result, in order, from units run side by side over the usable CPUs.
 
-    The pool has ``min(usable CPUs, units)`` fork-context workers, and the
+    A unit here is a build unit's ``fit``, called with no argument. The
+    pool has ``min(usable CPUs, units)`` fork-context workers, and the
     caller waits; with one worker, or where ``os.sched_getaffinity`` is
     missing, every unit runs here in order and nothing forks. The units
     reach the workers through the initializer, so a fork inherits them,
     closures and all, no global of the calling process changes, and only
-    their results are pickled. Each worker runs
-    its OpenBLAS on one thread, so the workers do not oversubscribe the
-    CPUs. A worker that dies raises ``BrokenProcessPool``; the pool shuts
+    their results are pickled. Each worker runs its OpenBLAS on one
+    thread, so the workers do not oversubscribe the CPUs. A worker that dies raises ``BrokenProcessPool``; the pool shuts
     down before this returns or raises.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
@@ -519,25 +495,35 @@ def build_library(
 
     No entry's forecasts depend on the other plans (``_fit_plans``). The
     fits run as work units side by side in one process pool over the
-    usable CPUs (``_fit_units``); the validation forecasts run in this
-    process, in plan order. A fit or validation forecast that fails is
+    usable CPUs (``_fit_units``); this process zips each unit's plans with
+    its models, wires them (``_share``) and makes the validation
+    forecasts, in plan order. A fit or validation forecast that fails is
     logged and recorded in ``ModelLibrary.failures``, in plan order; only
-    a fully failed build raises. A pool worker that dies raises
+    a fully failed build raises, and a configuration that plans no model
+    raises ConfigurationError. A pool worker that dies raises
     ``BrokenProcessPool``, and no worker outlives the call. ``jobs`` must
     be 1: the pool's size follows the usable CPUs.
     """
     if jobs != 1:
         raise ConfigurationError(f"build_library sizes its own pool; jobs must be 1, got {jobs}")
-    X_val = splits.validation.features
+    X, y = splits.ats.features, splits.ats.target
+    units = _fit_plans(config, augment, X, y)
+    if not any(plans for plans, _ in units):
+        raise ConfigurationError(
+            f"the library plans no model: families is {config.families!r} and augment is "
+            f"{augment}, and no configured grid adds a plan"
+        )
+    memo, X_val = QueryMemo(), splits.validation.features
     entries, failures = [], []
-    plans = _fit_plans(config, augment, splits.ats.features, splits.ats.target, QueryMemo())
-    for family, params, model in plans:
-        val_pred = _attempt(lambda: predict(model, X_val)) if isinstance(model, Model) else model
-        if isinstance(val_pred, Exception):
-            log.warning("skipping %s %s: %s", family, params, val_pred)
-            failures.append((family, params, str(val_pred)))
-            continue
-        entries.append(LibraryEntry(len(entries), params, model, val_pred))
+    for (plans, _), models in zip(units, _fit_units([fit for _, fit in units])):
+        for (family, params), model in zip(plans, _share(models, memo, X, y), strict=True):
+            fitted = isinstance(model, Model)
+            val_pred = _attempt(lambda: predict(model, X_val)) if fitted else model
+            if isinstance(val_pred, Exception):
+                log.warning("skipping %s %s: %s", family, params, val_pred)
+                failures.append((family, params, str(val_pred)))
+                continue
+            entries.append(LibraryEntry(len(entries), params, model, val_pred))
     if not entries:
         raise InvalidInputError("every model fit failed; library is empty")
     return ModelLibrary(entries, splits.validation.target.copy(), augment, config.master_seed, failures)
@@ -652,40 +638,12 @@ def _python_scalar(value):
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _shared_parts(manifest: dict, arrays: dict, memo: QueryMemo):
-    """A version 3 bundle's tree groups and neighbour indexes, both over ``memo``.
-
-    Entries that name the same first stored tree form one group, keyed on
-    that tree; entries that name the same training set share its index.
-    """
-    offsets = np.concatenate([[0], np.cumsum(arrays["tree_nodes"])])
-    nodes = [arrays[f"tree_{name}"] for name in NODE_ARRAYS]
-    stored = [
-        TreeState(*(a[lo:hi] for a in nodes), depth)
-        for lo, hi, depth in zip(offsets[:-1], offsets[1:], arrays["tree_depths"])
-    ]
-    sizes, ks = {}, {}
-    for meta in manifest["entries"]:
-        state = meta["state"]
-        if "trees" in state:
-            first, count = state["trees"]
-            sizes.setdefault(first, []).append(count)
-        elif "knn" in state:
-            ks.setdefault(state["knn"], []).append(meta["model_hyperparams"]["k"])
-    groups = {
-        first: TreeSums(stored[first : first + max(counts)], counts, memo)
-        for first, counts in sizes.items()
-    }
-    knn = {
-        i: NeighborIndex(arrays[f"knn{i}_X"], arrays[f"knn{i}_y"], k, memo) for i, k in ks.items()
-    }
-    return groups, knn
-
-
 def load_library(path) -> ModelLibrary:
     """A library saved by ``save_library``, from a version 3 bundle.
 
-    Each entry's state is rebuilt from its locator's key; a locator with
+    Each entry's state is rebuilt from its locator's key, and the entries
+    that name the same first stored tree, or the same neighbour training
+    set, are wired as a build wires a unit (``_share``). A locator with
     none of the four keys raises ConfigurationError naming the entry. A
     file that is not an ``.npz`` archive with a manifest, such as a
     cut-short bundle, or whose manifest is not json with a ``version``,
@@ -722,12 +680,17 @@ def load_library(path) -> ModelLibrary:
             f"library bundle version {version} does not load; only version "
             f"{_BUNDLE_VERSION} does, so refit the library and save it again"
         )
-    memo = QueryMemo()
-    groups, knn = _shared_parts(manifest, arrays, memo)
-    entries = []
-    for meta, val_pred in zip(manifest["entries"], arrays["val_pred"], strict=True):
+    offsets = np.concatenate([[0], np.cumsum(arrays["tree_nodes"])])
+    nodes = [arrays[f"tree_{name}"] for name in NODE_ARRAYS]
+    stored = [
+        TreeState(*(a[lo:hi] for a in nodes), depth)
+        for lo, hi, depth in zip(offsets[:-1], offsets[1:], arrays["tree_depths"])
+    ]
+    # each model, and the entries of each shared locator: ("trees", first tree) or ("knn", set)
+    models, groups = [], {}
+    for meta in manifest["entries"]:
         hyperparams, n_features = meta["model_hyperparams"], meta["n_features"]
-        locator = meta["state"]
+        locator, group = meta["state"], None
         if "beta" in locator:
             lo, hi = locator["beta"]
             state = LinearState(arrays["betas"][lo:hi])
@@ -737,17 +700,29 @@ def load_library(path) -> ModelLibrary:
             state = NNState(*params)
         elif "trees" in locator:
             first, count = locator["trees"]
-            state = ForestState(groups[first].trees[:count], groups[first])
+            state, group = ForestState(stored[first : first + count]), ("trees", first)
         elif "knn" in locator:
-            state = KnnState(knn[locator["knn"]], hyperparams["k"])
+            state, group = KnnState(None, hyperparams["k"]), ("knn", locator["knn"])
         else:
             raise ConfigurationError(
                 f"bundle entry {meta['index']} locates no model state: {locator}; refit and save it"
             )
-        model = Model(
-            meta["family"], hyperparams, state, n_features, loss_from_text(meta["loss_mode"])
+        if group is not None:
+            groups.setdefault(group, []).append(len(models))
+        models.append(
+            Model(meta["family"], hyperparams, state, n_features, loss_from_text(meta["loss_mode"]))
         )
-        entries.append(LibraryEntry(meta["index"], meta["hyperparams"], model, val_pred))
+    memo = QueryMemo()
+    for (kind, i), members in groups.items():
+        X, y = (arrays[f"knn{i}_X"], arrays[f"knn{i}_y"]) if kind == "knn" else (None, None)
+        for j, model in zip(members, _share([models[j] for j in members], memo, X, y)):
+            models[j] = model
+    entries = [
+        LibraryEntry(meta["index"], meta["hyperparams"], model, val_pred)
+        for meta, model, val_pred in zip(
+            manifest["entries"], models, arrays["val_pred"], strict=True
+        )
+    ]
     failures = [tuple(failure) for failure in manifest["failures"]]
     return ModelLibrary(
         entries, arrays["val_actuals"], manifest["augmented"], manifest["master_seed"], failures

@@ -6,9 +6,9 @@ pass and ranks the neighbours once, at the largest k it serves, ordering
 them by (distance, training row); every k then reads its mean from
 running sums of the ranked targets. That order is exact, ties included,
 so a k forecasts the same bits alone as in any group. ``fit_knn`` gives
-a model an index of its own; ``build_library`` gives the kNN models it
-fits one index over the ATS rows and their ks, and ``load_library``
-builds one index per stored training set.
+a model an index of its own; a library wires its kNN models to one index
+per training set in one place (``library._share``): over the ATS rows and
+the ks that fit at build, and over each stored training set at load.
 
 The index keeps the per-k means of its latest query in the
 ``base.QueryMemo`` it is built with, keyed on the query's contents, not

@@ -30,11 +30,11 @@ Every tree family stores its model as a ``ForestState``: a single tree
 is a one-tree forest, so the three families predict and persist the
 same way. ``TreeState`` holds the node arrays of one tree and its depth.
 
-The forests of one nested group share their trees and one ``TreeSums``,
-wired where the group is created: ``build_library`` gives each ensemble
-it grows one ``TreeSums`` for the prefixes it cuts with
-``ensemble_prefix``, and ``load_library`` gives one to the entries that
-name the same first stored tree. For a new query the group walks each tree once and keeps
+The forests of one library group share their trees and one ``TreeSums``,
+which the library wires in one place (``library._share``): at build a
+group is a single tree alone, or the prefixes that one ensemble growth
+cuts with ``ensemble_prefix``, and at load it is the entries that name
+the same first stored tree. For a new query the group walks each tree once and keeps
 the running sum at every member's size, summed in the order
 ``ForestState.predict`` sums, so a member's forecast keeps its bits
 whichever member asks first. The sums live in the library's

@@ -336,9 +336,10 @@ def test_nested_ensembles_equal_the_public_fitters(small_splits, nested_library)
     assert [e.hyperparams for e in nested_library.entries] == [
         {"bags": 2},
         {"bags": 5},
+        # one group per mtry, so forests come mtry by mtry
         {"trees": 3, "mtry": 4},
-        {"trees": 3, "mtry": 8},
         {"trees": 6, "mtry": 4},
+        {"trees": 3, "mtry": 8},
         {"trees": 6, "mtry": 8},
     ]
     for entry in nested_library.entries:
@@ -352,7 +353,7 @@ def test_nested_ensembles_equal_the_public_fitters(small_splits, nested_library)
 
 def test_each_group_grows_once_and_smaller_entries_are_its_prefixes(nested_library):
     # plan index -> index of the larger plan of its group
-    groups = {0: 1, 2: 4, 3: 5}
+    groups = {0: 1, 2: 3, 4: 5}
     seeds = [e.model.hyperparams["seed"] for e in nested_library.entries]
     assert len(set(seeds)) == 3
     for small, large in groups.items():
@@ -562,8 +563,10 @@ def test_build_wires_each_group_to_one_walk_and_one_index_over_one_memo(small_sp
     for entry in library.entries:
         key = (entry.family, entry.hyperparams.get("mtry"))
         states.setdefault(key, []).append(entry.model.state)
+    # a single tree is a one-tree group over the library's memo
     (tree,) = states.pop(("tree", None))
-    assert tree.shared is None
+    assert tree.shared is not None and tree.shared.trees == tree.trees
+    assert tree.shared.sizes == {1}
     knn = states.pop(("knn", None))
     index = knn[0].index
     assert all(state.index is index for state in knn) and index.ks == (5, 25)
@@ -602,6 +605,40 @@ def test_a_non_finite_grid_value_is_one_recorded_failure_naming_it(small_splits,
          f"complexity must be finite and >= 0, got {bad!r}"),
     ]
     assert [entry.hyperparams for entry in library.entries] == [{"lambda": 1.0}]
+
+
+def wiring(library) -> list:
+    """Each entry's shared tree walk or index: (kind, first entry sharing it, sizes or ks)."""
+    first, parts = {}, []
+    for position, entry in enumerate(library.entries):
+        state = entry.model.state
+        part = getattr(state, "shared", None) or getattr(state, "index", None)
+        if part is None:
+            parts.append(None)
+            continue
+        at = first.setdefault(id(part), position)
+        parts.append((type(part).__name__, at, getattr(part, "sizes", None) or part.ks))
+    return parts
+
+
+def test_a_built_library_and_its_loaded_copy_wire_the_same_groups(tmp_path, small_splits):
+    config = replace(
+        NESTED_CONFIG,
+        families=("ols", "knn", "tree", "bagged_tree", "random_forest"),
+        knn_ks=(25, 5),
+        tree_min_nodes=(10, 40),
+    )
+    library = build_library(small_splits, config, augment=False)
+    path = tmp_path / "library.npz"
+    save_library(library, path)
+    loaded = load_library(path)
+    built = wiring(library)
+    assert wiring(loaded) == built
+    # every tree and kNN entry is wired: two single trees, one bagging and two forest groups
+    assert [part is None for part in built] == [e.family == "ols" for e in library.entries]
+    shared = {first: sizes for _, first, sizes in filter(None, built)}
+    assert shared == {1: (5, 25), 3: {1}, 4: {1}, 5: {2, 5}, 7: {3, 6}, 9: {3, 6}}
+    assert len(query_memos(library)) == len(query_memos(loaded)) == 1
 
 
 def test_nested_ensembles_survive_save_and_load(tmp_path, small_splits, nested_library):
@@ -709,6 +746,20 @@ def test_select_best_memory_stays_below_half_an_entries_by_rows_array():
         finally:
             tracemalloc.stop()
         assert peak < half_matrix, (family, peak)
+
+
+@pytest.mark.parametrize(
+    "families, grids",
+    [((), {}), (("ridge", "knn"), {"ridge_lambdas": (), "knn_ks": ()})],
+    ids=["no-family", "empty-grids"],
+)
+def test_a_build_that_plans_no_model_is_a_configuration_error_naming_it(
+    small_splits, families, grids
+):
+    config = replace(SMALL_CONFIG, families=families, **grids)
+    message = re.escape(f"the library plans no model: families is {families!r} and augment is False")
+    with pytest.raises(ConfigurationError, match=message):
+        build_library(small_splits, config, augment=False)
 
 
 def test_select_best_rejects_empty_library():
